@@ -8,9 +8,15 @@
 * ``json``: one object whose ``checksum`` member is the sha256 of the
   canonical dump of the remaining members.
 
-Loaders sniff the encoding, verify the checksum, and revalidate the
-algebra (parameter constraints, scrambler invertibility, element ranges)
-before handing back live objects.  Any mismatch raises FormatError.
+The three record kinds (public key, private key, ciphertext) are declared
+once each as a `_Record`: the header scalars in their written order with
+their bin struct codes, and the vectors and matrices that follow.  One
+writer and one reader per encoding serve every kind.
+
+Loaders sniff the encoding, verify the checksum, type-check the header,
+and revalidate the algebra (parameter constraints, scrambler
+invertibility, element ranges) before handing back live objects.  Any
+mismatch raises FormatError.
 """
 
 from __future__ import annotations
@@ -18,13 +24,15 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .errors import FormatError, ParameterError
 from .fields import get_field
 from .gabidulin import GabidulinCode
-from .gpt import GptParams, GptPrivateKey, GptPublicKey, ScramblerMode, Variant
+from .gpt import GptParams, GptPrivateKey, GptPublicKey, Variant
 from .linalg import identity_matrix, mat_inv, mat_mul
 
 __all__ = [
@@ -40,13 +48,6 @@ __all__ = [
 ]
 
 MAGIC = b"GPTRANK1"
-_KIND_PUBLIC = 1
-_KIND_PRIVATE = 2
-_KIND_CIPHERTEXT = 3
-_KIND_NAMES = {_KIND_PUBLIC: "public", _KIND_PRIVATE: "private", _KIND_CIPHERTEXT: "ciphertext"}
-
-# q, N, n, k, t1, variant, t2, p, m_cols, mode, s_ext, x_rank + 1
-_PARAMS_STRUCT = struct.Struct(">IHHHHBHHHBHH")
 
 
 @dataclass
@@ -64,19 +65,218 @@ class CiphertextBundle:
         return get_field(self.q, self.N, self.modulus)
 
 
+# -- the schema ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Member:
+    """A matrix stored after the header, as a list of rows.
+
+    Hex writes each row as a ``row:`` line, after an empty ``name:`` section
+    line when ``section`` is set.  A vector (``row`` is None) is a one-row
+    matrix that hex writes as a ``name:`` line and json as a plain string.
+    """
+
+    name: str
+    row: str | None = None
+    section: bool = False
+
+
+@dataclass(frozen=True)
+class _Record:
+    """One record kind.
+
+    ``header`` lists (name, bin struct code) in written order.  ``modulus``
+    is a length-prefixed list; a member name stands for that matrix's row
+    count, which only bin stores.  The context is the object that carries
+    the field: GptParams, or a CiphertextBundle without blocks.
+    """
+
+    kind: int
+    name: str
+    header: tuple[tuple[str, str], ...]
+    nested: bool  # json puts the header under "params"
+    members: tuple[_Member, ...]
+    values: Callable  # context -> header values
+    context: Callable  # checked header values -> context
+    dims: Callable  # context -> {member: (rows or None for any, cols)}
+    split: Callable  # object -> (context, {member: rows})
+    build: Callable  # (context, {member: rows}) -> object
+
+    @cached_property
+    def scalars(self) -> tuple[str, ...]:
+        """Header names every encoding writes, in order."""
+        counts = {m.name for m in self.members}
+        return tuple(name for name, _ in self.header if name not in counts)
+
+
+_KEY_HEADER = (
+    ("q", "I"), ("N", "H"), ("n", "H"), ("k", "H"), ("t1", "H"), ("variant", "B"),
+    ("t2", "H"), ("p", "H"), ("m_cols", "H"), ("mode", "B"), ("s_ext", "H"),
+    ("x_rank", "H"), ("modulus", "I"),
+)  # fmt: skip
+
+# header names whose GptParams attribute is spelled differently
+_PARAM_ATTRS = {"mode": "scrambler_mode", "x_rank": "x_ordinary_rank"}
+
+# bin stores these as small integers: (to bin, from bin)
+_BIN_FORMS = {
+    "mode": (lambda v: int(v == "extension_field"),
+             lambda b: "extension_field" if b else "base_field"),
+    "x_rank": (lambda v: 0 if v is None else v + 1, lambda b: b - 1 if b else None),
+}  # fmt: skip
+
+
+def _params_values(params: GptParams) -> dict:
+    values = {name: getattr(params, _PARAM_ATTRS.get(name, name)) for name, _ in _KEY_HEADER}
+    values["variant"] = int(params.variant)
+    values["mode"] = params.scrambler_mode.value
+    return values
+
+
+def _params_context(values: dict) -> GptParams:
+    return GptParams(**{_PARAM_ATTRS.get(name, name): value for name, value in values.items()})
+
+
+def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
+    ctx = params.field()
+    if mat_mul(ctx, m["P"], m["P_inv"]) != identity_matrix(params.pub_cols):
+        raise FormatError("column scrambler pair is not mutually inverse")
+    try:
+        code = GabidulinCode(ctx, m["g"][0], params.k)
+    except ParameterError as exc:
+        raise FormatError(f"invalid code vector: {exc}") from None
+    S_inv = None
+    if params.variant != Variant.RECTANGULAR_S:
+        try:
+            S_inv = mat_inv(ctx, m["S"])
+        except ValueError:
+            raise FormatError("row scrambler is singular") from None
+    return GptPrivateKey(params, code, m["S"], S_inv, m["P"], m["P_inv"])
+
+
+def _ciphertext_context(values: dict) -> CiphertextBundle:
+    if not values["block_len"]:
+        raise ParameterError("ciphertext blocks must not be empty")
+    return CiphertextBundle(**values, blocks=[])
+
+
+def _ciphertext_split(ct: CiphertextBundle):
+    if any(len(b) != ct.block_len for b in ct.blocks):
+        raise ParameterError("ciphertext blocks disagree with block_len")
+    return ct, {"blocks": ct.blocks}
+
+
+_PUBLIC = _Record(
+    kind=1, name="public", header=_KEY_HEADER, nested=True,
+    members=(_Member("matrix", row="row"),),
+    values=_params_values,
+    context=_params_context,
+    dims=lambda p: {"matrix": (p.pub_rows, p.pub_cols)},
+    split=lambda pub: (pub.params, {"matrix": pub.matrix}),
+    build=lambda params, m: GptPublicKey(params=params, matrix=m["matrix"]),
+)
+
+_PRIVATE = _Record(
+    kind=2, name="private", header=_KEY_HEADER, nested=True,
+    members=(
+        _Member("g"),
+        _Member("S", row="row", section=True),
+        _Member("P", row="row", section=True),
+        _Member("P_inv", row="row", section=True),
+    ),
+    values=_params_values,
+    context=_params_context,
+    dims=lambda p: {
+        "g": (1, p.n), "S": (p.pub_rows, p.k), "P": (p.pub_cols,) * 2, "P_inv": (p.pub_cols,) * 2
+    },
+    split=lambda sk: (sk.params, {"g": [sk.code.g], "S": sk.S, "P": sk.P, "P_inv": sk.P_inv}),
+    build=_private_build,
+)
+
+_CIPHERTEXT = _Record(
+    kind=3, name="ciphertext", nested=False,
+    header=(("q", "I"), ("N", "H"), ("modulus", "I"),
+            ("block_len", "I"), ("blocks", "I"), ("msg_len", "Q")),
+    members=(_Member("blocks", row="block"),),
+    values=lambda ct: {name: getattr(ct, name) for name in _CIPHERTEXT.scalars},
+    context=_ciphertext_context,
+    dims=lambda ct: {"blocks": (None, ct.block_len)},
+    split=_ciphertext_split,
+    build=lambda ct, m: replace(ct, blocks=m["blocks"]),
+)
+
+_KIND_NAMES = {r.kind: r.name for r in (_PUBLIC, _PRIVATE, _CIPHERTEXT)}
+_SIZES = {code: struct.calcsize(code) for code in "BHIQ"}
+
+
+def _fits(value, code: str, spare: int = 0) -> bool:
+    """A plain non-negative int that, plus ``spare``, fits its bin field."""
+    return type(value) is int and 0 <= value and value + spare < 1 << 8 * _SIZES[code]
+
+
+def _check_header(rec: _Record, raw: dict) -> dict:
+    """Type-check untrusted header values; the one gate for every encoding."""
+    codes = dict(rec.header)
+    values = {}
+    for name in rec.scalars:
+        if name not in raw:
+            raise FormatError(f"missing header field {name!r}")
+        value, code = raw[name], codes[name]
+        if name == "modulus":
+            ok = isinstance(value, list) and len(value) < 1 << 16
+            ok = ok and all(_fits(c, code) for c in value)
+        elif name == "mode":
+            ok = isinstance(value, str)
+        elif name == "x_rank":
+            ok = value is None or _fits(value, code, spare=1)
+        else:
+            ok = _fits(value, code)
+        if not ok:
+            raise FormatError(f"header field {name!r} has an invalid value {value!r:.40}")
+        values[name] = tuple(value) if name == "modulus" else value
+    return values
+
+
+# -- shared helpers ------------------------------------------------
+
+
 def _elem_width(ctx) -> int:
     return ((ctx.size - 1).bit_length() + 7) // 8
 
 
-def _normalize_fmt(fmt: str) -> str:
-    name = str(fmt).strip().lower()
-    if name in ("bin", "binary"):
-        return "bin"
-    if name in ("hex", "text", "txt"):
-        return "hex"
-    if name == "json":
-        return "json"
-    raise ParameterError(f"unknown file format {fmt!r} (choose bin, hex, or json)")
+def _check_range(ctx, elems) -> None:
+    if elems and (min(elems) < 0 or max(elems) >= ctx.size):
+        raise FormatError("element value outside the field")
+
+
+def _hex_row(ctx, vec) -> str:
+    return " ".join(ctx.to_hex(v) for v in vec)
+
+
+def _parse_row(ctx, text, cols: int) -> list[int]:
+    if not isinstance(text, str):
+        raise FormatError(f"expected a line of hex elements, found {type(text).__name__}")
+    try:
+        row = [int(tok, 16) for tok in text.split()]
+    except ValueError as exc:
+        raise FormatError(f"bad element: {exc}") from None
+    _check_range(ctx, row)
+    if len(row) != cols:
+        raise FormatError(f"expected {cols} elements per row, found {len(row)}")
+    return row
+
+
+def _parse_texts(rec: _Record, texts: dict, ctx, dims: dict) -> dict:
+    """Members stored as lists of hex rows (hex and json), checked for shape and type."""
+    out = {}
+    for m in rec.members:
+        rows, cols = dims[m.name]
+        text = texts.get(m.name)
+        if not isinstance(text, list) or rows is not None and len(text) != rows:
+            raise FormatError(f"{m.name} should have {rows or 'a list of'} rows of {cols} elements")
+        out[m.name] = [_parse_row(ctx, line, cols) for line in text]
+    return out
 
 
 def sniff_format(data: bytes) -> str:
@@ -91,194 +291,102 @@ def sniff_format(data: bytes) -> str:
     return "hex"
 
 
-# -- parameter header ------------------------------------------------
+def _expect_kind(rec: _Record, found) -> None:
+    if found != rec.name:
+        raise FormatError(f"expected a {rec.name} file, found {found}")
 
 
-def _pack_params(params: GptParams) -> bytes:
-    mode = 1 if params.scrambler_mode == ScramblerMode.EXTENSION_FIELD else 0
-    rx = 0 if params.x_ordinary_rank is None else params.x_ordinary_rank + 1
-    head = _PARAMS_STRUCT.pack(
-        params.q,
-        params.N,
-        params.n,
-        params.k,
-        params.t1,
-        int(params.variant),
-        params.t2,
-        params.p,
-        params.m_cols,
-        mode,
-        params.s_ext,
-        rx,
-    )
-    mod = struct.pack(">H", len(params.modulus))
-    mod += b"".join(struct.pack(">I", c) for c in params.modulus)
-    return head + mod
+# -- bin ------------------------------------------------
 
 
-def _unpack_params(buf: bytes, off: int) -> tuple[GptParams, int]:
-    try:
-        q, N, n, k, t1, variant, t2, p, m_cols, mode, s_ext, rx = _PARAMS_STRUCT.unpack_from(
-            buf, off
-        )
-        off += _PARAMS_STRUCT.size
-        (mod_len,) = struct.unpack_from(">H", buf, off)
-        off += 2
-        modulus = struct.unpack_from(f">{mod_len}I", buf, off)
-        off += 4 * mod_len
-    except struct.error as exc:
-        raise FormatError(f"truncated parameter header: {exc}") from None
-    return (
-        _build_params(
-            q=q,
-            N=N,
-            n=n,
-            k=k,
-            t1=t1,
-            variant=variant,
-            t2=t2,
-            p=p,
-            m_cols=m_cols,
-            mode="extension_field" if mode else "base_field",
-            s_ext=s_ext,
-            x_rank=rx - 1 if rx else None,
-            modulus=modulus,
-        ),
-        off,
-    )
-
-
-def _build_params(*, q, N, n, k, t1, variant, t2, p, m_cols, mode, s_ext, x_rank, modulus):
-    try:
-        return GptParams(
-            N=N,
-            n=n,
-            k=k,
-            t1=t1,
-            q=q,
-            variant=Variant.parse(variant),
-            t2=t2,
-            p=p,
-            m_cols=m_cols,
-            scrambler_mode=mode,
-            s_ext=s_ext,
-            x_ordinary_rank=x_rank,
-            modulus=tuple(modulus),
-        )
-    except (ParameterError, ValueError) as exc:
-        raise FormatError(f"file carries invalid parameters: {exc}") from None
-
-
-_PARAM_KEYS = (
-    "q", "N", "n", "k", "t1", "variant", "t2", "p", "m_cols", "mode", "s_ext", "x_rank",
-)
-
-
-def _params_scalars(params: GptParams) -> dict:
-    return {
-        "q": params.q,
-        "N": params.N,
-        "n": params.n,
-        "k": params.k,
-        "t1": params.t1,
-        "variant": int(params.variant),
-        "t2": params.t2,
-        "p": params.p,
-        "m_cols": params.m_cols,
-        "mode": params.scrambler_mode.value,
-        "s_ext": params.s_ext,
-        "x_rank": params.x_ordinary_rank,
-    }
-
-
-def _params_from_scalars(values: dict) -> GptParams:
-    missing = [key for key in _PARAM_KEYS if key not in values]
-    if missing:
-        raise FormatError(f"missing parameter fields: {', '.join(missing)}")
-    if "modulus" not in values:
-        raise FormatError("missing parameter fields: modulus")
-    return _build_params(
-        q=values["q"],
-        N=values["N"],
-        n=values["n"],
-        k=values["k"],
-        t1=values["t1"],
-        variant=values["variant"],
-        t2=values["t2"],
-        p=values["p"],
-        m_cols=values["m_cols"],
-        mode=values["mode"],
-        s_ext=values["s_ext"],
-        x_rank=values["x_rank"],
-        modulus=values["modulus"],
-    )
-
-
-# -- binary bodies ------------------------------------------------
-
-
-def _pack_elems(ctx, vec) -> bytes:
+def _bin_write(rec: _Record, values: dict, ctx, members: dict) -> bytes:
+    parts = [MAGIC, bytes([rec.kind])]
+    for name, code in rec.header:
+        value = values[name] if name in values else len(members[name])
+        if name == "modulus":
+            parts.append(struct.pack(f">H{len(value)}{code}", len(value), *value))
+        else:
+            to_bin = _BIN_FORMS[name][0] if name in _BIN_FORMS else int
+            parts.append(struct.pack(">" + code, to_bin(value)))
     w = _elem_width(ctx)
-    return b"".join(int(v).to_bytes(w, "big") for v in vec)
-
-
-def _unpack_elems(ctx, buf: bytes, off: int, count: int) -> tuple[list[int], int]:
-    w = _elem_width(ctx)
-    end = off + w * count
-    if end > len(buf):
-        raise FormatError("truncated element data")
-    out = []
-    for i in range(count):
-        v = int.from_bytes(buf[off + i * w : off + (i + 1) * w], "big")
-        if v >= ctx.size:
-            raise FormatError(f"element value {v} outside the field")
-        out.append(v)
-    return out, end
-
-
-def _pack_matrix(ctx, M) -> bytes:
-    return b"".join(_pack_elems(ctx, row) for row in M)
-
-
-def _unpack_matrix(ctx, buf, off, rows, cols):
-    out = []
-    for _ in range(rows):
-        row, off = _unpack_elems(ctx, buf, off, cols)
-        out.append(row)
-    return out, off
-
-
-def _bin_encode(kind: int, body: bytes) -> bytes:
-    payload = MAGIC + bytes([kind]) + body
+    for m in rec.members:
+        parts += [int(v).to_bytes(w, "big") for row in members[m.name] for v in row]
+    payload = b"".join(parts)
     return payload + hashlib.sha256(payload).digest()
 
 
-def _bin_decode(data: bytes, expect_kind: int) -> bytes:
+def _bin_read(rec: _Record, data: bytes):
     if len(data) < len(MAGIC) + 1 + 32:
         raise FormatError("file too short")
-    payload, digest = data[:-32], data[-32:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = data[:-32]
+    if hashlib.sha256(payload).digest() != data[-32:]:
         raise FormatError("checksum mismatch")
     kind = payload[len(MAGIC)]
-    if kind != expect_kind:
-        found = _KIND_NAMES.get(kind, f"kind {kind}")
-        raise FormatError(f"expected a {_KIND_NAMES[expect_kind]} file, found {found}")
-    return payload[len(MAGIC) + 1 :]
+    _expect_kind(rec, _KIND_NAMES.get(kind, f"kind {kind}"))
+    raw, off = {}, len(MAGIC) + 1
+    try:
+        for name, code in rec.header:
+            if name == "modulus":
+                (count,) = struct.unpack_from(">H", payload, off)
+                raw[name] = list(struct.unpack_from(f">{count}{code}", payload, off + 2))
+                off += 2 + count * _SIZES[code]
+            else:
+                (value,) = struct.unpack_from(">" + code, payload, off)
+                raw[name] = _BIN_FORMS[name][1](value) if name in _BIN_FORMS else value
+                off += _SIZES[code]
+    except struct.error as exc:
+        raise FormatError(f"truncated header: {exc}") from None
+
+    def members(ctx, dims):
+        w = _elem_width(ctx)
+        pos, out = off, {}
+        for m in rec.members:
+            rows, cols = dims[m.name]
+            count = cols * raw.get(m.name, rows)
+            end = pos + w * count
+            if end > len(payload):
+                raise FormatError("truncated element data")
+            flat = [int.from_bytes(payload[i : i + w], "big") for i in range(pos, end, w)]
+            _check_range(ctx, flat)
+            out[m.name] = [flat[i : i + cols] for i in range(0, count, cols)]
+            pos = end
+        if pos != len(payload):
+            raise FormatError(f"trailing bytes after the {rec.name} data")
+        return out
+
+    return raw, members
 
 
-# -- text bodies ------------------------------------------------
+# -- hex ------------------------------------------------
 
 
-def _text_encode(kind: int, pairs: list[tuple[str, str]]) -> str:
-    lines = ["gptrank: 1", f"kind: {_KIND_NAMES[kind]}"]
-    lines += [f"{key}: {value}" for key, value in pairs]
+def _hex_value(text: str):
+    """An int where the text is one, None for ``-``, else the text itself."""
+    if text == "-":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _hex_write(rec: _Record, values: dict, ctx, members: dict) -> bytes:
+    lines = ["gptrank: 1", f"kind: {rec.name}"]
+    for name in rec.scalars:
+        value = values[name]
+        text = " ".join(map(str, value)) if name == "modulus" else str(value)
+        lines.append(f"{name}: {'-' if value is None else text}")
+    for m in rec.members:
+        if m.section:
+            lines.append(f"{m.name}: ")
+        lines += [f"{m.row or m.name}: {_hex_row(ctx, row)}" for row in members[m.name]]
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return body + f"checksum: {digest}\n"
+    return (body + f"checksum: {digest}\n").encode("utf-8")
 
 
-def _text_decode(text: str, expect_kind: int) -> list[tuple[str, str]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _hex_read(rec: _Record, data: bytes):
+    lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip()]
     if not lines or not lines[-1].startswith("checksum:"):
         raise FormatError("missing checksum line")
     claimed = lines[-1].split(":", 1)[1].strip()
@@ -291,75 +399,47 @@ def _text_decode(text: str, expect_kind: int) -> list[tuple[str, str]]:
             raise FormatError(f"malformed line {ln!r}")
         key, value = ln.split(":", 1)
         pairs.append((key.strip(), value.strip()))
-    if not pairs or pairs[0] != ("gptrank", "1"):
+    if pairs[:1] != [("gptrank", "1")]:
         raise FormatError("not a recognized text key file")
-    if pairs[1] != ("kind", _KIND_NAMES[expect_kind]):
-        raise FormatError(
-            f"expected a {_KIND_NAMES[expect_kind]} file, found {pairs[1][1]}"
-        )
-    return pairs[2:]
-
-
-def _pairs_to_scalars(pairs) -> dict:
-    """Parse the leading scalar lines; stops at the first structural key."""
-    values = {}
-    rest = []
-    structural = {"row", "block", "g", "matrix", "S", "P", "P_inv"}
-    for i, (key, value) in enumerate(pairs):
-        if key in structural:
-            rest = pairs[i:]
-            break
-        if key == "modulus":
-            values["modulus"] = tuple(int(tok) for tok in value.split())
-        elif key == "mode":
-            values["mode"] = value
-        elif key == "x_rank":
-            values["x_rank"] = None if value == "-" else int(value)
+    _expect_kind(rec, dict(pairs[1:2]).get("kind"))
+    # rows keyed by a member without a section line, and section headings
+    loose = {m.row or m.name: m.name for m in rec.members if not m.section}
+    sections = {m.name: m for m in rec.members if m.section}
+    raw, texts, current, in_header = {}, {name: [] for name in loose.values()}, None, True
+    for key, value in pairs[2:]:
+        in_header = in_header and key in rec.scalars and key not in raw
+        if in_header and key == "modulus":
+            raw[key] = [_hex_value(tok) for tok in value.split()]
+        elif in_header:
+            raw[key] = _hex_value(value)
+        elif key in loose:
+            texts[loose[key]].append(value)
+        elif key in sections and not value and key not in texts:
+            current, texts[key] = sections[key], []
+        elif current is not None and key == current.row:
+            texts[current.name].append(value)
         else:
-            values[key] = int(value)
-    else:
-        rest = []
-    return values, rest
+            raise FormatError(f"unexpected line {key!r} in a {rec.name} file")
+    return raw, lambda ctx, dims: _parse_texts(rec, texts, ctx, dims)
 
 
-def _hex_row(ctx, vec) -> str:
-    return " ".join(ctx.to_hex(v) for v in vec)
+# -- json ------------------------------------------------
 
 
-def _parse_hex_row(ctx, line: str, expect_len: int | None = None) -> list[int]:
-    try:
-        row = [ctx.from_hex(tok) for tok in line.split()]
-    except ValueError as exc:
-        raise FormatError(f"bad element: {exc}") from None
-    if expect_len is not None and len(row) != expect_len:
-        raise FormatError(f"expected {expect_len} elements per row, found {len(row)}")
-    return row
-
-
-def _scalar_pairs(params: GptParams) -> list[tuple[str, str]]:
-    scalars = _params_scalars(params)
-    out = []
-    for key in _PARAM_KEYS:
-        value = scalars[key]
-        out.append((key, "-" if value is None else str(value)))
-    out.append(("modulus", " ".join(str(c) for c in params.modulus)))
-    return out
-
-
-# -- json bodies ------------------------------------------------
-
-
-def _json_encode(kind: int, payload: dict) -> str:
-    doc = {"gptrank": 1, "kind": _KIND_NAMES[kind]}
-    doc.update(payload)
+def _json_write(rec: _Record, values: dict, ctx, members: dict) -> bytes:
+    doc = {"gptrank": 1, "kind": rec.name}
+    doc.update({"params": values} if rec.nested else values)
+    for m in rec.members:
+        rows = [_hex_row(ctx, row) for row in members[m.name]]
+        doc[m.name] = rows if m.row else rows[0]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
 
 
-def _json_decode(text: str, expect_kind: int) -> dict:
+def _json_read(rec: _Record, data: bytes):
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad json: {exc}") from None
     if not isinstance(doc, dict) or doc.get("gptrank") != 1:
@@ -368,295 +448,62 @@ def _json_decode(text: str, expect_kind: int) -> dict:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     if claimed != hashlib.sha256(canonical.encode("utf-8")).hexdigest():
         raise FormatError("checksum mismatch")
-    if doc.get("kind") != _KIND_NAMES[expect_kind]:
-        raise FormatError(
-            f"expected a {_KIND_NAMES[expect_kind]} file, found {doc.get('kind')}"
-        )
-    return doc
+    _expect_kind(rec, doc.get("kind"))
+    head = doc.get("params") if rec.nested else doc
+    if not isinstance(head, dict):
+        raise FormatError("params must be a json object")
+    raw = {name: head[name] for name in rec.scalars if name in head}
+    texts = {m.name: doc.get(m.name) if m.row else [doc.get(m.name)] for m in rec.members}
+    return raw, lambda ctx, dims: _parse_texts(rec, texts, ctx, dims)
 
 
-def _json_params(params: GptParams) -> dict:
-    payload = _params_scalars(params)
-    payload["modulus"] = list(params.modulus)
-    return payload
+# -- one save and one load path for every kind ------------------------------------------------
+
+_WRITERS = {"bin": _bin_write, "hex": _hex_write, "json": _json_write}
+_READERS = {"bin": _bin_read, "hex": _hex_read, "json": _json_read}
+_FORMAT_ALIASES = {"binary": "bin", "text": "hex", "txt": "hex"}
 
 
-def _json_params_parse(doc: dict) -> GptParams:
-    values = {key: doc.get(key) for key in _PARAM_KEYS}
-    if any(values[key] is None for key in _PARAM_KEYS if key != "x_rank"):
-        raise FormatError("missing parameter fields in json document")
-    values["modulus"] = tuple(doc.get("modulus") or ())
-    return _params_from_scalars(values)
+def _save(path, rec: _Record, obj, fmt: str) -> None:
+    name = str(fmt).strip().lower()
+    write = _WRITERS.get(_FORMAT_ALIASES.get(name, name))
+    if write is None:
+        raise ParameterError(f"unknown file format {fmt!r} (choose bin, hex, or json)")
+    context, members = rec.split(obj)
+    Path(path).write_bytes(write(rec, rec.values(context), context.field(), members))
 
 
-# -- public key ------------------------------------------------
+def _load(path, rec: _Record):
+    data = Path(path).read_bytes()
+    raw, read_members = _READERS[sniff_format(data)](rec, data)
+    values = _check_header(rec, raw)
+    try:
+        context = rec.context(values)
+        ctx = context.field()
+    except (ParameterError, ValueError) as exc:
+        raise FormatError(f"file carries invalid parameters: {exc}") from None
+    return rec.build(context, read_members(ctx, rec.dims(context)))
 
 
 def save_public_key(path, pub: GptPublicKey, fmt: str = "bin") -> None:
-    fmt = _normalize_fmt(fmt)
-    params = pub.params
-    ctx = params.field()
-    if fmt == "bin":
-        body = _pack_params(params) + _pack_matrix(ctx, pub.matrix)
-        Path(path).write_bytes(_bin_encode(_KIND_PUBLIC, body))
-        return
-    if fmt == "hex":
-        pairs = _scalar_pairs(params)
-        pairs += [("row", _hex_row(ctx, row)) for row in pub.matrix]
-        Path(path).write_text(_text_encode(_KIND_PUBLIC, pairs), encoding="utf-8")
-        return
-    payload = {
-        "params": _json_params(params),
-        "matrix": [_hex_row(ctx, row) for row in pub.matrix],
-    }
-    Path(path).write_text(_json_encode(_KIND_PUBLIC, payload), encoding="utf-8")
+    _save(path, _PUBLIC, pub, fmt)
 
 
 def load_public_key(path) -> GptPublicKey:
-    data = Path(path).read_bytes()
-    fmt = sniff_format(data)
-    if fmt == "bin":
-        body = _bin_decode(data, _KIND_PUBLIC)
-        params, off = _unpack_params(body, 0)
-        ctx = params.field()
-        matrix, off = _unpack_matrix(ctx, body, off, params.pub_rows, params.pub_cols)
-        if off != len(body):
-            raise FormatError("trailing bytes after public matrix")
-    elif fmt == "hex":
-        pairs = _text_decode(data.decode("utf-8"), _KIND_PUBLIC)
-        values, rest = _pairs_to_scalars(pairs)
-        params = _params_from_scalars(values)
-        ctx = params.field()
-        rows = [value for key, value in rest if key == "row"]
-        if len(rows) != params.pub_rows:
-            raise FormatError(f"expected {params.pub_rows} matrix rows, found {len(rows)}")
-        matrix = [_parse_hex_row(ctx, row, params.pub_cols) for row in rows]
-    else:
-        doc = _json_decode(data.decode("utf-8"), _KIND_PUBLIC)
-        params = _json_params_parse(doc.get("params") or {})
-        ctx = params.field()
-        rows = doc.get("matrix")
-        if not isinstance(rows, list) or len(rows) != params.pub_rows:
-            raise FormatError("bad or missing public matrix")
-        matrix = [_parse_hex_row(ctx, row, params.pub_cols) for row in rows]
-    return GptPublicKey(params=params, matrix=matrix)
-
-
-# -- private key ------------------------------------------------
-
-
-def _private_matrix_dims(params: GptParams):
-    L = params.pub_cols
-    return (params.pub_rows, params.k), (L, L)
+    return _load(path, _PUBLIC)
 
 
 def save_private_key(path, sk: GptPrivateKey, fmt: str = "bin") -> None:
-    fmt = _normalize_fmt(fmt)
-    params = sk.params
-    ctx = params.field()
-    if fmt == "bin":
-        body = _pack_params(params)
-        body += _pack_elems(ctx, sk.code.g)
-        body += _pack_matrix(ctx, sk.S)
-        body += _pack_matrix(ctx, sk.P)
-        body += _pack_matrix(ctx, sk.P_inv)
-        Path(path).write_bytes(_bin_encode(_KIND_PRIVATE, body))
-        return
-    if fmt == "hex":
-        pairs = _scalar_pairs(params)
-        pairs.append(("g", _hex_row(ctx, sk.code.g)))
-        for name, M in (("S", sk.S), ("P", sk.P), ("P_inv", sk.P_inv)):
-            pairs.append((name, ""))
-            pairs += [("row", _hex_row(ctx, row)) for row in M]
-        Path(path).write_text(_text_encode(_KIND_PRIVATE, pairs), encoding="utf-8")
-        return
-    payload = {
-        "params": _json_params(params),
-        "g": _hex_row(ctx, sk.code.g),
-        "S": [_hex_row(ctx, row) for row in sk.S],
-        "P": [_hex_row(ctx, row) for row in sk.P],
-        "P_inv": [_hex_row(ctx, row) for row in sk.P_inv],
-    }
-    Path(path).write_text(_json_encode(_KIND_PRIVATE, payload), encoding="utf-8")
-
-
-def _rebuild_private(params: GptParams, g, S, P, P_inv) -> GptPrivateKey:
-    ctx = params.field()
-    (s_rows, s_cols), (L, _) = _private_matrix_dims(params)
-    if len(S) != s_rows or any(len(row) != s_cols for row in S):
-        raise FormatError("row scrambler has the wrong shape")
-    for M, name in ((P, "P"), (P_inv, "P_inv")):
-        if len(M) != L or any(len(row) != L for row in M):
-            raise FormatError(f"column scrambler {name} has the wrong shape")
-    if mat_mul(ctx, P, P_inv) != identity_matrix(L):
-        raise FormatError("column scrambler pair is not mutually inverse")
-    try:
-        code = GabidulinCode(ctx, g, params.k)
-    except ParameterError as exc:
-        raise FormatError(f"invalid code vector: {exc}") from None
-    if params.variant == Variant.RECTANGULAR_S:
-        S_inv = None
-    else:
-        try:
-            S_inv = mat_inv(ctx, S)
-        except ValueError:
-            raise FormatError("row scrambler is singular") from None
-    return GptPrivateKey(params=params, code=code, S=S, S_inv=S_inv, P=P, P_inv=P_inv)
+    _save(path, _PRIVATE, sk, fmt)
 
 
 def load_private_key(path) -> GptPrivateKey:
-    data = Path(path).read_bytes()
-    fmt = sniff_format(data)
-    if fmt == "bin":
-        body = _bin_decode(data, _KIND_PRIVATE)
-        params, off = _unpack_params(body, 0)
-        ctx = params.field()
-        (s_rows, s_cols), (L, _) = _private_matrix_dims(params)
-        g, off = _unpack_elems(ctx, body, off, params.n)
-        S, off = _unpack_matrix(ctx, body, off, s_rows, s_cols)
-        P, off = _unpack_matrix(ctx, body, off, L, L)
-        P_inv, off = _unpack_matrix(ctx, body, off, L, L)
-        if off != len(body):
-            raise FormatError("trailing bytes after private key data")
-    elif fmt == "hex":
-        pairs = _text_decode(data.decode("utf-8"), _KIND_PRIVATE)
-        values, rest = _pairs_to_scalars(pairs)
-        params = _params_from_scalars(values)
-        ctx = params.field()
-        g = None
-        sections: dict[str, list] = {"S": [], "P": [], "P_inv": []}
-        current = None
-        for key, value in rest:
-            if key == "g":
-                g = _parse_hex_row(ctx, value, params.n)
-            elif key in sections:
-                current = key
-            elif key == "row":
-                if current is None:
-                    raise FormatError("matrix row outside any section")
-                sections[current].append(_parse_hex_row(ctx, value))
-            else:
-                raise FormatError(f"unexpected key {key!r} in private key file")
-        if g is None:
-            raise FormatError("missing code vector g")
-        S, P, P_inv = sections["S"], sections["P"], sections["P_inv"]
-    else:
-        doc = _json_decode(data.decode("utf-8"), _KIND_PRIVATE)
-        params = _json_params_parse(doc.get("params") or {})
-        ctx = params.field()
-        try:
-            g = _parse_hex_row(ctx, doc["g"], params.n)
-            S = [_parse_hex_row(ctx, row) for row in doc["S"]]
-            P = [_parse_hex_row(ctx, row) for row in doc["P"]]
-            P_inv = [_parse_hex_row(ctx, row) for row in doc["P_inv"]]
-        except (KeyError, TypeError):
-            raise FormatError("missing private key members") from None
-    return _rebuild_private(params, g, S, P, P_inv)
-
-
-# -- ciphertext ------------------------------------------------
+    return _load(path, _PRIVATE)
 
 
 def save_ciphertext(path, ct: CiphertextBundle, fmt: str = "bin") -> None:
-    fmt = _normalize_fmt(fmt)
-    ctx = ct.field()
-    if any(len(b) != ct.block_len for b in ct.blocks):
-        raise ParameterError("ciphertext blocks disagree with block_len")
-    if fmt == "bin":
-        body = struct.pack(">IH", ct.q, ct.N)
-        body += struct.pack(">H", len(ct.modulus))
-        body += b"".join(struct.pack(">I", c) for c in ct.modulus)
-        body += struct.pack(">IIQ", ct.block_len, len(ct.blocks), ct.msg_len)
-        for b in ct.blocks:
-            body += _pack_elems(ctx, b)
-        Path(path).write_bytes(_bin_encode(_KIND_CIPHERTEXT, body))
-        return
-    if fmt == "hex":
-        pairs = [
-            ("q", str(ct.q)),
-            ("N", str(ct.N)),
-            ("modulus", " ".join(str(c) for c in ct.modulus)),
-            ("block_len", str(ct.block_len)),
-            ("msg_len", str(ct.msg_len)),
-        ]
-        pairs += [("block", _hex_row(ctx, b)) for b in ct.blocks]
-        Path(path).write_text(_text_encode(_KIND_CIPHERTEXT, pairs), encoding="utf-8")
-        return
-    payload = {
-        "q": ct.q,
-        "N": ct.N,
-        "modulus": list(ct.modulus),
-        "block_len": ct.block_len,
-        "msg_len": ct.msg_len,
-        "blocks": [_hex_row(ctx, b) for b in ct.blocks],
-    }
-    Path(path).write_text(_json_encode(_KIND_CIPHERTEXT, payload), encoding="utf-8")
-
-
-def _ciphertext_field(q, N, modulus):
-    try:
-        return get_field(q, N, tuple(modulus))
-    except (ParameterError, ValueError) as exc:
-        raise FormatError(f"ciphertext carries an invalid field: {exc}") from None
+    _save(path, _CIPHERTEXT, ct, fmt)
 
 
 def load_ciphertext(path) -> CiphertextBundle:
-    data = Path(path).read_bytes()
-    fmt = sniff_format(data)
-    if fmt == "bin":
-        body = _bin_decode(data, _KIND_CIPHERTEXT)
-        try:
-            q, N = struct.unpack_from(">IH", body, 0)
-            off = 6
-            (mod_len,) = struct.unpack_from(">H", body, off)
-            off += 2
-            modulus = struct.unpack_from(f">{mod_len}I", body, off)
-            off += 4 * mod_len
-            block_len, count, msg_len = struct.unpack_from(">IIQ", body, off)
-            off += 16
-        except struct.error as exc:
-            raise FormatError(f"truncated ciphertext header: {exc}") from None
-        ctx = _ciphertext_field(q, N, modulus)
-        blocks, off = _unpack_matrix(ctx, body, off, count, block_len)
-        if off != len(body):
-            raise FormatError("trailing bytes after ciphertext blocks")
-    elif fmt == "hex":
-        pairs = _text_decode(data.decode("utf-8"), _KIND_CIPHERTEXT)
-        values: dict = {}
-        block_lines = []
-        for key, value in pairs:
-            if key == "block":
-                block_lines.append(value)
-            elif key == "modulus":
-                values["modulus"] = tuple(int(tok) for tok in value.split())
-            else:
-                values[key] = int(value)
-        try:
-            q, N = values["q"], values["N"]
-            modulus = values["modulus"]
-            block_len, msg_len = values["block_len"], values["msg_len"]
-        except KeyError as exc:
-            raise FormatError(f"missing ciphertext field {exc}") from None
-        ctx = _ciphertext_field(q, N, modulus)
-        blocks = [_parse_hex_row(ctx, line, block_len) for line in block_lines]
-    else:
-        doc = _json_decode(data.decode("utf-8"), _KIND_CIPHERTEXT)
-        try:
-            q, N = doc["q"], doc["N"]
-            modulus = tuple(doc["modulus"])
-            block_len, msg_len = doc["block_len"], doc["msg_len"]
-            block_lines = doc["blocks"]
-        except (KeyError, TypeError):
-            raise FormatError("missing ciphertext members") from None
-        ctx = _ciphertext_field(q, N, modulus)
-        blocks = [_parse_hex_row(ctx, line, block_len) for line in block_lines]
-    if msg_len < 0:
-        raise FormatError("negative message length")
-    return CiphertextBundle(
-        q=q,
-        N=N,
-        modulus=tuple(modulus),
-        block_len=block_len,
-        msg_len=msg_len,
-        blocks=blocks,
-    )
+    return _load(path, _CIPHERTEXT)

@@ -22,7 +22,6 @@ __all__ = [
     "identity_matrix",
     "zeros_matrix",
     "concat_cols",
-    "submatrix",
     "mat_frobenius",
     "is_base_field",
     "rank_ext",
@@ -126,12 +125,6 @@ def concat_cols(A, B):
     if len(A) != len(B):
         raise ValueError("row-count mismatch")
     return [ra + rb for ra, rb in zip(A, B)]
-
-
-def submatrix(M, rows, cols):
-    rows = list(rows)
-    cols = list(cols)
-    return [[M[i][j] for j in cols] for i in rows]
 
 
 def mat_frobenius(ctx, M, i=1):

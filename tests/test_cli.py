@@ -1,6 +1,12 @@
 """Command line behavior: flows, formats, determinism, exit codes."""
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +16,31 @@ from gptrank.gpt import preset
 from gptrank.keyfiles import CiphertextBundle, load_ciphertext, save_ciphertext
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def run_process(*argv):
+    """The command as a user runs it: a fresh interpreter, stderr captured."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gptrank.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def rechecksum_json(path, edit):
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    edit(doc)
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+    path.write_text(json.dumps(doc))
 
 
 # -- message chunking ------------------------------------------------
@@ -247,3 +276,27 @@ def test_ciphertext_key_mismatch_is_format_error(tmp_path):
         "--sext", "1", "--pub", str(p2), "--priv", str(s2), "--seed", "19")
     run("encrypt", "--pub", str(p1), "--in", str(msg), "--out", str(ct), "--seed", "20")
     assert run("decrypt", "--priv", str(s2), "--in", str(ct), "--out", str(tmp_path / "o")) == 4
+
+
+def test_malformed_public_key_exits_4_without_traceback(tmp_path):
+    pub, priv = tmp_path / "p", tmp_path / "s"
+    run("keygen", "--preset", "desk-12", "--pub", str(pub), "--priv", str(priv),
+        "--format", "json", "--seed", "21")
+    rechecksum_json(pub, lambda d: d["params"].update(q="2"))
+    proc = run_process("attack", "--pub", str(pub))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+
+
+def test_malformed_ciphertext_exits_4_without_traceback(tmp_path):
+    pub, priv = tmp_path / "p", tmp_path / "s"
+    msg, ct = tmp_path / "m", tmp_path / "c"
+    msg.write_bytes(b"blocks of ints")
+    run("keygen", "--preset", "desk-12", "--pub", str(pub), "--priv", str(priv), "--seed", "22")
+    run("encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(ct),
+        "--format", "json", "--seed", "23")
+    rechecksum_json(ct, lambda d: d.update(blocks=[[1, 2, 3] for _ in d["blocks"]]))
+    proc = run_process("decrypt", "--priv", str(priv), "--in", str(ct),
+                       "--out", str(tmp_path / "o"))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr

@@ -1,7 +1,9 @@
 """Serialization: lossless roundtrips, checksums, and cross-validation."""
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from gptrank.keyfiles import (
 )
 
 FORMATS = ("bin", "hex", "json")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +226,80 @@ def test_binary_file_is_canonical(tmp_path, keypair):
     save_public_key(p2, pub, "bin")
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().startswith(MAGIC)
+
+
+# -- malformed files with valid checksums ------------------------------------------------
+
+
+def hex_edit(name, key, value):
+    """A golden hex file with one line replaced and the checksum recomputed."""
+    lines = (GOLDEN / name).read_text().splitlines()[:-1]
+    lines = [f"{key}: {value}" if ln.split(":", 1)[0] == key else ln for ln in lines]
+    body = "\n".join(lines) + "\n"
+    return body + f"checksum: {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def json_edit(name, edit):
+    """A golden json file changed by ``edit`` and re-checksummed."""
+    doc = json.loads((GOLDEN / name).read_text())
+    del doc["checksum"]
+    edit(doc)
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+    return json.dumps(doc)
+
+
+def _int_rows(doc):
+    doc["matrix"] = [[int(tok, 16) for tok in row.split()] for row in doc["matrix"]]
+
+
+MALFORMED = [
+    pytest.param(load_public_key, lambda: hex_edit("desk12.public.hex", "k", "abc"), id="hex-k-abc"),
+    pytest.param(load_public_key, lambda: hex_edit("desk12.public.hex", "N", "70"), id="hex-N-70"),
+    pytest.param(
+        load_public_key,
+        lambda: hex_edit("desk12.public.hex", "modulus", "1 1 1"),
+        id="hex-modulus-wrong-degree",
+    ),
+    pytest.param(
+        load_public_key,
+        lambda: json_edit("desk12.public.json", lambda d: d["params"].update(q="2")),
+        id="json-q-string",
+    ),
+    pytest.param(
+        load_public_key,
+        lambda: json_edit("desk12.public.json", lambda d: d["params"].update(modulus=[1, "a"])),
+        id="json-modulus-string-entry",
+    ),
+    pytest.param(
+        load_public_key, lambda: json_edit("desk12.public.json", _int_rows), id="json-matrix-of-ints"
+    ),
+    pytest.param(
+        load_public_key,
+        lambda: json_edit("desk12.public.json", lambda d: d.update(params="q=2 N=12")),
+        id="json-params-string",
+    ),
+    pytest.param(
+        load_public_key,
+        lambda: json_edit("desk12.public.json", lambda d: d["params"].update(N=1 << 16)),
+        id="json-N-wider-than-bin-header",
+    ),
+    pytest.param(
+        load_private_key,
+        lambda: json_edit("desk12.private.json", lambda d: d.update(g=d["g"].split())),
+        id="json-private-g-list",
+    ),
+    pytest.param(
+        load_ciphertext,
+        lambda: json_edit("desk12.ciphertext.json", lambda d: d.update(msg_len="5")),
+        id="json-ciphertext-msg_len-string",
+    ),
+]
+
+
+@pytest.mark.parametrize("load, make", MALFORMED)
+def test_malformed_checksummed_file_is_a_format_error(tmp_path, load, make):
+    path = tmp_path / "malformed"
+    path.write_text(make())
+    with pytest.raises(FormatError):
+        load(path)
