@@ -144,11 +144,11 @@ class TrialSummary:
 def distinguisher_trials(
     params: GptParams, trials: int = 8, u: int | None = None, rng=None
 ) -> TrialSummary:
-    """Run the distinguisher on ``trials`` independent fresh keys."""
+    """Run the distinguisher on ``trials`` fresh keys (OS CSPRNG without rng)."""
     if trials < 1:
         raise ParameterError("need at least one trial")
     if rng is None:
-        rng = random.Random()
+        rng = random.SystemRandom()
     if u is None:
         u = default_stack_depth(params)
     results = []

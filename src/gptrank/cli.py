@@ -208,9 +208,14 @@ def _describe_params(params: GptParams) -> str:
 # -- subcommands ------------------------------------------------
 
 
+def _rng(seed):
+    """Seeded Mersenne Twister for reproducible runs, the OS CSPRNG otherwise."""
+    return random.SystemRandom() if seed is None else random.Random(seed)
+
+
 def _cmd_keygen(args) -> int:
     params = _params_from_args(args)
-    rng = random.Random(args.seed)
+    rng = _rng(args.seed)
     pub, priv = keygen(params, rng)
     save_public_key(args.pub, pub, args.format)
     save_private_key(args.priv, priv, args.format)
@@ -224,7 +229,7 @@ def _cmd_encrypt(args) -> int:
     pub = load_public_key(args.pub)
     params = pub.params
     data = Path(args.infile).read_bytes()
-    rng = random.Random(args.seed)
+    rng = _rng(args.seed)
     blocks = message_to_blocks(params, data)
     ct = CiphertextBundle(
         q=params.q,
@@ -273,7 +278,7 @@ def _print_table() -> None:
 
 
 def _print_simulation(params: GptParams, trials: int, u, seed) -> None:
-    rng = random.Random(seed)
+    rng = _rng(seed)
     print(f"distinguisher simulation ({trials} fresh keys per mode):")
     for pp in (params, _mode_twin(params)):
         summary = distinguisher_trials(pp, trials=trials, u=u, rng=rng)
@@ -339,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kg.add_argument("--pub", default="public.key", help="public key output path")
     kg.add_argument("--priv", default="private.key", help="private key output path")
     kg.add_argument("--format", default="bin", choices=("bin", "hex", "json"))
-    kg.add_argument("--seed", type=int, help="deterministic key material")
+    kg.add_argument("--seed", type=int, help="deterministic key material (default: OS CSPRNG)")
     kg.set_defaults(func=_cmd_keygen)
 
     enc = subs.add_parser("encrypt", help="encrypt a file against a public key")
@@ -347,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--in", dest="infile", required=True, help="plaintext input file")
     enc.add_argument("--out", required=True, help="ciphertext output path")
     enc.add_argument("--format", default="bin", choices=("bin", "hex", "json"))
-    enc.add_argument("--seed", type=int, help="deterministic error vectors")
+    enc.add_argument("--seed", type=int, help="deterministic error vectors (default: OS CSPRNG)")
     enc.set_defaults(func=_cmd_encrypt)
 
     dec = subs.add_parser("decrypt", help="decrypt a ciphertext file")
@@ -362,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--simulate", action="store_true", help="run fresh-key distinguisher trials")
     an.add_argument("--trials", type=int, default=8, help="keys per mode for --simulate")
     an.add_argument("--u", type=int, help="stack depth for --simulate")
-    an.add_argument("--seed", type=int)
+    an.add_argument("--seed", type=int, help="deterministic --simulate keys (default: OS CSPRNG)")
     an.set_defaults(func=_cmd_analyze)
 
     at = subs.add_parser("attack", help="run the rank distinguisher on a public key file")

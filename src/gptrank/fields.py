@@ -12,6 +12,12 @@ context equality at object boundaries such as codes and key files).
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import reduce
+from itertools import compress
+from operator import xor
+
 __all__ = [
     "FieldCtx",
     "get_field",
@@ -22,6 +28,18 @@ __all__ = [
 
 _WORD_BITS = 64
 _TABLE_LIMIT = 1 << 16
+
+# Carry-less multiply for q = 2, done by C-level int and bytes operations.
+# bin(a) translated one bit per byte reads back as an int whose ordinary
+# product with another such int holds, in each byte, the number of bit
+# pairs meeting in that column.  That count is at most N < 256, so no carry
+# crosses a byte, and its low bit is the carry-less product's bit.
+_SPREAD = bytes.maketrans(b"01b", b"\x00\x01\x00")
+_PARITY = bytes(48 + (i & 1) for i in range(256))  # byte count -> b"0" or b"1"
+# Bits of a product's high half folded back by one reduction-table lookup.
+_WINDOW = 14
+# A packed pivot row holds one element per 64-bit lane (array typecode "Q").
+_ONE_LANE = (1).to_bytes(8, sys.byteorder)
 
 
 def is_prime(p: int) -> bool:
@@ -193,9 +211,18 @@ class FieldCtx:
     extension and nothing in this package needs one.
 
     When q**N is small enough, discrete log/exp tables are built eagerly
-    and multiplication becomes two lookups; otherwise q = 2 uses a
-    carry-less multiply with shift reduction, and other primes fall back
-    to coefficient arithmetic.
+    and multiplication becomes two lookups.  Otherwise q = 2 multiplies
+    carry-lessly with one integer product of byte-spread operands (see
+    ``_SPREAD``), reduced by tables of x^(N+i) mod f over 14-bit windows of
+    the high half, and inverts by the polynomial extended Euclid algorithm;
+    other primes fall back to coefficient arithmetic.
+
+    ``submul_row(prow, start)`` returns ``upd(wrow, f)``, which does
+    ``wrow[j] -= f * prow[j]`` for every j >= start: the row update of an
+    elimination or a matrix product, chosen per field like ``mul``.  Table
+    fields precompute the logs of the pivot row's nonzero entries; q = 2
+    without tables packs x^i * prow mod f for i < N into one int each and
+    xors the copies that f's bits select; other fields loop per element.
     """
 
     def __init__(self, q: int = 2, N: int = 2, modulus=None):
@@ -236,14 +263,19 @@ class FieldCtx:
 
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        if q == 2:
+            self._clmul = self._make_clmul()
         if size <= _TABLE_LIMIT:
             self._build_tables()
         if self._exp is not None:
             self.mul = self._mul_table
+            self.submul_row = self._submul_table
         elif q == 2:
-            self.mul = self._mul_gf2
+            self.mul = self._clmul
+            self.submul_row = self._submul_packed
         else:
             self.mul = self._mul_generic
+            self.submul_row = self._submul_generic
 
         self._frob: dict[int, list[int]] = {}
 
@@ -287,19 +319,54 @@ class FieldCtx:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def _mul_gf2(self, a: int, b: int) -> int:
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        m = self._mod_int
-        n = self.N
-        for bit in range(2 * (n - 1), n - 1, -1):
-            if (r >> bit) & 1:
-                r ^= m << (bit - n)
-        return r
+    def _make_clmul(self):
+        """Carry-less multiply mod the field polynomial, for q = 2."""
+        N = self.N
+        mask = (1 << N) - 1
+        width = 2 * N  # bytes: a product has at most 2N - 1 columns
+        powers = []  # x^(N+i) mod f for i < N - 1, the high half's bits
+        v = 1 << (N - 1)
+        for _ in range(N - 1):
+            v <<= 1
+            if v >> N:
+                v ^= self._mod_int
+            powers.append(v)
+        tabs = []
+        for lo in range(0, N - 1, _WINDOW):
+            basis = powers[lo : lo + _WINDOW]
+            tab = [0] * (1 << len(basis))
+            for k in range(1, len(tab)):
+                low = k & -k
+                tab[k] = tab[k ^ low] ^ basis[low.bit_length() - 1]
+            tabs.append(tab)
+        spread, parity, from_bytes = _SPREAD, _PARITY, int.from_bytes
+        window = _WINDOW
+        wmask = (1 << window) - 1
+
+        if len(tabs) <= 2:  # N <= 29; below N = 16 the second table is [0]
+            t0, t1 = (tabs + [[0]])[:2]
+
+            def clmul(a: int, b: int) -> int:
+                p = from_bytes(bin(a).encode().translate(spread), "big")
+                p *= from_bytes(bin(b).encode().translate(spread), "big")
+                r = int(p.to_bytes(width, "big").translate(parity), 2)
+                h = r >> N
+                return (r & mask) ^ t0[h & wmask] ^ t1[h >> window]
+
+        else:
+
+            def clmul(a: int, b: int) -> int:
+                p = from_bytes(bin(a).encode().translate(spread), "big")
+                p *= from_bytes(bin(b).encode().translate(spread), "big")
+                r = int(p.to_bytes(width, "big").translate(parity), 2)
+                h = r >> N
+                r &= mask
+                for tab in tabs:
+                    r ^= tab[h & wmask]
+                    h >>= window
+                return r
+
+        return clmul
 
     def _mul_generic(self, a: int, b: int) -> int:
         q = self.q
@@ -326,7 +393,7 @@ class FieldCtx:
         return r
 
     def _build_tables(self) -> None:
-        raw_mul = self._mul_gf2 if self.q == 2 else self._mul_generic
+        raw_mul = self._clmul if self.q == 2 else self._mul_generic
 
         def pow_raw(base: int, e: int) -> int:
             r = 1
@@ -364,7 +431,21 @@ class FieldCtx:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self._log is not None:
             return self._exp[self.order - self._log[a]]
+        if self.q == 2:
+            return self._inv_gf2(a)
         return self.pow(a, self.size - 2)
+
+    def _inv_gf2(self, a: int) -> int:
+        # extended Euclid on polynomials over F_2: g1*a = u, g2*a = v mod f
+        u, v = a, self._mod_int
+        g1, g2 = 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -380,6 +461,61 @@ class FieldCtx:
             a = mul(a, a)
             e >>= 1
         return r
+
+    # -- row updates ---------------------------------------------------------
+
+    def _submul_table(self, prow, start):
+        log, exp = self._log, self._exp
+        pairs = [(j, log[prow[j]]) for j in range(start, len(prow)) if prow[j]]
+        if self.q == 2:
+
+            def upd(wrow, f):
+                if f:
+                    lf = log[f]
+                    for j, lb in pairs:
+                        wrow[j] ^= exp[lf + lb]
+
+        else:
+            sub = self.sub
+
+            def upd(wrow, f):
+                if f:
+                    lf = log[f]
+                    for j, lb in pairs:
+                        wrow[j] = sub(wrow[j], exp[lf + lb])
+
+        return upd
+
+    def _submul_packed(self, prow, start):
+        N = self.N
+        order = sys.byteorder
+        lanes = len(prow) - start
+        nbytes = 8 * lanes
+        ones = int.from_bytes(_ONE_LANE * lanes, order)
+        low = ones * ((1 << (N - 1)) - 1)
+        fold = self._mod_int ^ (1 << N)  # x^N mod f
+        p = int.from_bytes(array("Q", prow[start:]), order)
+        shifted = [p]  # shifted[i] holds x^i * prow[j] mod f in lane j - start
+        for _ in range(N - 1):
+            p = ((p & low) << 1) ^ ((p >> (N - 1) & ones) * fold)
+            shifted.append(p)
+        spread = _SPREAD
+
+        def upd(wrow, f):
+            u = reduce(xor, compress(shifted, bin(f)[:1:-1].encode().translate(spread)), 0)
+            wrow[start:] = map(xor, wrow[start:], memoryview(u.to_bytes(nbytes, order)).cast("Q"))
+
+        return upd
+
+    def _submul_generic(self, prow, start):
+        mul, sub = self._mul_generic, self.sub
+        pairs = [(j, prow[j]) for j in range(start, len(prow)) if prow[j]]
+
+        def upd(wrow, f):
+            for j, b in pairs:
+                wrow[j] = sub(wrow[j], mul(f, b))
+
+        return upd
 
     # -- Frobenius -----------------------------------------------------------
 

@@ -5,7 +5,7 @@ supported, named by their classical variant numbers:
 
 * ``SIMPLE`` (3): G_pub = S G P, ciphertext error of rank exactly t1.
 * ``EXTENDED`` (4): G_pub = S [X | G] P with a k x t1 distortion block X of
-  column rank t1 over F_q; errors of rank at most t2.
+  column rank t1 over F_q; ciphertext error of rank exactly t2.
 * ``RECTANGULAR_S`` (5): as EXTENDED but S is (k - p) x k of full row rank,
   so plaintexts are shorter than k.
 * ``TWO_DISTORTION`` (6): G_pub = S ([O | G] + [X1 | X2]) P where X1 is an
@@ -47,7 +47,6 @@ from .linalg import (
     random_matrix,
     rank_over_base,
     sample_error,
-    sample_error_up_to,
     solve_linear,
     transpose,
     vec_add,
@@ -126,8 +125,9 @@ class GptParams:
     """Validated parameter set for one key pair.
 
     ``t1`` is the ciphertext error rank for SIMPLE and the distortion
-    column rank for the other variants; those use ``t2`` as the error-rank
-    bound instead.  ``s_ext`` is the number of extension-field columns
+    column rank for the other variants; those use ``t2`` as the error rank
+    instead, which must be positive so that every ciphertext carries an
+    error.  ``s_ext`` is the number of extension-field columns
     inside the kept block of P^{-1} and defaults to the full decodability
     budget of the variant; ``x_ordinary_rank`` is the ordinary rank of the
     distortion block (defaults to t1).
@@ -187,6 +187,8 @@ class GptParams:
                     raise ParameterError(f"need 1 <= p < k, got p = {self.p}")
             elif self.p:
                 raise ParameterError("p applies only to RECTANGULAR_S")
+            if self.t2 < 1:
+                raise ParameterError("the concatenation variants need an error rank t2 >= 1")
             if self.t1 > self.k * self.N:
                 raise ParameterError("distortion column rank t1 cannot exceed k*N")
             rx = self.x_ordinary_rank
@@ -241,18 +243,14 @@ class GptParams:
     def error_rank(self) -> int:
         return self.t1 if self.variant == Variant.SIMPLE else self.t2
 
-    @property
-    def error_rank_is_exact(self) -> bool:
-        return self.variant == Variant.SIMPLE
-
     def field(self) -> FieldCtx:
         return get_field(self.q, self.N, self.modulus)
 
     def describe_error_set(self) -> str:
-        L = self.pub_cols
-        if self.error_rank_is_exact:
-            return f"length-{L} vectors over F_{self.q}^{self.N} of rank exactly {self.t1}"
-        return f"length-{L} vectors over F_{self.q}^{self.N} of rank at most {self.t2}"
+        return (
+            f"length-{self.pub_cols} vectors over F_{self.q}^{self.N}"
+            f" of rank exactly {self.error_rank}"
+        )
 
 
 @dataclass
@@ -331,9 +329,9 @@ def _distortion_matrix(ctx, k, width, col_rank, ord_rank, rng):
 
 
 def keygen(params: GptParams, rng=None):
-    """Fresh (public, private) key pair."""
+    """Fresh (public, private) key pair; without rng, draws from the OS CSPRNG."""
     if rng is None:
-        rng = random.Random()
+        rng = random.SystemRandom()
     ctx = params.field()
     n, k, v = params.n, params.k, params.variant
     base = params.scrambler_mode == ScramblerMode.BASE_FIELD
@@ -368,19 +366,19 @@ def keygen(params: GptParams, rng=None):
 
 
 def encrypt(pk: GptPublicKey, m, rng=None):
-    """c = m G_pub + e with e drawn from the variant's error set."""
+    """c = m G_pub + e with e drawn from the variant's error set.
+
+    Without rng, the error is drawn from the OS CSPRNG.
+    """
     if rng is None:
-        rng = random.Random()
+        rng = random.SystemRandom()
     params = pk.params
     if len(m) != params.pub_rows:
         raise ParameterError(f"plaintext length must be {params.pub_rows}, got {len(m)}")
     ctx = params.field()
     for v in m:
         ctx.check_element(v)
-    if params.error_rank_is_exact:
-        e = sample_error(ctx, params.pub_cols, params.t1, rng)
-    else:
-        e = sample_error_up_to(ctx, params.pub_cols, params.t2, rng)
+    e = sample_error(ctx, params.pub_cols, params.error_rank, rng)
     return vec_add(ctx, vec_mat_mul(ctx, m, pk.matrix), e)
 
 

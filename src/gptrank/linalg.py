@@ -82,22 +82,14 @@ def mat_mul(ctx, A, B):
     if len(A[0]) != len(B):
         raise ValueError(f"dimension mismatch: {len(A[0])} cols vs {len(B)} rows")
     cols = len(B[0])
-    add = ctx.add
-    mul = ctx.mul
+    neg = ctx.neg
+    updates = [ctx.submul_row(brow, 0) for brow in B]
     out = []
     for row in A:
         acc = [0] * cols
-        for a, brow in zip(row, B):
-            if a == 0:
-                continue
-            if a == 1:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = add(acc[j], b)
-            else:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = add(acc[j], mul(a, b))
+        for a, upd in zip(row, updates):
+            if a:
+                upd(acc, neg(a))
         out.append(acc)
     return out
 
@@ -147,7 +139,6 @@ def rank_ext(ctx, M):
     work = [list(row) for row in M]
     rows = len(work)
     cols = len(work[0])
-    sub = ctx.sub
     mul = ctx.mul
     inv = ctx.inv
     r = 0
@@ -159,21 +150,19 @@ def rank_ext(ctx, M):
                 break
         if pivot is None:
             continue
+        if r + 1 == rows:
+            return rows
         work[r], work[pivot] = work[pivot], work[r]
         piv_inv = inv(work[r][c])
         prow = work[r]
         if piv_inv != 1:
             work[r] = prow = [mul(piv_inv, a) for a in prow]
-        for i in range(r + 1, rows):
-            f = work[i][c]
-            if f:
-                wrow = work[i]
-                for j in range(c, cols):
-                    if prow[j]:
-                        wrow[j] = sub(wrow[j], mul(f, prow[j]))
+        targets = [row for row in work[r + 1 :] if row[c]]
+        if targets:
+            upd = ctx.submul_row(prow, c)
+            for row in targets:
+                upd(row, row[c])
         r += 1
-        if r == rows:
-            break
     return r
 
 
@@ -182,7 +171,6 @@ def _rref(ctx, M):
     work = [list(row) for row in M]
     rows = len(work)
     cols = len(work[0]) if work else 0
-    sub = ctx.sub
     mul = ctx.mul
     inv = ctx.inv
     pivots = []
@@ -197,16 +185,14 @@ def _rref(ctx, M):
             continue
         work[r], work[pivot] = work[pivot], work[r]
         piv_inv = inv(work[r][c])
-        if piv_inv != 1:
-            work[r] = [mul(piv_inv, a) for a in work[r]]
         prow = work[r]
-        for i in range(rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                wrow = work[i]
-                for j in range(c, cols):
-                    if prow[j]:
-                        wrow[j] = sub(wrow[j], mul(f, prow[j]))
+        if piv_inv != 1:
+            work[r] = prow = [mul(piv_inv, a) for a in prow]
+        targets = [row for row in work if row[c] and row is not prow]
+        if targets:
+            upd = ctx.submul_row(prow, c)
+            for row in targets:
+                upd(row, row[c])
         pivots.append(c)
         r += 1
         if r == rows:

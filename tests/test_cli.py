@@ -189,6 +189,28 @@ def test_analyze_base_field_flagged_insecure(capsys):
     assert "distinguisher" in out
 
 
+def test_unseeded_commands_draw_from_the_os_csprng(tmp_path, monkeypatch):
+    made = []
+
+    class Recording(random.SystemRandom):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(random, "SystemRandom", Recording)
+    pub, priv, msg = tmp_path / "p.key", tmp_path / "s.key", tmp_path / "m.txt"
+    msg.write_bytes(b"unseeded")
+    assert run("keygen", "--preset", "desk-12", "--pub", str(pub), "--priv", str(priv)) == 0
+    assert len(made) == 1
+    assert run("encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(tmp_path / "c")) == 0
+    assert len(made) == 2
+    assert run("analyze", "--preset", "desk-12", "--simulate", "--trials", "1") == 0
+    assert len(made) == 3
+    assert run("keygen", "--preset", "desk-12", "--pub", str(pub), "--priv", str(priv),
+               "--seed", "5") == 0
+    assert len(made) == 3
+
+
 def test_analyze_simulate_contrast(capsys):
     assert run("analyze", "--preset", "desk-12", "--simulate", "--trials", "3",
                "--seed", "11") == 0

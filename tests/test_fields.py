@@ -104,7 +104,11 @@ class TestFrozenGf9:
     "q,N",
     [
         (2, 12),  # table-backed
-        (2, 20),  # carryless multiply path
+        (2, 17),  # first size without tables: carry-less multiply
+        (2, 20),
+        (2, 29),  # last size with two reduction windows
+        (2, 30),  # first size with three
+        (2, 64),  # largest size that fits a 64-bit word
         (3, 11),  # generic convolution path
     ],
 )
@@ -114,15 +118,36 @@ def test_mul_paths_match_oracle(q, N):
     for _ in range(200):
         a, b = ctx.rand_elem(rng), ctx.rand_elem(rng)
         assert ctx.mul(a, b) == oracle_mul(ctx, a, b)
+        if a:
+            assert ctx.mul(a, ctx.inv(a)) == 1
 
 
 def test_table_and_clmul_agree_on_shared_field():
-    # same modulus, one ctx forced off the table path via a distinct q^N size
+    # the N = 12 field multiplies by log tables; its carry-less multiply,
+    # which built those tables, must give the same products
     small = get_field(2, 12)
+    assert small.mul == small._mul_table
     rng = random.Random(9)
     for _ in range(300):
         a, b = small.rand_elem(rng), small.rand_elem(rng)
-        assert small.mul(a, b) == oracle_mul(small, a, b)
+        assert small.mul(a, b) == small._clmul(a, b) == oracle_mul(small, a, b)
+
+
+@pytest.mark.parametrize("q,N", [(2, 12), (3, 5), (2, 28), (3, 11)])
+def test_submul_row_matches_elementwise_loop(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(100 * q + N)
+    for trial in range(40):
+        length = 1 + trial % 9
+        start = trial % length
+        prow = [ctx.rand_elem(rng) if rng.random() < 0.8 else 0 for _ in range(length)]
+        wrow = [ctx.rand_elem(rng) for _ in range(length)]
+        f = ctx.rand_elem(rng) if trial % 10 else 0
+        expected = list(wrow)
+        for j in range(start, length):
+            expected[j] = ctx.sub(expected[j], ctx.mul(f, prow[j]))
+        ctx.submul_row(prow, start)(wrow, f)
+        assert wrow == expected
 
 
 def test_inverse_random_large_field():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gptrank.attacks import distinguisher_trials
 from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.gpt import (
     GptParams,
@@ -54,6 +55,34 @@ def test_defaults_fill_the_decodability_budget():
     assert p4.s_ext == p4.t - 1
     p6 = GptParams(**DESK, t1=1, t2=1, variant=6, m_cols=1)
     assert p6.s_ext == p6.t - 2
+
+
+def test_concatenation_variants_need_an_error():
+    with pytest.raises(ParameterError):
+        GptParams(**DESK, t1=1, variant=4)
+    with pytest.raises(ParameterError):
+        GptParams(**DESK, t1=1, t2=0, variant=5, p=1)
+    with pytest.raises(ParameterError):
+        GptParams(**DESK, t1=1, t2=0, variant=6, m_cols=1)
+    assert "rank exactly 2" in VARIANT_CASES[1].describe_error_set()
+
+
+def test_unseeded_calls_draw_from_the_os_csprng(monkeypatch):
+    made = []
+
+    class Recording(random.SystemRandom):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(random, "SystemRandom", Recording)
+    params = VARIANT_CASES[0]
+    pub, _ = keygen(params)
+    assert len(made) == 1
+    encrypt(pub, rand_message(params, random.Random(1)))
+    assert len(made) == 2
+    distinguisher_trials(params, trials=1)
+    assert len(made) == 3
 
 
 def test_budget_overflow_rejected():
@@ -236,19 +265,17 @@ def test_simple_ciphertext_error_has_exact_rank():
 
 
 def test_concatenation_variants_bound_error_rank():
+    # a rank-0 error would leave the plaintext to a linear solve on the
+    # public key, so every variant-4 error has rank exactly t2
     params = VARIANT_CASES[1]
     rng = random.Random(68)
     pub, priv = keygen(params, rng)
     ctx = params.field()
-    ranks = set()
-    for _ in range(60):
+    for _ in range(300):
         m = rand_message(params, rng)
         c = encrypt(pub, m, rng)
         e = vec_sub(ctx, c, vec_mat_mul(ctx, m, pub.matrix))
-        r = rank_over_base(ctx, e)
-        assert r <= params.t2
-        ranks.add(r)
-    assert len(ranks) > 1  # the bound is a bound, not a constant
+        assert rank_over_base(ctx, e) == params.t2
 
 
 def test_lemma_one_rank_budget_all_variants():
@@ -257,10 +284,7 @@ def test_lemma_one_rank_budget_all_variants():
         _, priv = keygen(params, rng)
         ctx = params.field()
         for _ in range(50):
-            if params.error_rank_is_exact:
-                e = sample_error(ctx, params.pub_cols, params.t1, rng)
-            else:
-                e = sample_error(ctx, params.pub_cols, params.error_rank, rng)
+            e = sample_error(ctx, params.pub_cols, params.error_rank, rng)
             assert lemma1_check(priv, e) <= params.t
 
 
