@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DecodeFailure, ParameterError
-from .gpt import GptParams, GptPublicKey, Variant, keygen, public_key_size_bits
+from .gpt import GptParams, GptPublicKey, Variant, keygen, preset, public_key_size_bits
 from .linalg import mat_frobenius, rank_ext, rank_over_base, vec_sub
 
 __all__ = [
@@ -253,7 +253,7 @@ def example_security_table(threshold: float = 64.0) -> list[dict]:
     scrambler columns, so structural rank attacks strip the scrambler), or
     when the reference work factor sits below the threshold.
     """
-    base = GptParams(q=2, N=28, n=28, k=14, t1=0, s_ext=0)
+    base = preset("paper-28")
     t = base.t
     lg_q = math.log2(base.q)
     rows = []

@@ -6,26 +6,32 @@ with entries linearly independent over F_q.  Such codes attain the
 Singleton bound in the rank metric (d = n - k + 1) and correct any error of
 rank up to t = floor((n - k) / 2).
 
-Decoding is syndrome based.  Writing the received word as y = c + e with
-e = w A (w of rank s over F_q, A over F_q), the syndromes collapse to
+Decoding is syndrome based.  Write the received word as y = c + e with
+e = w A, where w_1..w_r are independent over F_q and A is r x n over F_q,
+and let x_i = sum_j A_ij h_j.  The syndromes collapse to
 s_l = sum_i w_i x_i^(q^l); the minimal linearized polynomial annihilating
 the w_i satisfies a key equation modulo x^(q^(n-k)) that the linearized
-extended Euclidean algorithm solves.  Its kernel yields the span of the
-error values, after which the error locations follow from one F_q-linear
-system and the message from the first k coordinates.
+extended Euclidean algorithm solves.  Its kernel gives an F_q-basis of the
+span of the w_i, which stands in for w.  The first r syndromes, raised to
+q^(-l), give the r x r system s_l^(q^-l) = sum_i w_i^(q^-l) x_i over
+F_{q^N} (Gabidulin 1985), and the coordinates of each x_i in the F_q-basis
+h are the rows of A.  The message follows from the first k coordinates of
+y - e, and the result is checked against the whole received word before
+it is returned.
 """
 
 from __future__ import annotations
 
 from .errors import DecodeFailure, ParameterError
 from .linalg import (
-    _gf2_solve,
-    _modq_solve,
+    base_combination,
+    base_coordinates,
     ext_nullspace,
     independent_elements,
     mat_inv,
     mat_mul,
     rank_over_base,
+    solve_linear,
     transpose,
     vec_mat_mul,
     vec_sub,
@@ -115,51 +121,20 @@ class GabidulinCode:
         return vec_mat_mul(self.ctx, c[: self.k], self._info_inv)
 
     def _solve_locations(self, E, synd):
-        """A over F_q with sum_i E_i (A h^T)_i^(q^l) = s_l, or None."""
+        """A over F_q with e = E A, from the first r = len(E) syndromes.
+
+        With x_i = sum_j A_ij h_j the syndromes read s_l = sum_i E_i x_i^[l],
+        so s_l^[-l] = sum_i E_i^[-l] x_i.  For l < r this is an r x r system
+        over F_{q^N}, nonsingular because the E_i are F_q-independent.  Row
+        i of A holds the coordinates of x_i in the F_q-basis h; raises
+        ValueError when some x_i lies outside span_Fq(h), which needs n < N.
+        """
         ctx = self.ctx
-        n = self.n
-        nk = self.n - self.k
+        frob = ctx.frobenius
         r = len(E)
-        N = ctx.N
-        mul = ctx.mul
-        ncols = r * n
-        if ctx.q == 2:
-            rows = [0] * (nk * N)
-            for i, Ei in enumerate(E):
-                for j in range(n):
-                    col = 1 << (i * n + j)
-                    htab_j = self._htab[j]
-                    for l in range(nk):
-                        v = mul(Ei, htab_j[l])
-                        base = l * N
-                        while v:
-                            low = v & -v
-                            rows[base + low.bit_length() - 1] |= col
-                            v ^= low
-            rhs = 0
-            for l, sl in enumerate(synd):
-                rhs |= sl << (l * N)
-            x = _gf2_solve(rows, ncols, rhs)
-            if x is None:
-                return None
-            return [[(x >> (i * n + j)) & 1 for j in range(n)] for i in range(r)]
-        rows = [[0] * ncols for _ in range(nk * N)]
-        for i, Ei in enumerate(E):
-            for j in range(n):
-                cidx = i * n + j
-                htab_j = self._htab[j]
-                for l in range(nk):
-                    cs = ctx.coeffs(mul(Ei, htab_j[l]))
-                    for tbit in range(N):
-                        if cs[tbit]:
-                            rows[l * N + tbit][cidx] = cs[tbit]
-        rhs = []
-        for sl in synd:
-            rhs.extend(ctx.coeffs(sl))
-        x = _modq_solve(rows, ncols, rhs, ctx.q)
-        if x is None:
-            return None
-        return [[x[i * n + j] for j in range(n)] for i in range(r)]
+        moore = [[frob(Ei, -l) for Ei in E] for l in range(r)]
+        x = solve_linear(ctx, moore, [frob(synd[l], -l) for l in range(r)])
+        return base_coordinates(ctx, self.h, x)
 
     def decode(self, y):
         """Message and error with y = encode(m) + e and rank(e) <= t.
@@ -182,21 +157,11 @@ class GabidulinCode:
         E = V.kernel_basis()
         if not 0 < len(E) <= t:
             raise DecodeFailure("error span dimension outside the decoding radius")
-        A_loc = self._solve_locations(E, synd)
-        if A_loc is None:
-            raise DecodeFailure("error locations are inconsistent with the syndromes")
-        add = ctx.add
-        mul = ctx.mul
-        e = []
-        for j in range(n):
-            acc = 0
-            for i, Ei in enumerate(E):
-                a = A_loc[i][j]
-                if a == 1:
-                    acc = add(acc, Ei)
-                elif a:
-                    acc = add(acc, mul(Ei, a))
-            e.append(acc)
+        try:
+            A_loc = self._solve_locations(E, synd)
+        except ValueError:
+            raise DecodeFailure("error locations are inconsistent with the syndromes") from None
+        e = base_combination(ctx, E, A_loc)
         if rank_over_base(ctx, e) > t:
             raise DecodeFailure("reconstructed error exceeds the decoding radius")
         c = vec_sub(ctx, y, e)

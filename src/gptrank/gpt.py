@@ -126,8 +126,8 @@ class GptParams:
 
     ``t1`` is the ciphertext error rank for SIMPLE and the distortion
     column rank for the other variants; those use ``t2`` as the error rank
-    instead, which must be positive so that every ciphertext carries an
-    error.  ``s_ext`` is the number of extension-field columns
+    instead.  The error rank must be positive so that every ciphertext
+    carries an error.  ``s_ext`` is the number of extension-field columns
     inside the kept block of P^{-1} and defaults to the full decodability
     budget of the variant; ``x_ordinary_rank`` is the ordinary rank of the
     distortion block (defaults to t1).
@@ -171,8 +171,8 @@ class GptParams:
                 raise ParameterError("t2, p, and m_cols do not apply to the SIMPLE variant")
             if self.x_ordinary_rank is not None:
                 raise ParameterError("x_ordinary_rank does not apply to the SIMPLE variant")
-            if self.t1 > t:
-                raise ParameterError(f"SIMPLE needs t1 <= t = {t}, got t1 = {self.t1}")
+            if not 1 <= self.t1 <= t:
+                raise ParameterError(f"SIMPLE needs 1 <= t1 <= t = {t}, got t1 = {self.t1}")
         else:
             if v in (Variant.EXTENDED, Variant.RECTANGULAR_S):
                 if self.t1 < 1:

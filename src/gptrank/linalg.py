@@ -4,9 +4,11 @@ Vectors are lists of field elements (ints) and matrices are lists of row
 lists; every function takes the FieldCtx explicitly.  The rank of a vector
 over the base field is the number of its entries that are linearly
 independent over F_q -- the quantity the whole cryptosystem is built on.
-For q = 2 those computations run on bit-packed rows (one int per row of
-the coordinate expansion), which is what keeps the distinguisher and the
-decoder fast.
+Every F_q question -- ranks, the relations among a vector's entries, and
+coordinates in an F_q-basis -- is answered here, by one eliminator per
+algebra: bit-packed rows for q = 2 (one int per row of the coordinate
+expansion), which keeps the distinguisher and the decoder fast, and the
+extension-field elimination on the coordinate matrix for odd q.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ __all__ = [
     "solve_linear",
     "rank_over_base",
     "column_rank_over_base",
+    "base_relations",
+    "base_coordinates",
+    "base_combination",
     "random_matrix",
     "random_invertible",
     "random_full_row_rank",
@@ -309,90 +314,33 @@ def _gf2_nullspace(rows, ncols):
     return basis
 
 
-def _gf2_solve(rows, ncols, rhs_bits):
-    """One solution (as an int) of M x = rhs, or None if inconsistent."""
-    aug = [row | ((rhs_bits >> i & 1) << ncols) for i, row in enumerate(rows)]
-    work, pivots = _gf2_rref(aug, ncols + 1)
-    x = 0
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        if work[r] >> ncols & 1:
-            x |= 1 << pc
-    return x
+# -- linear algebra over the base field ----------------------------------------
+# For odd q the coordinate matrices go through the extension-field routines:
+# the ints 0..q-1 are the prime subfield, which elimination never leaves.
 
 
-# -- elimination mod a prime q, for the generic path -------------------------
+def _gf2_columns(elems, N):
+    """Bit rows of the F_2 matrix whose column j holds the coordinates of elems[j]."""
+    rows = [0] * N
+    for j, a in enumerate(elems):
+        col = 1 << j
+        while a:
+            low = a & -a
+            rows[low.bit_length() - 1] |= col
+            a ^= low
+    return rows
 
 
-def _modq_rref(rows, ncols, q):
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], q - 2, q)
-        if inv != 1:
-            work[r] = [(a * inv) % q for a in work[r]]
-        prow = work[r]
-        for i in range(nrows):
-            f = work[i][c]
-            if i != r and f:
-                work[i] = [(a - f * p) % q for a, p in zip(work[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
-
-
-def _modq_rank(rows, q):
-    if not rows:
-        return 0
-    return len(_modq_rref(rows, len(rows[0]), q)[1])
-
-
-def _modq_nullspace(rows, ncols, q):
-    work, pivots = _modq_rref(rows, ncols, q)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        x = [0] * ncols
-        x[f] = 1
-        for r, pc in enumerate(pivots):
-            x[pc] = (-work[r][f]) % q
-        basis.append(x)
-    return basis
-
-
-def _modq_solve(rows, ncols, rhs, q):
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    work, pivots = _modq_rref(aug, ncols + 1, q)
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = work[r][ncols]
-    return x
-
-
-# -- rank over the base field -------------------------------------------------
+def _coord_matrix(ctx, elems):
+    """The F_q matrix whose column j holds the coordinates of elems[j]."""
+    return [list(row) for row in zip(*map(ctx.coeffs, elems))]
 
 
 def rank_over_base(ctx, vec):
     """Number of entries of vec linearly independent over F_q."""
     if ctx.q == 2:
         return _gf2_rank(list(vec))
-    return _modq_rank([list(ctx.coeffs(a)) for a in vec], ctx.q)
+    return rank_ext(ctx, _coord_matrix(ctx, vec))
 
 
 def column_rank_over_base(ctx, M):
@@ -415,7 +363,54 @@ def column_rank_over_base(ctx, M):
         for row in M:
             col.extend(ctx.coeffs(row[j]))
         expanded.append(col)
-    return _modq_rank(expanded, ctx.q)
+    return rank_ext(ctx, expanded)
+
+
+def base_relations(ctx, vec):
+    """Basis of the F_q-linear relations among the entries of vec.
+
+    Each relation is a coefficient list c over F_q with sum_j c_j vec_j = 0.
+    """
+    n = len(vec)
+    if ctx.q == 2:
+        relations = _gf2_nullspace(_gf2_columns(vec, ctx.N), n)
+        return [[x >> j & 1 for j in range(n)] for x in relations]
+    return ext_nullspace(ctx, _coord_matrix(ctx, vec))
+
+
+def base_coordinates(ctx, basis, elems):
+    """Coordinates over F_q of each of elems in the F_q-independent basis.
+
+    Returns one list a per element with sum_j a_j basis_j equal to it.  One
+    elimination serves every element.  Raises ValueError when an element
+    lies outside span_Fq(basis).
+    """
+    n = len(basis)
+    m = len(elems)
+    cols = list(basis) + list(elems)
+    if ctx.q == 2:
+        work, pivots = _gf2_rref(_gf2_columns(cols, ctx.N), n + m)
+        coords = [[row >> (n + i) & 1 for row in work[:n]] for i in range(m)]
+    else:
+        work, pivots = _rref(ctx, _coord_matrix(ctx, cols))
+        coords = [[row[n + i] for row in work[:n]] for i in range(m)]
+    if pivots != list(range(n)):
+        raise ValueError("an element lies outside the F_q-span of the basis")
+    return coords
+
+
+def base_combination(ctx, w, A):
+    """The vector w A, for w over F_{q^N} and a matrix A over F_q."""
+    add = ctx.add
+    mul = ctx.mul
+    out = [0] * len(A[0])
+    for wi, row in zip(w, A):
+        for j, a in enumerate(row):
+            if a == 1:
+                out[j] = add(out[j], wi)
+            elif a:
+                out[j] = add(out[j], mul(wi, a))
+    return out
 
 
 # -- random generation ---------------------------------------------------------
@@ -474,19 +469,7 @@ def sample_error_decomposed(ctx, n, rank, rng):
         return [0] * n, [], []
     w = independent_elements(ctx, rank, rng)
     A = random_full_row_rank(ctx, rank, n, rng, base_field=True)
-    add = ctx.add
-    mul = ctx.mul
-    e = []
-    for j in range(n):
-        acc = 0
-        for i in range(rank):
-            a = A[i][j]
-            if a == 1:
-                acc = add(acc, w[i])
-            elif a:
-                acc = add(acc, mul(w[i], a))
-        e.append(acc)
-    return e, w, A
+    return base_combination(ctx, w, A), w, A
 
 
 def sample_error(ctx, n, rank, rng):

@@ -13,6 +13,8 @@ zero polynomial has an empty coefficient tuple and q-degree -1.
 
 from __future__ import annotations
 
+from .linalg import base_relations
+
 __all__ = ["LinPoly", "lp_eea", "annihilator"]
 
 
@@ -134,22 +136,9 @@ class LinPoly:
         N = ctx.N
         if self.is_zero():
             return [ctx.q**j for j in range(N)]
+        # beta = sum_j c_j alpha^j is in the kernel iff c relates the images
         images = [self(ctx.q**j) for j in range(N)]
-        if ctx.q == 2:
-            from .linalg import _gf2_nullspace
-
-            rows = []
-            for t in range(N):
-                row = 0
-                for j in range(N):
-                    row |= ((images[j] >> t) & 1) << j
-                rows.append(row)
-            return _gf2_nullspace(rows, N)
-        from .linalg import _modq_nullspace
-
-        cols = [ctx.coeffs(v) for v in images]
-        rows = [[cols[j][t] for j in range(N)] for t in range(N)]
-        return [ctx.from_coeffs(v) for v in _modq_nullspace(rows, N, ctx.q)]
+        return [ctx.from_coeffs(c) for c in base_relations(ctx, images)]
 
     def __eq__(self, other) -> bool:
         return (

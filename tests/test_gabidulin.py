@@ -97,7 +97,7 @@ def test_decode_clean_word():
     assert got_e == [0] * 8
 
 
-@pytest.mark.parametrize("q,N,n,k", [(2, 8, 8, 3), (2, 12, 12, 6), (3, 5, 5, 1)])
+@pytest.mark.parametrize("q,N,n,k", [(2, 8, 8, 3), (2, 12, 12, 6), (3, 5, 5, 1), (2, 10, 7, 3)])
 def test_decode_roundtrip_all_ranks(q, N, n, k):
     ctx = get_field(q, N)
     rng = random.Random(100 * n + k)
@@ -128,15 +128,16 @@ def test_decoder_agrees_with_exhaustive_search():
                 code.decode(y)
 
 
-def test_beyond_radius_never_silently_wrong():
+@pytest.mark.parametrize("q,N,n,k", [(2, 10, 10, 4), (3, 5, 5, 1), (2, 10, 7, 3)])
+def test_beyond_radius_never_silently_wrong(q, N, n, k):
     # rank t + 1 errors either fail loudly or return a self-consistent pair
-    ctx = get_field(2, 10)
+    ctx = get_field(q, N)
     rng = random.Random(48)
-    code = GabidulinCode.random(ctx, 10, 4, rng)
+    code = GabidulinCode.random(ctx, n, k, rng)
     failures = 0
     for _ in range(30):
-        m = [ctx.rand_elem(rng) for _ in range(4)]
-        e = sample_error(ctx, 10, code.t + 1, rng)
+        m = [ctx.rand_elem(rng) for _ in range(k)]
+        e = sample_error(ctx, n, code.t + 1, rng)
         y = vec_add(ctx, code.encode(m), e)
         try:
             got_m, got_e = code.decode(y)

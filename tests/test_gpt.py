@@ -57,6 +57,13 @@ def test_defaults_fill_the_decodability_budget():
     assert p6.s_ext == p6.t - 2
 
 
+def test_simple_variant_needs_an_error():
+    with pytest.raises(ParameterError):
+        GptParams(**DESK, t1=0)
+    with pytest.raises(ParameterError):
+        GptParams(**DESK, t1=0, scrambler_mode="base_field")
+
+
 def test_concatenation_variants_need_an_error():
     with pytest.raises(ParameterError):
         GptParams(**DESK, t1=1, variant=4)

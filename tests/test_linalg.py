@@ -7,6 +7,9 @@ import pytest
 
 from gptrank.fields import get_field
 from gptrank.linalg import (
+    base_combination,
+    base_coordinates,
+    base_relations,
     column_rank_over_base,
     concat_cols,
     ext_nullspace,
@@ -84,22 +87,47 @@ def test_rank_invariant_under_base_field_change_of_basis():
 def test_column_rank_over_base_matches_transpose_trick():
     # column rank over F_q equals the rank of the stacked coordinate matrix;
     # cross-check small cases against enumeration of column combinations
-    ctx = get_field(2, 4)
     rng = random.Random(12)
-    for _ in range(20):
-        M = random_matrix(ctx, 3, 3, rng)
-        cols = transpose(M)
-        span = {(0, 0, 0)}
-        for coeffs in itertools.product(range(2), repeat=3):
-            acc = [0, 0, 0]
-            for c, col in zip(coeffs, cols):
-                if c:
-                    acc = [ctx.add(a, v) for a, v in zip(acc, col)]
-            span.add(tuple(acc))
-        r = 0
-        while 2**r < len(span):
-            r += 1
-        assert column_rank_over_base(ctx, M) == r
+    for q, N in ((2, 4), (3, 3)):
+        ctx = get_field(q, N)
+        for _ in range(20):
+            M = random_matrix(ctx, 3, 3, rng)
+            cols = transpose(M)
+            span = {(0, 0, 0)}
+            for coeffs in itertools.product(range(q), repeat=3):
+                acc = [0, 0, 0]
+                for c, col in zip(coeffs, cols):
+                    if c:
+                        acc = [ctx.add(a, ctx.mul(c, v)) for a, v in zip(acc, col)]
+                span.add(tuple(acc))
+            r = 0
+            while q**r < len(span):
+                r += 1
+            assert column_rank_over_base(ctx, M) == r
+
+
+@pytest.mark.parametrize("q,N", [(2, 12), (3, 5)])
+def test_base_relations_coordinates_and_combination(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(13)
+    basis = independent_elements(ctx, 3, rng)
+    A = random_matrix(ctx, 3, 5, rng, base_field=True)
+    vec = base_combination(ctx, basis, A)
+    # the relations among the entries: each one vanishes, and they span a
+    # space of dimension len(vec) - rank
+    relations = base_relations(ctx, vec)
+    assert len(relations) == len(vec) - rank_over_base(ctx, vec)
+    assert rank_ext(ctx, relations) == len(relations)
+    for c in relations:
+        assert base_combination(ctx, vec, [[a] for a in c]) == [0]
+    # coordinates in the basis are the columns of A; an element outside the
+    # span has none
+    assert base_coordinates(ctx, basis, vec) == transpose(A)
+    outside = ctx.rand_nonzero(rng)
+    while rank_over_base(ctx, basis + [outside]) < 4:
+        outside = ctx.rand_nonzero(rng)
+    with pytest.raises(ValueError):
+        base_coordinates(ctx, basis, vec + [outside])
 
 
 # -- extension-field elimination ------------------------------------------------

@@ -13,12 +13,12 @@ from gptrank.linpoly import LinPoly, annihilator, lp_eea
 ctx = get_field(2, 8)
 
 
-def rand_poly(rng, max_qdeg=4, allow_zero=True):
+def rand_poly(rng, max_qdeg=4, allow_zero=True, field=ctx):
     d = rng.randint(0, max_qdeg)
-    coeffs = [ctx.rand_elem(rng) for _ in range(d)] + [ctx.rand_nonzero(rng)]
+    coeffs = [field.rand_elem(rng) for _ in range(d)] + [field.rand_nonzero(rng)]
     if allow_zero and rng.random() < 0.1:
-        return LinPoly.zero(ctx)
-    return LinPoly(ctx, coeffs)
+        return LinPoly.zero(field)
+    return LinPoly(field, coeffs)
 
 
 def oracle_eval(poly, x):
@@ -123,16 +123,17 @@ def test_eea_invariant_and_stop_degree():
 
 def test_kernel_basis_spans_exact_kernel():
     rng = random.Random(37)
-    for _ in range(15):
-        L = rand_poly(rng, max_qdeg=3, allow_zero=False)
-        basis = L.kernel_basis()
-        # every basis element is killed, and the kernel has q^dim elements
-        for v in basis:
-            assert L(v) == 0
-        killed = sum(1 for x in range(ctx.size) if L(x) == 0)
-        assert killed == ctx.q ** len(basis)
-        if basis:
-            assert rank_over_base(ctx, basis) == len(basis)
+    for field in (ctx, get_field(3, 5)):
+        for _ in range(15):
+            L = rand_poly(rng, max_qdeg=3, allow_zero=False, field=field)
+            basis = L.kernel_basis()
+            # every basis element is killed, and the kernel has q^dim elements
+            for v in basis:
+                assert L(v) == 0
+            killed = sum(1 for x in range(field.size) if L(x) == 0)
+            assert killed == field.q ** len(basis)
+            if basis:
+                assert rank_over_base(field, basis) == len(basis)
 
 
 def test_kernel_of_zero_poly_is_everything():
