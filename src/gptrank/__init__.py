@@ -53,9 +53,8 @@ from .linalg import (
     rank_over_base,
     sample_error,
     sample_error_decomposed,
-    sample_error_up_to,
 )
-from .linpoly import LinPoly, annihilator, lp_eea
+from .linpoly import LinPoly, lp_eea
 
 __version__ = "0.1.0"
 
@@ -78,7 +77,6 @@ __all__ = [
     "ScramblerMode",
     "TrialSummary",
     "Variant",
-    "annihilator",
     "attack_cost_report",
     "attack_public_key",
     "build_scrambler",
@@ -106,7 +104,6 @@ __all__ = [
     "rank_over_base",
     "sample_error",
     "sample_error_decomposed",
-    "sample_error_up_to",
     "save_ciphertext",
     "save_private_key",
     "save_public_key",

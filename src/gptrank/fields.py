@@ -26,7 +26,7 @@ __all__ = [
     "is_prime",
 ]
 
-_WORD_BITS = 64
+WORD_BITS = 64  # every field element fits in one machine word
 _TABLE_LIMIT = 1 << 16
 
 # Carry-less multiply for q = 2, done by C-level int and bytes operations.
@@ -40,6 +40,11 @@ _PARITY = bytes(48 + (i & 1) for i in range(256))  # byte count -> b"0" or b"1"
 _WINDOW = 14
 # A packed pivot row holds one element per 64-bit lane (array typecode "Q").
 _ONE_LANE = (1).to_bytes(8, sys.byteorder)
+
+
+def fits_in_word(q: int, N: int) -> bool:
+    """Whether F_{q^N} has at most 2**WORD_BITS elements, for q >= 2."""
+    return N <= WORD_BITS and q**N <= 1 << WORD_BITS
 
 
 def is_prime(p: int) -> bool:
@@ -232,9 +237,9 @@ class FieldCtx:
             )
         if N < 2:
             raise ValueError(f"extension degree N must be >= 2, got {N}")
+        if not fits_in_word(q, N):
+            raise ValueError(f"q**N = {q}**{N} does not fit in {WORD_BITS} bits")
         size = q**N
-        if size > (1 << _WORD_BITS):
-            raise ValueError(f"q**N = {q}**{N} does not fit in {_WORD_BITS} bits")
         self.q = q
         self.N = N
         self.size = size
@@ -551,30 +556,15 @@ class FieldCtx:
         return r
 
     def _frob_table(self, i: int) -> list[int]:
-        # basis images sigma^i(a^j), built by chaining the sigma^1 table
-        base = self._frob.get(1)
-        if base is None:
-            base = [self.pow(self.q**j, self.q) for j in range(self.N)]
-            self._frob[1] = base
-        m = max(self._frob)
+        # basis images sigma^i(a^j), each table the sigma^1 image of the last
+        tabs = self._frob
+        if 1 not in tabs:
+            tabs[1] = [self.pow(self.q**j, self.q) for j in range(self.N)]
+        m = max(tabs)
         while m < i:
-            prev = self._frob[m]
-            if self.q == 2:
-                nxt = []
-                for v in prev:
-                    r = 0
-                    j = 0
-                    while v:
-                        if v & 1:
-                            r ^= base[j]
-                        v >>= 1
-                        j += 1
-                    nxt.append(r)
-            else:
-                nxt = [self._apply_table_generic(base, v) for v in prev]
+            tabs[m + 1] = [self.frobenius(v, 1) for v in tabs[m]]
             m += 1
-            self._frob[m] = nxt
-        return self._frob[i]
+        return tabs[i]
 
     # -- coordinates and encoding --------------------------------------------
 
@@ -621,10 +611,6 @@ class FieldCtx:
     def to_hex(self, a: int) -> str:
         """Fixed-width hex of the packed coordinate vector, most significant first."""
         return format(a, f"0{self.element_hex_width}x")
-
-    def from_hex(self, s: str) -> int:
-        v = int(s, 16)
-        return self.check_element(v)
 
     # -- identity ------------------------------------------------------------
 

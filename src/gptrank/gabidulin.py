@@ -4,7 +4,9 @@ The code of length n <= N and dimension k over F_{q^N} is generated by the
 k x n matrix whose rows are successive Frobenius powers of a fixed vector g
 with entries linearly independent over F_q.  Such codes attain the
 Singleton bound in the rank metric (d = n - k + 1) and correct any error of
-rank up to t = floor((n - k) / 2).
+rank up to t = floor((n - k) / 2).  One Moore matrix of g builds the
+code: its first k rows are G, and its null space, twisted by sigma^(k+1-n),
+gives the parity vector h.
 
 Decoding is syndrome based.  Write the received word as y = c + e with
 e = w A, where w_1..w_r are independent over F_q and A is r x n over F_q,
@@ -29,7 +31,6 @@ from .linalg import (
     ext_nullspace,
     independent_elements,
     mat_inv,
-    mat_mul,
     rank_over_base,
     solve_linear,
     transpose,
@@ -64,41 +65,23 @@ class GabidulinCode:
         self.k = k
         self.d = n - k + 1
         self.t = (n - k) // 2
-        self.G = moore_matrix(ctx, g, k)
-        self.h, self.H = self._derive_parity()
+        # h0 spans the null space of the (n-1)-row Moore matrix, so
+        # sum_j g_j^[i] h0_j = 0 for 0 <= i <= n-2.  With h = sigma^s(h0),
+        # entry (i, l) of G H^T is sigma^(s+l) of sum_j g_j^[i-s-l] h0_j; for
+        # s = k+1-n the index i-s-l lies in [0, n-2] for every i < k and
+        # l < n-k, so every entry of G H^T is 0.
+        moore = moore_matrix(ctx, g, n - 1)
+        self.G = moore[:k]
+        (h0,) = ext_nullspace(ctx, moore)
+        self.h = [ctx.frobenius(v, k + 1 - n) for v in h0]
+        self.H = moore_matrix(ctx, self.h, n - k)
         # per-column Frobenius powers of h, reused by every syndrome pass
-        self._htab = [[ctx.frobenius(hj, l) for l in range(n - k)] for hj in self.h]
+        self._htab = transpose(self.H)
         self._info_inv = mat_inv(ctx, [row[:k] for row in self.G])
 
     @classmethod
     def random(cls, ctx, n: int, k: int, rng) -> "GabidulinCode":
         return cls(ctx, independent_elements(ctx, n, rng), k)
-
-    def _derive_parity(self):
-        """Parity vector h and check matrix H with G H^T = 0.
-
-        The null space of the (n-1)-row Frobenius-power matrix of g is one
-        dimensional; twisting its generator by sigma^(k+1-n) aligns the
-        orthogonality window so that every row power of G annihilates every
-        row power of H.  The twist is verified and, defensively, searched.
-        """
-        ctx = self.ctx
-        n, k = self.n, self.k
-        basis = ext_nullspace(ctx, moore_matrix(ctx, self.g, n - 1))
-        if len(basis) != 1:
-            raise ParameterError("parity derivation failed: null space not 1-dimensional")
-        h0 = basis[0]
-        shifts = [(k + 1 - n) % ctx.N]
-        shifts += [s for s in range(ctx.N) if s not in shifts]
-        for s in shifts:
-            h = [ctx.frobenius(v, s) for v in h0]
-            if rank_over_base(ctx, h) != n:
-                continue
-            H = moore_matrix(ctx, h, n - k)
-            prod = mat_mul(ctx, self.G, transpose(H))
-            if all(all(v == 0 for v in row) for row in prod):
-                return h, H
-        raise ParameterError("parity derivation failed: no valid Frobenius twist")
 
     def encode(self, m):
         if len(m) != self.k:
@@ -151,7 +134,7 @@ class GabidulinCode:
             return self._solve_message(y), [0] * n
         S = LinPoly(ctx, synd)
         A = LinPoly.monomial(ctx, n - k)
-        _, V, _ = lp_eea(A, S, stop_degree=(n - k + 1) // 2)
+        V, _ = lp_eea(A, S, stop_degree=(n - k + 1) // 2)
         if V.is_zero():
             raise DecodeFailure("key equation has no solution within the radius")
         E = V.kernel_basis()

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DecodeFailure, ParameterError
-from .fields import FieldCtx, default_modulus, get_field, is_prime
+from .fields import WORD_BITS, FieldCtx, default_modulus, fits_in_word, get_field, is_prime
 from .gabidulin import GabidulinCode
 from .linalg import (
     column_rank_over_base,
@@ -43,7 +43,6 @@ from .linalg import (
     mat_mul,
     rank_ext,
     random_full_row_rank,
-    random_invertible,
     random_matrix,
     rank_over_base,
     sample_error,
@@ -154,6 +153,8 @@ class GptParams:
             raise ParameterError(f"q must be prime, got {self.q}")
         if self.N < 2:
             raise ParameterError("N must be at least 2")
+        if not fits_in_word(self.q, self.N):
+            raise ParameterError(f"q**N = {self.q}**{self.N} does not fit in {WORD_BITS} bits")
         if not 1 <= self.k < self.n <= self.N:
             raise ParameterError(f"need 1 <= k < n <= N, got k={self.k}, n={self.n}, N={self.N}")
         if self.n - self.k < 2:
@@ -285,10 +286,8 @@ def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
     if base_field:
         if s_ext:
             raise ParameterError("a base-field scrambler has no extension-field columns")
-        while True:
-            P_inv = random_matrix(ctx, size, size, rng, base_field=True)
-            if rank_ext(ctx, P_inv) == size:
-                return mat_inv(ctx, P_inv), P_inv
+        P_inv = random_full_row_rank(ctx, size, size, rng, base_field=True)
+        return mat_inv(ctx, P_inv), P_inv
     if not 0 <= s_ext <= kept:
         raise ParameterError(f"s_ext must lie in [0, {kept}]")
     discard = size - kept
@@ -297,7 +296,7 @@ def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
             random_matrix(ctx, size, s_ext, rng),
             random_matrix(ctx, size, kept - s_ext, rng, base_field=True),
         )
-        mask = random_invertible(ctx, kept, rng, base_field=True)
+        mask = random_full_row_rank(ctx, kept, kept, rng, base_field=True)
         kept_block = mat_mul(ctx, block, mask)
         if discard:
             P_inv = concat_cols(random_matrix(ctx, size, discard, rng), kept_block)
@@ -341,7 +340,7 @@ def keygen(params: GptParams, rng=None):
             S = random_full_row_rank(ctx, k - params.p, k, rng)
             S_inv = None
         else:
-            S = random_invertible(ctx, k, rng)
+            S = random_full_row_rank(ctx, k, k, rng)
             S_inv = mat_inv(ctx, S)
         if v == Variant.SIMPLE:
             core = code.G

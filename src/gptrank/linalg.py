@@ -25,7 +25,6 @@ __all__ = [
     "zeros_matrix",
     "concat_cols",
     "mat_frobenius",
-    "is_base_field",
     "rank_ext",
     "ext_nullspace",
     "solve_linear",
@@ -35,12 +34,10 @@ __all__ = [
     "base_coordinates",
     "base_combination",
     "random_matrix",
-    "random_invertible",
     "random_full_row_rank",
     "independent_elements",
     "sample_error",
     "sample_error_decomposed",
-    "sample_error_up_to",
 ]
 
 
@@ -128,10 +125,6 @@ def mat_frobenius(ctx, M, i=1):
     """Entry-wise Frobenius power of a matrix."""
     frob = ctx.frobenius
     return [[frob(a, i) for a in row] for row in M]
-
-
-def is_base_field(ctx, M):
-    return all(a < ctx.q for row in M for a in row)
 
 
 # -- elimination over the extension field -----------------------------------
@@ -424,14 +417,6 @@ def random_matrix(ctx, rows, cols, rng, base_field=False):
     return [[rng.randrange(size) for _ in range(cols)] for _ in range(rows)]
 
 
-def random_invertible(ctx, size, rng, base_field=False):
-    """Rejection-sampled invertible matrix (over F_q when base_field is set)."""
-    while True:
-        M = random_matrix(ctx, size, size, rng, base_field=base_field)
-        if rank_ext(ctx, M) == size:
-            return M
-
-
 def random_full_row_rank(ctx, rows, cols, rng, base_field=False):
     if rows > cols:
         raise ValueError(f"cannot have row rank {rows} with only {cols} columns")
@@ -476,7 +461,3 @@ def sample_error(ctx, n, rank, rng):
     """Random length-n vector of rank exactly `rank` over F_q."""
     return sample_error_decomposed(ctx, n, rank, rng)[0]
 
-
-def sample_error_up_to(ctx, n, max_rank, rng):
-    """Random length-n vector of rank at most max_rank (rank drawn uniformly)."""
-    return sample_error(ctx, n, rng.randint(0, max_rank), rng)

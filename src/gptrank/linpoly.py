@@ -4,8 +4,8 @@ A linearized polynomial L(x) = sum(a_i * x^(q^i)) induces an F_q-linear map
 on F_{q^N}.  Under addition and composition these polynomials form a
 non-commutative ring: composing A after B twists B's coefficients by the
 Frobenius, (A o B)_p = sum over i+j=p of a_i * b_j^(q^i).  Composition,
-right division, the extended Euclidean algorithm, and kernel computation
-are everything the Gabidulin decoder needs.
+right division, a Euclid algorithm that tracks only the cofactor the
+decoder uses, and kernel computation are all the Gabidulin decoder needs.
 
 Coefficients are stored lowest q-degree first with no trailing zeros; the
 zero polynomial has an empty coefficient tuple and q-degree -1.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .linalg import base_relations
 
-__all__ = ["LinPoly", "lp_eea", "annihilator"]
+__all__ = ["LinPoly", "lp_eea"]
 
 
 class LinPoly:
@@ -157,44 +157,19 @@ class LinPoly:
         return "LinPoly(" + " + ".join(terms) + ")"
 
 
-def lp_eea(A: LinPoly, B: LinPoly, stop_degree: int) -> tuple[LinPoly, LinPoly, LinPoly]:
+def lp_eea(A: LinPoly, B: LinPoly, stop_degree: int) -> tuple[LinPoly, LinPoly]:
     """Extended Euclid on (A, B) under composition, stopped early.
 
-    Returns (U, V, R) with R = U o A + V o B and qdeg(R) < stop_degree,
-    taking the first remainder in the Euclidean sequence that drops below
-    stop_degree.  With B = 0 the convention is (identity, 0, A).
+    Returns (V, R) with R = U o A + V o B for some U and qdeg(R) <
+    stop_degree, taking the first remainder in the Euclidean sequence that
+    drops below stop_degree.  U itself is not tracked.  With B = 0 the
+    convention is (0, A).
     """
-    ctx = A.ctx
-    one = LinPoly.identity(ctx)
-    zero = LinPoly.zero(ctx)
     if B.is_zero():
-        return one, zero, A
-    r0, u0, v0 = A, one, zero
-    r1, u1, v1 = B, zero, one
+        return LinPoly.zero(A.ctx), A
+    r0, v0 = A, LinPoly.zero(A.ctx)
+    r1, v1 = B, LinPoly.identity(A.ctx)
     while not r1.is_zero() and r1.qdeg >= stop_degree:
         q, r2 = r0.right_divmod(r1)
-        r0, u0, v0, r1, u1, v1 = (
-            r1,
-            u1,
-            v1,
-            r2,
-            u0.sub(q.compose(u1)),
-            v0.sub(q.compose(v1)),
-        )
-    return u1, v1, r1
-
-
-def annihilator(ctx, elems) -> LinPoly:
-    """Monic linearized polynomial whose kernel contains span_{F_q}(elems).
-
-    Built by the classical chain L -> (x^[1] - L(w)^(q-1) * x) o L; the
-    q-degree of the result is the rank of elems over F_q.
-    """
-    L = LinPoly.identity(ctx)
-    for w in elems:
-        v = L(w)
-        if v == 0:
-            continue
-        factor = LinPoly(ctx, (ctx.neg(ctx.pow(v, ctx.q - 1)), 1))
-        L = factor.compose(L)
-    return L
+        r0, v0, r1, v1 = r1, v1, r2, v0.sub(q.compose(v1))
+    return v1, r1

@@ -254,6 +254,16 @@ def test_exit_code_bad_parameters(tmp_path):
                "--pub", str(tmp_path / "p"), "--priv", str(tmp_path / "s")) == 2
 
 
+def test_field_too_wide_for_a_word_is_bad_parameters(tmp_path, capsys):
+    # analyze must refuse the field that keygen refuses, not call it secure
+    flags = ("--q", "2", "--bigN", "70", "--n", "70", "--k", "40", "--t1", "2")
+    assert run("analyze", *flags) == 2
+    assert run("keygen", *flags, "--pub", str(tmp_path / "p"), "--priv", str(tmp_path / "s")) == 2
+    captured = capsys.readouterr()
+    assert "status:" not in captured.out
+    assert captured.err.count("does not fit in 64 bits") == 2
+
+
 def test_exit_code_bad_usage():
     assert run("keygen", "--format", "yaml") == 2
     assert run("no-such-command") == 2

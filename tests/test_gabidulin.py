@@ -48,7 +48,10 @@ def test_generator_is_moore_of_g():
 
 def test_parity_check_annihilates_generator():
     rng = random.Random(43)
-    for q, N, n, k in ((2, 8, 8, 3), (2, 10, 7, 4), (3, 5, 5, 2)):
+    for q, N, n, k in (
+        (2, 8, 8, 3), (2, 10, 7, 4), (3, 5, 5, 2),
+        (3, 6, 4, 1), (5, 3, 3, 2), (2, 16, 16, 15), (2, 28, 28, 14),
+    ):
         ctx = get_field(q, N)
         code = GabidulinCode.random(ctx, n, k, rng)
         prod = mat_mul(ctx, code.G, transpose(code.H))

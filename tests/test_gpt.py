@@ -18,14 +18,15 @@ from gptrank.gpt import (
     preset,
     public_key_size_bits,
 )
-from gptrank.fields import get_field
+from gptrank.fields import FieldCtx, get_field
 from gptrank.linalg import (
     identity_matrix,
-    is_base_field,
     mat_mul,
     rank_ext,
     rank_over_base,
     sample_error,
+    solve_linear,
+    transpose,
     vec_mat_mul,
     vec_sub,
 )
@@ -72,6 +73,19 @@ def test_concatenation_variants_need_an_error():
     with pytest.raises(ParameterError):
         GptParams(**DESK, t1=1, t2=0, variant=6, m_cols=1)
     assert "rank exactly 2" in VARIANT_CASES[1].describe_error_set()
+
+
+def test_field_must_fit_a_machine_word():
+    # the same 64-bit limit as FieldCtx, so analyze cannot accept a field
+    # that keygen then refuses
+    with pytest.raises(ParameterError):
+        GptParams(q=2, N=70, n=70, k=40, t1=2)
+    with pytest.raises(ParameterError):
+        GptParams(q=3, N=41, n=41, k=30, t1=2)
+    with pytest.raises(ValueError):
+        FieldCtx(q=3, N=41)
+    assert GptParams(q=2, N=64, n=64, k=40, t1=2).N == 64
+    assert GptParams(q=3, N=40, n=40, k=30, t1=2).N == 40
 
 
 def test_unseeded_calls_draw_from_the_os_csprng(monkeypatch):
@@ -189,7 +203,7 @@ def test_base_field_scrambler_is_base_field():
     ctx = get_field(2, 12)
     rng = random.Random(62)
     P, P_inv = build_scrambler(ctx, 12, 0, rng, base_field=True)
-    assert is_base_field(ctx, P) and is_base_field(ctx, P_inv)
+    assert all(v < ctx.q for M in (P, P_inv) for row in M for v in row)
     assert mat_mul(ctx, P, P_inv) == identity_matrix(12)
 
 
@@ -283,6 +297,37 @@ def test_concatenation_variants_bound_error_rank():
         c = encrypt(pub, m, rng)
         e = vec_sub(ctx, c, vec_mat_mul(ctx, m, pub.matrix))
         assert rank_over_base(ctx, e) == params.t2
+
+
+PLAIN_SOLVE_CASES = {
+    "desk12": (lambda: preset("desk-12"), 81),
+    "desk12-basefield": (lambda: preset("desk-12", scrambler_mode="base_field", s_ext=0), 82),
+    "paper28": (lambda: preset("paper-28"), 83),
+    "v4": (lambda: GptParams(**DESK, t1=2, t2=2, s_ext=1, variant=4), 84),
+    "v5": (lambda: GptParams(**DESK, t1=1, t2=2, s_ext=1, variant=5, p=1), 85),
+    "v6": (
+        lambda: GptParams(
+            q=2, N=14, n=14, k=6, t1=2, t2=1, s_ext=1, variant=6, m_cols=2, x_ordinary_rank=1
+        ),
+        86,
+    ),
+    "q3": (lambda: GptParams(q=3, N=6, n=6, k=2, t1=1, s_ext=1), 87),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_SOLVE_CASES)
+def test_plain_linear_solve_does_not_recover_the_plaintext(name):
+    # c = m G_pub + e is inconsistent as a linear system in m: only the
+    # error stands between a public-key holder and the plaintext
+    make_params, seed = PLAIN_SOLVE_CASES[name]
+    params = make_params()
+    rng = random.Random(seed)
+    pub, _ = keygen(params, rng)
+    ctx = params.field()
+    for _ in range(20):
+        c = encrypt(pub, rand_message(params, rng), rng)
+        with pytest.raises(ValueError):
+            solve_linear(ctx, transpose(pub.matrix), c)
 
 
 def test_lemma_one_rank_budget_all_variants():

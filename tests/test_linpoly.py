@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gptrank.fields import get_field
 from gptrank.linalg import rank_over_base
-from gptrank.linpoly import LinPoly, annihilator, lp_eea
+from gptrank.linpoly import LinPoly, lp_eea
 
 ctx = get_field(2, 8)
 
@@ -115,9 +115,10 @@ def test_eea_invariant_and_stop_degree():
         A = rand_poly(rng, max_qdeg=6, allow_zero=False)
         B = rand_poly(rng, max_qdeg=5, allow_zero=False)
         stop = rng.randint(0, 4)
-        U, V, R = lp_eea(A, B, stop)
+        V, R = lp_eea(A, B, stop)
         # the returned remainder satisfies the Bezout-style identity
-        assert U.compose(A).add(V.compose(B)) == R
+        # R = U o A + V o B, so V o B - R is a right multiple of A
+        assert V.compose(B).sub(R).right_divmod(A)[1].is_zero()
         assert R.qdeg < stop or B.qdeg < stop
 
 
@@ -139,27 +140,6 @@ def test_kernel_basis_spans_exact_kernel():
 def test_kernel_of_zero_poly_is_everything():
     basis = LinPoly.zero(ctx).kernel_basis()
     assert len(basis) == ctx.N
-
-
-def test_annihilator_vanishes_exactly_on_span():
-    rng = random.Random(38)
-    for dim in (1, 2, 3):
-        elems = []
-        while rank_over_base(ctx, elems) < dim:
-            elems.append(ctx.rand_elem(rng))
-            if rank_over_base(ctx, elems) < len(elems):
-                elems.pop()
-        L = annihilator(ctx, elems)
-        assert L.qdeg == dim
-        # vanishes on every base-field combination of the span
-        span = {0}
-        for e in elems:
-            span |= {ctx.add(s, e) for s in span}
-        for s in span:
-            assert L(s) == 0
-        # and nowhere else
-        killed = sum(1 for x in range(ctx.size) if L(x) == 0)
-        assert killed == len(span) == ctx.q**dim
 
 
 def test_scale_and_add():
