@@ -37,6 +37,7 @@ __all__ = [
     "TrialSummary",
     "distinguisher_trials",
     "attack_cost_report",
+    "SECURITY_THRESHOLD_BITS",
     "security_status",
     "AttackReport",
     "attack_public_key",
@@ -180,9 +181,11 @@ def attack_cost_report(params: GptParams) -> dict[str, float]:
     }
 
 
-def security_status(
-    costs: dict[str, float], distinguishable: bool, threshold: float = 64.0
-) -> tuple[str, str]:
+# A key is insecure when some attack costs fewer than 2^SECURITY_THRESHOLD_BITS operations.
+SECURITY_THRESHOLD_BITS = 64
+
+
+def security_status(costs: dict[str, float], distinguishable: bool) -> tuple[str, str]:
     """Classify a key as secure/insecure from attack costs and the distinguisher."""
     if distinguishable:
         return (
@@ -191,11 +194,11 @@ def security_status(
             "exposing the private code row space",
         )
     name, exponent = min(costs.items(), key=lambda kv: kv[1])
-    if exponent < threshold:
+    if exponent < SECURITY_THRESHOLD_BITS:
         return (
             "insecure",
             f"{name.replace('_', ' ')} costs about 2^{exponent:.1f}, "
-            f"below the 2^{threshold:g} threshold",
+            f"below the 2^{SECURITY_THRESHOLD_BITS} threshold",
         )
     return (
         "secure",
@@ -213,11 +216,11 @@ class AttackReport:
     reason: str
 
 
-def attack_public_key(pub: GptPublicKey, u: int | None = None, threshold: float = 64.0) -> AttackReport:
+def attack_public_key(pub: GptPublicKey, u: int | None = None) -> AttackReport:
     """Full passive analysis of one public key."""
     result = distinguish_public_key(pub, u)
     costs = attack_cost_report(pub.params)
-    status, reason = security_status(costs, result.distinguishable, threshold)
+    status, reason = security_status(costs, result.distinguishable)
     return AttackReport(
         params=pub.params,
         distinguisher=result,
@@ -244,14 +247,14 @@ WORK_FACTOR_NOTE = (
 )
 
 
-def example_security_table(threshold: float = 64.0) -> list[dict]:
+def example_security_table() -> list[dict]:
     """Security status of the length-28 setting for every distortion rank.
 
     One row per t1 in 0..7.  A row is insecure when there is no distortion
     at all (plain information-set decoding applies), when the distortion
     eats the whole decodability budget (no room for extension-field
     scrambler columns, so structural rank attacks strip the scrambler), or
-    when the reference work factor sits below the threshold.
+    when the reference work factor sits below SECURITY_THRESHOLD_BITS.
     """
     base = preset("paper-28")
     t = base.t
@@ -268,10 +271,10 @@ def example_security_table(threshold: float = 64.0) -> list[dict]:
                 "distortion uses the whole decodability budget, forcing a "
                 "base-field scrambler that structural rank attacks strip",
             )
-        elif stored < threshold:
+        elif stored < SECURITY_THRESHOLD_BITS:
             status, reason = (
                 "insecure",
-                f"work factor 2^{stored} is below the 2^{threshold:g} threshold",
+                f"work factor 2^{stored} is below the 2^{SECURITY_THRESHOLD_BITS} threshold",
             )
         else:
             status, reason = (

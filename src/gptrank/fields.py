@@ -16,7 +16,7 @@ import sys
 from array import array
 from functools import reduce
 from itertools import compress
-from operator import xor
+from operator import add, neg, sub, xor
 
 __all__ = [
     "FieldCtx",
@@ -77,7 +77,7 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- dense polynomials over F_q, used only for modulus validation ----------
+# -- dense polynomials over F_q, for modulus validation and odd-q multiply ----
 # Representation: list of int coefficients, constant term first.
 
 
@@ -174,6 +174,15 @@ def is_irreducible(q: int, coeffs) -> bool:
     return True
 
 
+def _digits(a: int, q: int, N: int) -> tuple[int, ...]:
+    """The N base-q digits of a, lowest first."""
+    out = []
+    for _ in range(N):
+        out.append(a % q)
+        a //= q
+    return tuple(out)
+
+
 _MODULUS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
@@ -192,18 +201,12 @@ def default_modulus(q: int, N: int) -> tuple[int, ...]:
     if N < 1:
         raise ValueError("degree must be positive")
     for low in range(1, q**N):
-        coeffs = []
-        v = low
-        for _ in range(N):
-            coeffs.append(v % q)
-            v //= q
-        coeffs.append(1)
+        coeffs = _digits(low, q, N) + (1,)
         if coeffs[0] == 0:
             continue  # divisible by x
         if is_irreducible(q, coeffs):
-            result = tuple(coeffs)
-            _MODULUS_CACHE[key] = result
-            return result
+            _MODULUS_CACHE[key] = coeffs
+            return coeffs
     raise RuntimeError(f"no irreducible of degree {N} over F_{q} found")
 
 
@@ -293,29 +296,13 @@ class FieldCtx:
         return a
 
     def _add_generic(self, a: int, b: int) -> int:
-        q = self.q
-        r = 0
-        place = 1
-        while a or b:
-            r += ((a % q + b % q) % q) * place
-            a //= q
-            b //= q
-            place *= q
-        return r
+        return self.from_coeffs(map(add, self.coeffs(a), self.coeffs(b)))
 
     def _sub_generic(self, a: int, b: int) -> int:
-        q = self.q
-        r = 0
-        place = 1
-        while a or b:
-            r += ((a % q - b % q) % q) * place
-            a //= q
-            b //= q
-            place *= q
-        return r
+        return self.from_coeffs(map(sub, self.coeffs(a), self.coeffs(b)))
 
     def _neg_generic(self, a: int) -> int:
-        return self._sub_generic(0, a)
+        return self.from_coeffs(map(neg, self.coeffs(a)))
 
     # -- multiplication ----------------------------------------------------
 
@@ -375,27 +362,8 @@ class FieldCtx:
 
     def _mul_generic(self, a: int, b: int) -> int:
         q = self.q
-        n = self.N
-        A = self.coeffs(a)
-        B = self.coeffs(b)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(A):
-            if ai:
-                for j, bj in enumerate(B):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % q
-        mod = self.modulus
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(n + 1):
-                    prod[i - n + j] = (prod[i - n + j] - c * mod[j]) % q
-        r = 0
-        place = 1
-        for i in range(n):
-            r += prod[i] * place
-            place *= q
-        return r
+        prod = _poly_mul(self.coeffs(a), self.coeffs(b), q)
+        return self.from_coeffs(_poly_mod(prod, self.modulus, q))
 
     def _build_tables(self) -> None:
         raw_mul = self._clmul if self.q == 2 else self._mul_generic
@@ -544,16 +512,10 @@ class FieldCtx:
         return self._apply_table_generic(tab, a)
 
     def _apply_table_generic(self, tab: list[int], a: int) -> int:
-        q = self.q
-        r = 0
-        j = 0
-        while a:
-            d = a % q
-            a //= q
-            if d:
-                r = self.add(r, self.mul(tab[j], d))
-            j += 1
-        return r
+        # sum_j a_j tab[j], added up digit by digit
+        coeffs = self.coeffs
+        terms = [[d * c for c in coeffs(t)] for t, d in zip(tab, coeffs(a)) if d]
+        return self.from_coeffs(map(sum, zip(*terms)))
 
     def _frob_table(self, i: int) -> list[int]:
         # basis images sigma^i(a^j), each table the sigma^1 image of the last
@@ -575,12 +537,7 @@ class FieldCtx:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coordinate vector of a in the polynomial basis, constant term first."""
-        q = self.q
-        out = []
-        for _ in range(self.N):
-            out.append(a % q)
-            a //= q
-        return tuple(out)
+        return _digits(a, self.q, self.N)
 
     def from_coeffs(self, cs) -> int:
         cs = list(cs)

@@ -42,10 +42,10 @@ from .linpoly import LinPoly, lp_eea
 __all__ = ["GabidulinCode", "moore_matrix"]
 
 
-def moore_matrix(ctx, g, rows, start=0):
-    """rows x len(g) matrix with entry (i, j) = g_j^(q^(start + i))."""
+def moore_matrix(ctx, g, rows):
+    """rows x len(g) matrix with entry (i, j) = g_j^(q^i)."""
     frob = ctx.frobenius
-    return [[frob(gj, start + i) for gj in g] for i in range(rows)]
+    return [[frob(gj, i) for gj in g] for i in range(rows)]
 
 
 class GabidulinCode:
@@ -89,16 +89,7 @@ class GabidulinCode:
         return vec_mat_mul(self.ctx, m, self.G)
 
     def syndromes(self, y):
-        ctx = self.ctx
-        add = ctx.add
-        mul = ctx.mul
-        nk = self.n - self.k
-        out = [0] * nk
-        for yj, col in zip(y, self._htab):
-            if yj:
-                for l in range(nk):
-                    out[l] = add(out[l], mul(yj, col[l]))
-        return out
+        return vec_mat_mul(self.ctx, y, self._htab)
 
     def _solve_message(self, c):
         return vec_mat_mul(self.ctx, c[: self.k], self._info_inv)

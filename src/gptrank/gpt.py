@@ -92,7 +92,6 @@ class Variant(enum.IntEnum):
             "simple": cls.SIMPLE,
             "extended": cls.EXTENDED,
             "rectangular_s": cls.RECTANGULAR_S,
-            "rectangular": cls.RECTANGULAR_S,
             "two_distortion": cls.TWO_DISTORTION,
         }
         if name in aliases:
@@ -114,7 +113,7 @@ class ScramblerMode(str, enum.Enum):
         if name in ("base_field", "base"):
             return cls.BASE_FIELD
         # the _V spelling is accepted for interface compatibility
-        if name in ("extension_field", "extension_field_v", "extension"):
+        if name in ("extension_field", "extension_field_v"):
             return cls.EXTENSION_FIELD
         raise ParameterError(f"unknown scrambler mode {value!r}")
 

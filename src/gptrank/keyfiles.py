@@ -461,12 +461,11 @@ def _json_read(rec: _Record, data: bytes):
 
 _WRITERS = {"bin": _bin_write, "hex": _hex_write, "json": _json_write}
 _READERS = {"bin": _bin_read, "hex": _hex_read, "json": _json_read}
-_FORMAT_ALIASES = {"binary": "bin", "text": "hex", "txt": "hex"}
 
 
 def _save(path, rec: _Record, obj, fmt: str) -> None:
     name = str(fmt).strip().lower()
-    write = _WRITERS.get(_FORMAT_ALIASES.get(name, name))
+    write = _WRITERS.get(name)
     if write is None:
         raise ParameterError(f"unknown file format {fmt!r} (choose bin, hex, or json)")
     context, members = rec.split(obj)

@@ -7,6 +7,7 @@ import pytest
 
 from gptrank.attacks import (
     REFERENCE_WORK_EXPONENTS,
+    SECURITY_THRESHOLD_BITS,
     WORK_FACTOR_NOTE,
     BruteForceDecoder,
     attack_cost_report,
@@ -116,8 +117,11 @@ def test_security_status_branches():
     assert security_status(costs, True)[0] == "insecure"
     assert security_status(costs, False)[0] == "secure"
     assert security_status({"a": 30.0}, False)[0] == "insecure"
-    status, reason = security_status({"a": 30.0}, False, threshold=20.0)
-    assert status == "secure" and "2^30.0" in reason
+    # one cost just above the threshold constant and one just below it
+    status, reason = security_status({"a": SECURITY_THRESHOLD_BITS + 0.5}, False)
+    assert status == "secure" and "2^64.5" in reason
+    status, reason = security_status({"a": SECURITY_THRESHOLD_BITS - 0.5}, False)
+    assert status == "insecure" and "2^63.5" in reason and "2^64 threshold" in reason
 
 
 def test_attack_report_end_to_end():

@@ -332,3 +332,13 @@ def test_malformed_ciphertext_exits_4_without_traceback(tmp_path):
                        "--out", str(tmp_path / "o"))
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
+
+
+def test_unknown_scrambler_mode_exits_2_without_traceback(tmp_path):
+    pub, priv = tmp_path / "p", tmp_path / "s"
+    proc = run_process("keygen", "--preset", "desk-12", "--mode", "extension",
+                       "--pub", str(pub), "--priv", str(priv), "--seed", "24")
+    assert proc.returncode == 2
+    assert "unknown scrambler mode 'extension'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not pub.exists() and not priv.exists()

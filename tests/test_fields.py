@@ -150,6 +150,33 @@ def test_submul_row_matches_elementwise_loop(q, N):
         assert wrow == expected
 
 
+def oracle_frobenius(ctx, a, i):
+    """a^(q^i) by square-and-multiply on the schoolbook product."""
+    r, e = 1, ctx.q**i
+    while e:
+        if e & 1:
+            r = oracle_mul(ctx, r, a)
+        a = oracle_mul(ctx, a, a)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("q,N", [(3, 5), (3, 11), (5, 3), (5, 7)])
+def test_odd_q_add_sub_neg_frobenius_match_digit_oracle(q, N):
+    ctx = get_field(q, N)
+    # (3, 5) and (5, 3) multiply by log tables, (3, 11) and (5, 7) without
+    assert (ctx._exp is None) == (q**N > 1 << 16)
+    rng = random.Random(10 * q + N)
+    for trial in range(60):
+        a, b = ctx.rand_elem(rng), ctx.rand_elem(rng)
+        da, db = digits(q, N, a), digits(q, N, b)
+        assert ctx.add(a, b) == undigits(q, [(x + y) % q for x, y in zip(da, db)])
+        assert ctx.sub(a, b) == undigits(q, [(x - y) % q for x, y in zip(da, db)])
+        assert ctx.neg(a) == undigits(q, [-x % q for x in da])
+        i = trial % N
+        assert ctx.frobenius(a, i) == oracle_frobenius(ctx, a, i)
+
+
 def test_inverse_random_large_field():
     ctx = get_field(2, 28)
     rng = random.Random(3)

@@ -28,14 +28,16 @@ def test_moore_matrix_frozen_row():
     assert M[1] == [1, 4, 3, 12]
 
 
-def test_moore_matrix_start_offset():
-    ctx = get_field(2, 8)
-    rng = random.Random(41)
-    g = [ctx.rand_elem(rng) for _ in range(5)]
-    M = moore_matrix(ctx, g, 3, start=2)
-    for i in range(3):
-        for j in range(5):
-            assert M[i][j] == ctx.frobenius(g[j], i + 2)
+def test_moore_matrix_rows_are_frobenius_powers():
+    for ctx in (get_field(2, 8), get_field(3, 5)):
+        rng = random.Random(41)
+        g = [ctx.rand_elem(rng) for _ in range(5)]
+        M = moore_matrix(ctx, g, 4)
+        assert len(M) == 4 and M[0] == g
+        for i in range(4):
+            assert M[i] == [ctx.frobenius(gj, i) for gj in g]
+        for prev, row in zip(M, M[1:]):
+            assert row == [ctx.pow(a, ctx.q) for a in prev]
 
 
 def test_generator_is_moore_of_g():

@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
 from gptrank.fields import get_field
 from gptrank.linalg import (
+    _rref,
     base_combination,
     base_coordinates,
     base_relations,
@@ -128,6 +131,74 @@ def test_base_relations_coordinates_and_combination(q, N):
         base_coordinates(ctx, basis, vec + [outside])
 
 
+def bit_matrix(N, elems):
+    """The 0/1 matrix whose column j holds the coordinates of elems[j] (q = 2)."""
+    return [[a >> i & 1 for a in elems] for i in range(N)]
+
+
+def span_draw(gens, rng):
+    """A random F_2-combination of gens."""
+    return reduce(xor, (g for g in gens if rng.random() < 0.5), 0)
+
+
+@pytest.mark.parametrize("N,n", [(12, 12), (28, 28), (28, 11)])
+def test_bit_packed_answers_equal_the_generic_path(N, n):
+    # q = 2 answers come from the bit-packed eliminator; the extension-field
+    # routines on the 0/1 coordinate matrix must give exactly the same
+    ctx = get_field(2, N)
+    rng = random.Random(100 * N + n)
+    outcomes = set()
+    for trial in range(40):
+        gens = [ctx.rand_elem(rng) for _ in range(rng.randint(0, n))]
+        vec = [span_draw(gens, rng) if trial % 5 else ctx.rand_elem(rng) for _ in range(n)]
+        C = bit_matrix(N, vec)
+        assert rank_over_base(ctx, vec) == rank_ext(ctx, C)
+        assert base_relations(ctx, vec) == ext_nullspace(ctx, C)
+
+        # coordinates: the _rref read-out of [basis | elems], or ValueError
+        # exactly when the basis columns are not the pivot columns
+        basis = independent_elements(ctx, rng.randint(0, n), rng)
+        elems = [span_draw(basis, rng) if trial % 4 else ctx.rand_elem(rng) for _ in range(3)]
+        work, pivots = _rref(ctx, bit_matrix(N, basis + elems))
+        k = len(basis)
+        if pivots == list(range(k)):
+            expected = [[row[k + i] for row in work[:k]] for i in range(len(elems))]
+            assert base_coordinates(ctx, basis, elems) == expected
+            outcomes.add("inside")
+        else:
+            with pytest.raises(ValueError):
+                base_coordinates(ctx, basis, elems)
+            outcomes.add("outside")
+
+        # column rank: the rank of the columns expanded to F_2 coordinates
+        rows, cols = rng.randint(1, 3), rng.randint(1, n)
+        col_gens = [[ctx.rand_elem(rng) for _ in range(rows)] for _ in range(rng.randint(1, cols))]
+        columns = []
+        for _ in range(cols):
+            picked = [g for g in col_gens if rng.random() < 0.5]
+            columns.append([reduce(xor, (g[i] for g in picked), 0) for i in range(rows)])
+        M = transpose(columns)
+        expanded = [[v >> b & 1 for v in col for b in range(N)] for col in columns]
+        assert column_rank_over_base(ctx, M) == rank_ext(ctx, expanded)
+    assert outcomes == {"inside", "outside"}
+
+
+@pytest.mark.parametrize("q,N", [(2, 12), (3, 5)])
+def test_base_coordinates_refuses_a_dependent_basis(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(14)
+    basis = independent_elements(ctx, 4, rng)
+    outside = basis.pop()
+    # one relation inside the basis and one element outside its span still
+    # make one relation per element; no coordinates exist all the same
+    dependent = basis + [ctx.add(basis[0], basis[1])]
+    assert len(base_relations(ctx, dependent + [outside])) == 1
+    with pytest.raises(ValueError):
+        base_coordinates(ctx, dependent, [outside])
+    with pytest.raises(ValueError):
+        base_coordinates(ctx, dependent, [])
+
+
 # -- extension-field elimination ------------------------------------------------
 
 
@@ -229,7 +300,7 @@ def test_independent_elements():
         independent_elements(ctx, 9, rng)
 
 
-def test_random_invertible_and_full_row_rank():
+def test_random_full_row_rank_square_and_rectangular():
     ctx = get_field(2, 8)
     rng = random.Random(22)
     # a square full-row-rank draw is an invertible matrix
