@@ -76,7 +76,7 @@ class DistinguisherResult:
         return "DISTINGUISHABLE" if self.distinguishable else "NOT DISTINGUISHABLE"
 
 
-def _leak_bound(params: GptParams, u: int) -> int:
+def _leak_bound(params: GptParams, u: int, full: int) -> int:
     # rank ceiling for a base-field scrambler: Moore-row overlap caps the
     # code part at k + u, distortion blocks add at most their own width
     core = min(params.k + u, params.n)
@@ -86,7 +86,6 @@ def _leak_bound(params: GptParams, u: int) -> int:
         extra = params.t1
     else:
         extra = params.t1 + params.m_cols
-    full = min((u + 1) * params.pub_rows, params.pub_cols)
     return min(core + extra, full)
 
 
@@ -108,7 +107,7 @@ def distinguish_public_key(pub: GptPublicKey, u: int | None = None) -> Distingui
         u=u,
         observed_rank=observed,
         full_rank=full,
-        leak_bound=_leak_bound(params, u),
+        leak_bound=_leak_bound(params, u, full),
         distinguishable=observed < full,
     )
 

@@ -37,7 +37,6 @@ from .gpt import (
     PRESET_NAMES,
     GptParams,
     ScramblerMode,
-    Variant,
     decrypt,
     encrypt,
     keygen,
@@ -122,60 +121,46 @@ def blocks_to_message(params: GptParams, blocks, msg_len: int) -> bytes:
 # -- parameter flags ------------------------------------------------
 
 
-def _add_param_flags(sub) -> None:
-    sub.add_argument("--preset", choices=PRESET_NAMES, help="named parameter set")
-    sub.add_argument("--q", type=int, help="base field size (prime)")
-    sub.add_argument("--bigN", type=int, metavar="N", help="extension degree")
-    sub.add_argument("--n", type=int, help="code length")
-    sub.add_argument("--k", type=int, help="code dimension")
-    sub.add_argument("--t1", type=int, help="error rank (variant 3) or distortion column rank")
-    sub.add_argument("--t2", type=int, help="error rank bound (variants 4, 5, 6)")
-    sub.add_argument("--p", type=int, help="row scrambler deficiency (variant 5)")
-    sub.add_argument("--mcols", type=int, help="left distortion width (variant 6)")
-    sub.add_argument("--variant", help="3/simple, 4/extended, 5/rectangular_s, 6/two_distortion")
-    sub.add_argument("--mode", help="base_field or extension_field scrambler")
-    sub.add_argument("--sext", type=int, help="extension-field scrambler columns")
-    sub.add_argument("--xrank", type=int, help="ordinary rank of the distortion block")
-
-
-_PARAM_ATTRS = (
-    ("q", "q"),
-    ("bigN", "N"),
-    ("n", "n"),
-    ("k", "k"),
-    ("t1", "t1"),
-    ("t2", "t2"),
-    ("p", "p"),
-    ("mcols", "m_cols"),
-    ("sext", "s_ext"),
-    ("xrank", "x_ordinary_rank"),
+# (flag, GptParams field, type, help); --variant and --mode stay strings so
+# that GptParams parses them and reports a bad spelling itself
+_PARAM_FLAGS = (
+    ("q", "q", int, "base field size (prime)"),
+    ("bigN", "N", int, "extension degree"),
+    ("n", "n", int, "code length"),
+    ("k", "k", int, "code dimension"),
+    ("t1", "t1", int, "error rank (variant 3) or distortion column rank"),
+    ("t2", "t2", int, "error rank bound (variants 4, 5, 6)"),
+    ("p", "p", int, "row scrambler deficiency (variant 5)"),
+    ("mcols", "m_cols", int, "left distortion width (variant 6)"),
+    ("variant", "variant", str, "3/simple, 4/extended, 5/rectangular_s, 6/two_distortion"),
+    ("mode", "scrambler_mode", str, "base_field or extension_field scrambler"),
+    ("sext", "s_ext", int, "extension-field scrambler columns"),
+    ("xrank", "x_ordinary_rank", int, "ordinary rank of the distortion block"),
 )
 
 
-def _has_param_flags(args) -> bool:
-    if args.preset:
-        return True
-    return any(getattr(args, attr) is not None for attr, _ in _PARAM_ATTRS) or bool(
-        args.variant or args.mode
-    )
+def _add_param_flags(sub) -> None:
+    sub.add_argument("--preset", choices=PRESET_NAMES, help="named parameter set")
+    for flag, _, kind, text in _PARAM_FLAGS:
+        sub.add_argument(f"--{flag}", type=kind, help=text)
+
+
+def _param_overrides(args) -> dict:
+    """The GptParams fields given on the command line."""
+    values = ((key, getattr(args, flag)) for flag, key, _, _ in _PARAM_FLAGS)
+    return {key: value for key, value in values if value is not None}
 
 
 def _params_from_args(args) -> GptParams:
-    over = {}
-    for attr, key in _PARAM_ATTRS:
-        value = getattr(args, attr)
-        if value is not None:
-            over[key] = value
-    if args.variant is not None:
-        over["variant"] = Variant.parse(args.variant)
-    if args.mode is not None:
-        over["scrambler_mode"] = ScramblerMode.parse(args.mode)
-        # switching a preset to base_field must also drop its s_ext
-        if over["scrambler_mode"] == ScramblerMode.BASE_FIELD:
-            over.setdefault("s_ext", 0)
+    over = _param_overrides(args)
+    # switching a preset to base_field must also drop its s_ext
+    mode = over.get("scrambler_mode")
+    if mode is not None and ScramblerMode.parse(mode) == ScramblerMode.BASE_FIELD:
+        over.setdefault("s_ext", 0)
     if args.preset:
         return preset(args.preset, **over)
-    missing = [flag for flag, key in (("bigN", "N"), ("n", "n"), ("k", "k"), ("t1", "t1")) if key not in over]
+    required = ("N", "n", "k", "t1")
+    missing = [flag for flag, key, _, _ in _PARAM_FLAGS if key in required and key not in over]
     if missing:
         raise ParameterError(
             "missing required parameters: --" + ", --".join(missing) + " (or use --preset)"
@@ -261,8 +246,8 @@ def _cmd_decrypt(args) -> int:
 
 def _print_costs(costs: dict) -> None:
     print("attack cost estimates (log2 operations):")
-    for key in ("basis_enumeration", "coordinate_enumeration", "polynomial_reconstruction", "brute_force"):
-        print(f"  {_COST_LABELS[key]:32s} {costs[key]:10.2f}")
+    for key, label in _COST_LABELS.items():
+        print(f"  {label:32s} {costs[key]:10.2f}")
 
 
 def _print_table() -> None:
@@ -292,7 +277,7 @@ def _print_simulation(params: GptParams, trials: int, u, seed) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    has_params = _has_param_flags(args)
+    has_params = bool(args.preset or _param_overrides(args))
     if not has_params and not args.table:
         raise ParameterError("nothing to analyze: give parameters, --preset, or --table")
     if args.table:

@@ -18,6 +18,8 @@ from functools import reduce
 from itertools import compress
 from operator import add, neg, sub, xor
 
+from .errors import ParameterError
+
 __all__ = [
     "FieldCtx",
     "get_field",
@@ -49,18 +51,7 @@ def fits_in_word(q: int, N: int) -> bool:
 
 def is_prime(p: int) -> bool:
     """Deterministic primality check by trial division (p stays small here)."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and _prime_factors(p) == [p]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -134,13 +125,19 @@ def _poly_powmod(base: list[int], e: int, f: list[int], q: int) -> list[int]:
     return result
 
 
+def _monic(coeffs, q: int) -> list[int]:
+    """coeffs reduced mod q, trimmed and scaled to leading coefficient 1."""
+    c = _poly_trim([x % q for x in coeffs])
+    if c and c[-1] != 1:
+        inv_lead = pow(c[-1], q - 2, q)
+        c = [(x * inv_lead) % q for x in c]
+    return c
+
+
 def _poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a = _poly_trim(a)
-    b = _poly_trim(b)
+    b = _monic(b, q)
     while b:
-        inv_lead = pow(b[-1], q - 2, q)
-        b_monic = [(c * inv_lead) % q for c in b]
-        a, b = b_monic, _poly_mod(list(a), b_monic, q)
+        a, b = b, _monic(_poly_mod(a, b, q), q)
     return a
 
 
@@ -148,12 +145,9 @@ def is_irreducible(q: int, coeffs) -> bool:
     """Rabin irreducibility test for a polynomial over F_q (q prime)."""
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    f = _poly_trim([c % q for c in coeffs])
+    f = _monic(coeffs, q)
     if len(f) < 2:
         return False
-    if f[-1] != 1:
-        inv_lead = pow(f[-1], q - 2, q)
-        f = [(c * inv_lead) % q for c in f]
     n = len(f) - 1
     if n == 1:
         return True
@@ -225,23 +219,28 @@ class FieldCtx:
     the high half, and inverts by the polynomial extended Euclid algorithm;
     other primes fall back to coefficient arithmetic.
 
+    The basis images under every Frobenius power sigma^i, i < N, are built
+    with the field, each table the sigma^1 image of the one before.
+
     ``submul_row(prow, start)`` returns ``upd(wrow, f)``, which does
     ``wrow[j] -= f * prow[j]`` for every j >= start: the row update of an
-    elimination or a matrix product, chosen per field like ``mul``.  Table
-    fields precompute the logs of the pivot row's nonzero entries; q = 2
-    without tables packs x^i * prow mod f for i < N into one int each and
-    xors the copies that f's bits select; other fields loop per element.
+    elimination or a matrix product, chosen per field like ``mul``.  For
+    q = 2, table fields precompute the logs of the pivot row's nonzero
+    entries, and fields without tables pack x^i * prow mod f for i < N into
+    one int each and xor the copies that f's bits select; odd q loops per
+    element over ``mul``.
     """
 
     def __init__(self, q: int = 2, N: int = 2, modulus=None):
+        if N < 2:
+            raise ValueError(f"extension degree N must be >= 2, got {N}")
+        # before the primality test, whose trial division a huge q would stall
+        if not fits_in_word(q, N):
+            raise ValueError(f"q**N = {q}**{N} does not fit in {WORD_BITS} bits")
         if not is_prime(q):
             raise ValueError(
                 f"q must be a prime, got {q} (prime-power base fields are not supported)"
             )
-        if N < 2:
-            raise ValueError(f"extension degree N must be >= 2, got {N}")
-        if not fits_in_word(q, N):
-            raise ValueError(f"q**N = {q}**{N} does not fit in {WORD_BITS} bits")
         size = q**N
         self.q = q
         self.N = N
@@ -249,12 +248,9 @@ class FieldCtx:
         self.order = size - 1
         if modulus is None:
             modulus = default_modulus(q, N)
-        mod = _poly_trim([c % q for c in modulus])
+        mod = _monic(modulus, q)
         if len(mod) - 1 != N:
             raise ValueError(f"modulus must have degree {N}, got degree {len(mod) - 1}")
-        if mod[-1] != 1:
-            inv_lead = pow(mod[-1], q - 2, q)
-            mod = [(c * inv_lead) % q for c in mod]
         if not is_irreducible(q, mod):
             raise ValueError(f"modulus {mod} is reducible over F_{q}")
         self.modulus = tuple(mod)
@@ -272,20 +268,22 @@ class FieldCtx:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         if q == 2:
-            self._clmul = self._make_clmul()
-        if size <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._exp is not None:
-            self.mul = self._mul_table
-            self.submul_row = self._submul_table
-        elif q == 2:
-            self.mul = self._clmul
+            self._clmul = self.mul = self._make_clmul()
             self.submul_row = self._submul_packed
         else:
             self.mul = self._mul_generic
             self.submul_row = self._submul_generic
+        if size <= _TABLE_LIMIT:
+            self._build_tables()
+            self.mul = self._mul_table
+            if q == 2:
+                self.submul_row = self._submul_table
 
-        self._frob: dict[int, list[int]] = {}
+        # _frob[i][j] = sigma^i(a^j), each table the sigma^1 image of the last
+        basis = [q**j for j in range(N)]
+        self._frob = [basis, [self.pow(b, q) for b in basis]]
+        while len(self._frob) < N:
+            self._frob.append([self.frobenius(v) for v in self._frob[-1]])
 
     # -- addition ----------------------------------------------------------
 
@@ -366,21 +364,12 @@ class FieldCtx:
         return self.from_coeffs(_poly_mod(prod, self.modulus, q))
 
     def _build_tables(self) -> None:
-        raw_mul = self._clmul if self.q == 2 else self._mul_generic
-
-        def pow_raw(base: int, e: int) -> int:
-            r = 1
-            while e:
-                if e & 1:
-                    r = raw_mul(r, base)
-                base = raw_mul(base, base)
-                e >>= 1
-            return r
-
+        # runs while self.mul is still the table-less multiply
+        raw_mul = self.mul
         factors = _prime_factors(self.order)
         gen = None
         for cand in range(2, self.size):
-            if all(pow_raw(cand, self.order // p) != 1 for p in factors):
+            if all(self.pow(cand, self.order // p) != 1 for p in factors):
                 gen = cand
                 break
         if gen is None:  # pragma: no cover - the group is cyclic
@@ -438,24 +427,15 @@ class FieldCtx:
     # -- row updates ---------------------------------------------------------
 
     def _submul_table(self, prow, start):
+        # q = 2 only: subtraction is xor
         log, exp = self._log, self._exp
         pairs = [(j, log[prow[j]]) for j in range(start, len(prow)) if prow[j]]
-        if self.q == 2:
 
-            def upd(wrow, f):
-                if f:
-                    lf = log[f]
-                    for j, lb in pairs:
-                        wrow[j] ^= exp[lf + lb]
-
-        else:
-            sub = self.sub
-
-            def upd(wrow, f):
-                if f:
-                    lf = log[f]
-                    for j, lb in pairs:
-                        wrow[j] = sub(wrow[j], exp[lf + lb])
+        def upd(wrow, f):
+            if f:
+                lf = log[f]
+                for j, lb in pairs:
+                    wrow[j] ^= exp[lf + lb]
 
         return upd
 
@@ -481,7 +461,7 @@ class FieldCtx:
         return upd
 
     def _submul_generic(self, prow, start):
-        mul, sub = self._mul_generic, self.sub
+        mul, sub = self.mul, self.sub
         pairs = [(j, prow[j]) for j in range(start, len(prow)) if prow[j]]
 
         def upd(wrow, f):
@@ -497,9 +477,7 @@ class FieldCtx:
         i %= self.N
         if i == 0 or a == 0 or a == 1:
             return a
-        tab = self._frob.get(i)
-        if tab is None:
-            tab = self._frob_table(i)
+        tab = self._frob[i]
         if self.q == 2:
             r = 0
             j = 0
@@ -516,17 +494,6 @@ class FieldCtx:
         coeffs = self.coeffs
         terms = [[d * c for c in coeffs(t)] for t, d in zip(tab, coeffs(a)) if d]
         return self.from_coeffs(map(sum, zip(*terms)))
-
-    def _frob_table(self, i: int) -> list[int]:
-        # basis images sigma^i(a^j), each table the sigma^1 image of the last
-        tabs = self._frob
-        if 1 not in tabs:
-            tabs[1] = [self.pow(self.q**j, self.q) for j in range(self.N)]
-        m = max(tabs)
-        while m < i:
-            tabs[m + 1] = [self.frobenius(v, 1) for v in tabs[m]]
-            m += 1
-        return tabs[i]
 
     # -- coordinates and encoding --------------------------------------------
 
@@ -558,7 +525,7 @@ class FieldCtx:
 
     def check_element(self, a: int) -> int:
         if not isinstance(a, int) or a < 0 or a >= self.size:
-            raise ValueError(f"{a!r} is not an element of this field")
+            raise ParameterError(f"{a!r} is not an element of F_{self.q}^{self.N}")
         return a
 
     @property

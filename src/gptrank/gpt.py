@@ -148,12 +148,13 @@ class GptParams:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant.parse(self.variant))
         object.__setattr__(self, "scrambler_mode", ScramblerMode.parse(self.scrambler_mode))
-        if not is_prime(self.q):
-            raise ParameterError(f"q must be prime, got {self.q}")
         if self.N < 2:
             raise ParameterError("N must be at least 2")
+        # before the primality test, whose trial division a huge q would stall
         if not fits_in_word(self.q, self.N):
             raise ParameterError(f"q**N = {self.q}**{self.N} does not fit in {WORD_BITS} bits")
+        if not is_prime(self.q):
+            raise ParameterError(f"q must be prime, got {self.q}")
         if not 1 <= self.k < self.n <= self.N:
             raise ParameterError(f"need 1 <= k < n <= N, got k={self.k}, n={self.n}, N={self.N}")
         if self.n - self.k < 2:
@@ -189,18 +190,18 @@ class GptParams:
                 raise ParameterError("p applies only to RECTANGULAR_S")
             if self.t2 < 1:
                 raise ParameterError("the concatenation variants need an error rank t2 >= 1")
-            if self.t1 > self.k * self.N:
-                raise ParameterError("distortion column rank t1 cannot exceed k*N")
             rx = self.x_ordinary_rank
-            if rx is None:
-                rx = min(self.t1, self.k) if self.t1 else None
             if self.t1:
+                if rx is None:
+                    rx = min(self.t1, self.k)
                 if not 1 <= rx <= min(self.t1, self.k):
                     raise ParameterError(
                         f"x_ordinary_rank must lie in [1, min(t1, k)] = [1, {min(self.t1, self.k)}]"
                     )
                 if self.t1 > rx * self.N:
                     raise ParameterError("column rank t1 cannot exceed x_ordinary_rank * N")
+            elif rx is not None:
+                raise ParameterError("x_ordinary_rank needs a distortion block, t1 >= 1")
             object.__setattr__(self, "x_ordinary_rank", rx)
         budget_t1 = self.t1 if v in (Variant.SIMPLE, Variant.TWO_DISTORTION) else 0
         budget_t2 = self.t2 if v != Variant.SIMPLE else 0
@@ -363,6 +364,16 @@ def keygen(params: GptParams, rng=None):
     raise ParameterError("failed to draw a full-rank public key")
 
 
+def _checked_field(params: GptParams, v, length: int, what: str) -> FieldCtx:
+    """The field of params, once v is checked to be a length-long vector over it."""
+    if len(v) != length:
+        raise ParameterError(f"{what} length must be {length}, got {len(v)}")
+    ctx = params.field()
+    for a in v:
+        ctx.check_element(a)
+    return ctx
+
+
 def encrypt(pk: GptPublicKey, m, rng=None):
     """c = m G_pub + e with e drawn from the variant's error set.
 
@@ -371,11 +382,7 @@ def encrypt(pk: GptPublicKey, m, rng=None):
     if rng is None:
         rng = random.SystemRandom()
     params = pk.params
-    if len(m) != params.pub_rows:
-        raise ParameterError(f"plaintext length must be {params.pub_rows}, got {len(m)}")
-    ctx = params.field()
-    for v in m:
-        ctx.check_element(v)
+    ctx = _checked_field(params, m, params.pub_rows, "plaintext")
     e = sample_error(ctx, params.pub_cols, params.error_rank, rng)
     return vec_add(ctx, vec_mat_mul(ctx, m, pk.matrix), e)
 
@@ -383,9 +390,7 @@ def encrypt(pk: GptPublicKey, m, rng=None):
 def decrypt(sk: GptPrivateKey, c):
     """Invert the scrambler, decode the kept block, unwind S."""
     params = sk.params
-    if len(c) != params.pub_cols:
-        raise ParameterError(f"ciphertext length must be {params.pub_cols}, got {len(c)}")
-    ctx = params.field()
+    ctx = _checked_field(params, c, params.pub_cols, "ciphertext")
     inner = vec_mat_mul(ctx, c, sk.P_inv)
     kept = inner[params.kept_offset :]
     u, _ = sk.code.decode(kept)
@@ -406,9 +411,7 @@ def lemma1_check(sk: GptPrivateKey, e) -> int:
     the decoding radius.
     """
     params = sk.params
-    if len(e) != params.pub_cols:
-        raise ParameterError(f"error length must be {params.pub_cols}, got {len(e)}")
-    ctx = params.field()
+    ctx = _checked_field(params, e, params.pub_cols, "error")
     inner = vec_mat_mul(ctx, e, sk.P_inv)
     return rank_over_base(ctx, inner[params.kept_offset :])
 

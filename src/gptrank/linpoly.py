@@ -76,8 +76,6 @@ class LinPoly:
 
     def compose(self, other: "LinPoly") -> "LinPoly":
         """self o other, i.e. x -> self(other(x))."""
-        if self.is_zero() or other.is_zero():
-            return LinPoly.zero(self.ctx)
         ctx = self.ctx
         add = ctx.add
         mul = ctx.mul
@@ -108,8 +106,6 @@ class LinPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         ctx = self.ctx
         dd = divisor.qdeg
-        if self.qdeg < dd:
-            return LinPoly.zero(ctx), self
         sub = ctx.sub
         mul = ctx.mul
         inv = ctx.inv
@@ -126,18 +122,13 @@ class LinPoly:
                     R[k + s] = sub(R[k + s], mul(c, frob(dk, s)))
             while R and R[-1] == 0:
                 R.pop()
-            if not R:
-                break
         return LinPoly(ctx, Q), LinPoly(ctx, R)
 
     def kernel_basis(self) -> list[int]:
         """Basis over F_q of {beta in F_{q^N} : L(beta) = 0}."""
         ctx = self.ctx
-        N = ctx.N
-        if self.is_zero():
-            return [ctx.q**j for j in range(N)]
         # beta = sum_j c_j alpha^j is in the kernel iff c relates the images
-        images = [self(ctx.q**j) for j in range(N)]
+        images = [self(ctx.q**j) for j in range(ctx.N)]
         return [ctx.from_coeffs(c) for c in base_relations(ctx, images)]
 
     def __eq__(self, other) -> bool:

@@ -23,7 +23,7 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=None):
     """The command as a user runs it: a fresh interpreter, stderr captured."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -31,6 +31,7 @@ def run_process(*argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
@@ -262,6 +263,14 @@ def test_field_too_wide_for_a_word_is_bad_parameters(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "status:" not in captured.out
     assert captured.err.count("does not fit in 64 bits") == 2
+
+
+def test_huge_q_is_refused_before_the_primality_test():
+    # trial division up to sqrt(q) would not finish for a 100-bit q
+    proc = run_process("analyze", "--q", "1000000000000000000000000000057", "--bigN", "4",
+                       "--n", "4", "--k", "2", "--t1", "1", timeout=30)
+    assert proc.returncode == 2
+    assert "does not fit" in proc.stderr
 
 
 def test_exit_code_bad_usage():

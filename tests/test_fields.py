@@ -270,6 +270,11 @@ def test_irreducibility_check():
     assert not is_irreducible(2, (0, 0, 1))  # x^2
 
 
+def test_non_monic_odd_modulus_is_scaled_to_monic():
+    assert is_irreducible(3, (2, 0, 2))  # 2 * (x^2 + 1)
+    assert FieldCtx(3, 2, modulus=(2, 0, 2)) == FieldCtx(3, 2, modulus=(1, 0, 1))
+
+
 def test_default_modulus_is_deterministic_and_irreducible():
     for q, N in ((2, 8), (2, 28), (3, 5), (5, 3)):
         m1 = default_modulus(q, N)

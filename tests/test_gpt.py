@@ -159,6 +159,9 @@ def test_x_ordinary_rank_bounds():
     assert q.x_ordinary_rank == 1
     with pytest.raises(ParameterError):
         GptParams(**DESK, t1=2, t2=1, s_ext=0, variant=4, x_ordinary_rank=3)
+    # without a distortion block there is no rank to record in the key header
+    with pytest.raises(ParameterError, match="distortion block"):
+        GptParams(q=2, N=12, n=12, k=4, t1=0, t2=1, variant=6, m_cols=2, x_ordinary_rank=3)
 
 
 def test_shape_properties():
@@ -375,6 +378,27 @@ def test_encrypt_validates_input():
         encrypt(pub, [1 << 12] + [0] * (params.pub_rows - 1), rng)
     with pytest.raises(ParameterError):
         decrypt(priv, [0] * (params.pub_cols - 1))
+
+
+@pytest.fixture(scope="module")
+def preset_keys():
+    return {name: keygen(preset(name), random.Random(72)) for name in ("desk-12", "paper-28")}
+
+
+@pytest.mark.parametrize("name", ["desk-12", "paper-28"])
+@pytest.mark.parametrize("entry", ["size", -1, 1.5])
+def test_vectors_with_entries_outside_the_field_are_rejected(preset_keys, name, entry):
+    pub, priv = preset_keys[name]
+    params = pub.params
+    bad = params.field().size if entry == "size" else entry
+    c = encrypt(pub, [0] * params.pub_rows, random.Random(73))
+    c[0] = bad
+    with pytest.raises(ParameterError, match="not an element"):
+        decrypt(priv, c)
+    with pytest.raises(ParameterError, match="not an element"):
+        lemma1_check(priv, c)
+    with pytest.raises(ParameterError, match="not an element"):
+        encrypt(pub, [bad] + [0] * (params.pub_rows - 1), random.Random(73))
 
 
 def test_keygen_is_reproducible_from_seed():
