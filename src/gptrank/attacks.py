@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import DecodeFailure, ParameterError
 from .gpt import GptParams, GptPublicKey, Variant, keygen, preset, public_key_size_bits
-from .linalg import mat_frobenius, rank_ext, rank_over_base, vec_sub
+from .linalg import _rref, mat_frobenius, rank_ext, rank_over_base, vec_sub
 
 __all__ = [
     "extend_public_key",
@@ -93,15 +93,30 @@ def default_stack_depth(params: GptParams) -> int:
     return params.n - params.k - 1
 
 
-def distinguish_public_key(pub: GptPublicKey, u: int | None = None) -> DistinguisherResult:
-    """Measure the stacked rank of one public key and compare with full rank."""
-    params = pub.params
+def _stack_depth(params: GptParams, u: int | None) -> int:
+    """u, or the default depth when u is None; ParameterError unless 1 <= u < N."""
     if u is None:
         u = default_stack_depth(params)
     if not 1 <= u < params.N:
         raise ParameterError(f"stack depth u must lie in [1, {params.N - 1}]")
+    return u
+
+
+def distinguish_public_key(pub: GptPublicKey, u: int | None = None) -> DistinguisherResult:
+    """Measure the stacked rank of one public key and compare with full rank.
+
+    The stack is built from the nonzero rows R of the reduced echelon form
+    of the public matrix G, which leaves its rank unchanged: R = T G for an
+    invertible T, so sigma^i(R) = sigma^i(T) sigma^i(G) spans the same rows
+    as sigma^i(G).  sigma fixes 0 and 1, so every sigma^i(R) keeps R's
+    identity columns, and the elimination finds each of R's pivots with
+    only the u rows below it to clear.
+    """
+    params = pub.params
+    u = _stack_depth(params, u)
     ctx = params.field()
-    observed = rank_ext(ctx, extend_public_key(ctx, pub.matrix, u))
+    work, pivots = _rref(ctx, pub.matrix)
+    observed = rank_ext(ctx, extend_public_key(ctx, work[: len(pivots)], u))
     full = min((u + 1) * params.pub_rows, params.pub_cols)
     return DistinguisherResult(
         u=u,
@@ -147,10 +162,9 @@ def distinguisher_trials(
     """Run the distinguisher on ``trials`` fresh keys (OS CSPRNG without rng)."""
     if trials < 1:
         raise ParameterError("need at least one trial")
+    u = _stack_depth(params, u)
     if rng is None:
         rng = random.SystemRandom()
-    if u is None:
-        u = default_stack_depth(params)
     results = []
     for _ in range(trials):
         pub, _ = keygen(params, rng)

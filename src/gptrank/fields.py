@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
 from operator import add, neg, sub, xor
 
@@ -40,13 +40,39 @@ _SPREAD = bytes.maketrans(b"01b", b"\x00\x01\x00")
 _PARITY = bytes(48 + (i & 1) for i in range(256))  # byte count -> b"0" or b"1"
 # Bits of a product's high half folded back by one reduction-table lookup.
 _WINDOW = 14
+# Bits of an element mapped by one lookup in a q = 2 Frobenius table.
+_FROB_WINDOW = 7
 # A packed pivot row holds one element per 64-bit lane (array typecode "Q").
 _ONE_LANE = (1).to_bytes(8, sys.byteorder)
+
+
+def _span_tables(images: list[int], width: int) -> list[list[int]]:
+    """Xor-span tables of an F_2-linear map given by its basis images.
+
+    Table w lists, for every width-bit value k, the xor of images[width*w + b]
+    over the set bits b of k, so the map sends a to the xor over w of
+    table w at bits width*w .. width*w + width - 1 of a.
+    """
+    tabs = []
+    for lo in range(0, len(images), width):
+        basis = images[lo : lo + width]
+        tab = [0] * (1 << len(basis))
+        for k in range(1, len(tab)):
+            low = k & -k
+            tab[k] = tab[k ^ low] ^ basis[low.bit_length() - 1]
+        tabs.append(tab)
+    return tabs
 
 
 def fits_in_word(q: int, N: int) -> bool:
     """Whether F_{q^N} has at most 2**WORD_BITS elements, for q >= 2."""
     return N <= WORD_BITS and q**N <= 1 << WORD_BITS
+
+
+def _require_word(q: int, N: int) -> None:
+    # called before any primality test, whose trial division a huge q would stall
+    if not fits_in_word(q, N):
+        raise ValueError(f"q**N = {q}**{N} does not fit in {WORD_BITS} bits")
 
 
 def is_prime(p: int) -> bool:
@@ -190,6 +216,7 @@ def default_modulus(q: int, N: int) -> tuple[int, ...]:
     hit = _MODULUS_CACHE.get(key)
     if hit is not None:
         return hit
+    _require_word(q, N)
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if N < 1:
@@ -219,8 +246,13 @@ class FieldCtx:
     the high half, and inverts by the polynomial extended Euclid algorithm;
     other primes fall back to coefficient arithmetic.
 
-    The basis images under every Frobenius power sigma^i, i < N, are built
-    with the field, each table the sigma^1 image of the one before.
+    ``frobenius(a, i=1)`` is a**(q**i), with i reduced mod N.  Every power
+    sigma^i, i < N, is built with the field from the basis images
+    sigma^i(a^j), each the sigma^1 image of the one before.  sigma^i is
+    F_q-linear, so for q = 2 it is kept as one 128-entry table per 7-bit
+    window of a, holding the xors of that window's basis images, and applied
+    as one lookup per window (27 powers x 4 windows x 128 = 13,824 ints at
+    N = 28).  Other primes sum the basis images digit by digit.
 
     ``submul_row(prow, start)`` returns ``upd(wrow, f)``, which does
     ``wrow[j] -= f * prow[j]`` for every j >= start: the row update of an
@@ -234,9 +266,7 @@ class FieldCtx:
     def __init__(self, q: int = 2, N: int = 2, modulus=None):
         if N < 2:
             raise ValueError(f"extension degree N must be >= 2, got {N}")
-        # before the primality test, whose trial division a huge q would stall
-        if not fits_in_word(q, N):
-            raise ValueError(f"q**N = {q}**{N} does not fit in {WORD_BITS} bits")
+        _require_word(q, N)
         if not is_prime(q):
             raise ValueError(
                 f"q must be a prime, got {q} (prime-power base fields are not supported)"
@@ -279,11 +309,19 @@ class FieldCtx:
             if q == 2:
                 self.submul_row = self._submul_table
 
-        # _frob[i][j] = sigma^i(a^j), each table the sigma^1 image of the last
-        basis = [q**j for j in range(N)]
-        self._frob = [basis, [self.pow(b, q) for b in basis]]
+        # _frob[i] applies sigma^i for 1 <= i < N: the window tables of its
+        # basis images for q = 2, otherwise the image list itself
+        if q == 2:
+            self.frobenius = self._frobenius_gf2
+            pack = partial(_span_tables, width=_FROB_WINDOW)
+        else:
+            self.frobenius = self._frobenius_generic
+            pack = list
+        images = [self.pow(q**j, q) for j in range(N)]
+        self._frob = [None, pack(images)]
         while len(self._frob) < N:
-            self._frob.append([self.frobenius(v) for v in self._frob[-1]])
+            images = [self.frobenius(v) for v in images]
+            self._frob.append(pack(images))
 
     # -- addition ----------------------------------------------------------
 
@@ -321,14 +359,7 @@ class FieldCtx:
             if v >> N:
                 v ^= self._mod_int
             powers.append(v)
-        tabs = []
-        for lo in range(0, N - 1, _WINDOW):
-            basis = powers[lo : lo + _WINDOW]
-            tab = [0] * (1 << len(basis))
-            for k in range(1, len(tab)):
-                low = k & -k
-                tab[k] = tab[k ^ low] ^ basis[low.bit_length() - 1]
-            tabs.append(tab)
+        tabs = _span_tables(powers, _WINDOW)
         spread, parity, from_bytes = _SPREAD, _PARITY, int.from_bytes
         window = _WINDOW
         wmask = (1 << window) - 1
@@ -472,27 +503,23 @@ class FieldCtx:
 
     # -- Frobenius -----------------------------------------------------------
 
-    def frobenius(self, a: int, i: int = 1) -> int:
-        """a**(q**i), with i reduced mod N.  F_q-linear in a."""
+    def _frobenius_gf2(self, a: int, i: int = 1) -> int:
         i %= self.N
-        if i == 0 or a == 0 or a == 1:
+        if i == 0 or a < 2:
             return a
-        tab = self._frob[i]
-        if self.q == 2:
-            r = 0
-            j = 0
-            while a:
-                if a & 1:
-                    r ^= tab[j]
-                a >>= 1
-                j += 1
-            return r
-        return self._apply_table_generic(tab, a)
+        r = 0
+        for tab in self._frob[i]:
+            r ^= tab[a & 127]  # the low _FROB_WINDOW bits
+            a >>= _FROB_WINDOW
+        return r
 
-    def _apply_table_generic(self, tab: list[int], a: int) -> int:
-        # sum_j a_j tab[j], added up digit by digit
+    def _frobenius_generic(self, a: int, i: int = 1) -> int:
+        i %= self.N
+        if i == 0 or a < 2:
+            return a
+        # sum_j a_j sigma^i(a^j), added up digit by digit
         coeffs = self.coeffs
-        terms = [[d * c for c in coeffs(t)] for t, d in zip(tab, coeffs(a)) if d]
+        terms = [[d * c for c in coeffs(t)] for t, d in zip(self._frob[i], coeffs(a)) if d]
         return self.from_coeffs(map(sum, zip(*terms)))
 
     # -- coordinates and encoding --------------------------------------------

@@ -15,10 +15,12 @@ subfield, which elimination never leaves.
 
 Over F_{q^N} there are two eliminators.  rank_ext runs forward only and
 stops at the last pivot row; _rref reduces fully, for null spaces, solves
-and inverses.  They stay apart: in micro-benchmarks on 12 x 12 to 28 x 28
-matrices over GF(2^12) and GF(2^28), a rank taken through _rref was
-30-65 % slower, and a forward pass plus back-substitution made mat_inv
-6-12 % slower than one Gauss-Jordan pass.
+and inverses, and its nonzero rows are a reduced basis of the row space
+(the distinguisher stacks them in place of the public matrix).  They stay
+apart: in micro-benchmarks on 12 x 12 to 28 x 28 matrices over GF(2^12)
+and GF(2^28), a rank taken through _rref was 30-65 % slower, and a forward
+pass plus back-substitution made mat_inv 6-12 % slower than one
+Gauss-Jordan pass.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,9 +24,11 @@ from gptrank.errors import ParameterError
 from gptrank.fields import get_field
 from gptrank.gabidulin import GabidulinCode
 from gptrank.gpt import GptParams, keygen, preset
+from gptrank.keyfiles import load_public_key
 from gptrank.linalg import mat_frobenius, rank_ext
 
 DESK = dict(q=2, N=12, n=12, k=6)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_extend_public_key_shape_and_content():
@@ -92,6 +95,54 @@ def test_stack_depth_validation():
 def test_distinguisher_trials_requires_positive_count():
     with pytest.raises(ParameterError):
         distinguisher_trials(GptParams(**DESK, t1=2, s_ext=1), trials=0)
+
+
+def test_distinguisher_trials_checks_depth_before_drawing_a_key():
+    params = GptParams(**DESK, t1=2, s_ext=1)
+    unusable = object()  # drawing a key from it raises AttributeError
+    for u in (0, 12, 99):
+        with pytest.raises(ParameterError):
+            distinguisher_trials(params, trials=2, u=u, rng=unusable)
+
+
+# every depth 1..N-1, pinned from rank_ext(extend_public_key(G_pub, u)) on
+# the raw public matrix, before the distinguisher stacked its echelon form
+GOLDEN_PROFILES = {
+    "basefield": [7, 8, 9, 10, 11] + [12] * 6,
+    "desk12": [8, 9, 10, 11] + [12] * 7,
+    "paper28": list(range(19, 28)) + [28] * 18,
+    "q3": [4, 5, 6, 6, 6],
+    "v4": [10, 11, 12, 13] + [14] * 7,
+    "v5": [9, 10, 11, 12] + [13] * 7,
+    "v6": [12, 13, 14, 15] + [16] * 9,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
+def test_rank_profile_of_golden_public_keys(name):
+    pub = load_public_key(GOLDEN / f"{name}.public.bin")
+    depths = range(1, pub.params.N)
+    profile = [distinguish_public_key(pub, u).observed_rank for u in depths]
+    assert profile == GOLDEN_PROFILES[name]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GptParams(**DESK, t1=2, s_ext=1),
+        GptParams(**DESK, t1=2, scrambler_mode="base_field"),
+        GptParams(q=3, N=6, n=6, k=2, t1=1, s_ext=1),
+        GptParams(q=2, N=14, n=12, k=6, t1=2, s_ext=1),  # n < N
+    ],
+)
+def test_echelon_stack_rank_equals_raw_stack_rank(params):
+    rng = random.Random(86)
+    ctx = params.field()
+    for _ in range(3):
+        pub, _ = keygen(params, rng)
+        for u in range(1, params.N):
+            raw = rank_ext(ctx, extend_public_key(ctx, pub.matrix, u))
+            assert distinguish_public_key(pub, u).observed_rank == raw, u
 
 
 # -- cost estimates ------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gptrank import attacks
 from gptrank.cli import blocks_to_message, main, message_to_blocks
 from gptrank.errors import ParameterError
 from gptrank.gpt import preset
@@ -218,6 +219,15 @@ def test_analyze_simulate_contrast(capsys):
     out = capsys.readouterr().out
     assert "extension_field" in out and "base_field" in out
     assert "-> NOT DISTINGUISHABLE" in out and "-> DISTINGUISHABLE" in out
+
+
+def test_analyze_simulate_refuses_depth_before_keygen(monkeypatch, capsys):
+    def no_keygen(*args):
+        raise AssertionError("a key was drawn before the depth was checked")
+
+    monkeypatch.setattr(attacks, "keygen", no_keygen)
+    assert run("analyze", "--preset", "desk-12", "--simulate", "--u", "99") == 2
+    assert "stack depth u must lie in [1, 11]" in capsys.readouterr().err
 
 
 def test_analyze_without_work_is_an_error(capsys):

@@ -1,6 +1,10 @@
 """Field arithmetic against independent oracles and frozen values."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +200,26 @@ def test_frobenius_is_qth_power():
             assert ctx.frobenius(a, 1) == ctx.pow(a, ctx.q)
 
 
+@pytest.mark.parametrize(
+    "N",
+    [
+        12,  # table field
+        28,  # four full 7-bit windows
+        29,  # a one-bit last window
+        64,  # the widest field allowed
+    ],
+)
+def test_windowed_frobenius_matches_repeated_squaring(N):
+    ctx = get_field(2, N)
+    rng = random.Random(N)
+    top = 1 << (N - 1)
+    elems = [0, 1, ctx.alpha, top, ctx.order, top | 1]
+    elems += [ctx.rand_elem(rng) | top for _ in range(3)] + [ctx.rand_elem(rng) for _ in range(3)]
+    for a in elems:
+        for i in range(N):
+            assert ctx.frobenius(a, i) == ctx.pow(a, 2**i), (a, i)
+
+
 def test_frobenius_powers_chain():
     ctx = get_field(2, 12)
     rng = random.Random(4)
@@ -282,6 +306,30 @@ def test_default_modulus_is_deterministic_and_irreducible():
         assert m1 == m2
         assert m1[-1] == 1 and len(m1) == N + 1
         assert is_irreducible(q, m1)
+
+
+def test_huge_q_is_refused_before_the_primality_test():
+    # trial division up to sqrt(q) would not finish for a 100-bit q; a child
+    # process keeps a regression from hanging the test run
+    code = (
+        "from gptrank.fields import default_modulus, get_field\n"
+        "for f in (default_modulus, get_field):\n"
+        "    try:\n"
+        "        f(10**30 + 57, 4)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("does not fit in 64 bits") == 2
 
 
 def test_rejects_bad_parameters():
