@@ -78,14 +78,11 @@ class DistinguisherResult:
 
 def _leak_bound(params: GptParams, u: int, full: int) -> int:
     # rank ceiling for a base-field scrambler: Moore-row overlap caps the
-    # code part at k + u, distortion blocks add at most their own width
+    # code part at k + u; the distortion adds its columns left of the code
+    # and, for variant 6, the column rank t1 of X2 added onto it
     core = min(params.k + u, params.n)
-    if params.variant == Variant.SIMPLE:
-        extra = 0
-    elif params.variant in (Variant.EXTENDED, Variant.RECTANGULAR_S):
-        extra = params.t1
-    else:
-        extra = params.t1 + params.m_cols
+    two = params.variant == Variant.TWO_DISTORTION
+    extra = params.kept_offset + (params.t1 if two else 0)
     return min(core + extra, full)
 
 

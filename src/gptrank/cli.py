@@ -69,20 +69,17 @@ _COST_LABELS = {
 # -- message chunking ------------------------------------------------
 
 
-def bytes_per_element(ctx) -> int:
-    """Whole bytes that fit losslessly in one field element."""
-    return (ctx.size.bit_length() - 1) // 8
+def bytes_per_element(params: GptParams) -> int:
+    """Whole bytes that fit losslessly in one field element; at least one."""
+    bits = (params.q**params.N).bit_length() - 1
+    if bits < 8:
+        raise ParameterError(f"field elements hold only {bits} bits, too small for whole bytes")
+    return bits // 8
 
 
 def message_to_blocks(params: GptParams, data: bytes) -> list[list[int]]:
     """Chunk a byte string into zero-padded plaintext blocks."""
-    ctx = params.field()
-    bpe = bytes_per_element(ctx)
-    if bpe < 1:
-        raise ParameterError(
-            f"field elements hold only {ctx.size.bit_length() - 1} bits, "
-            "too small to carry whole message bytes"
-        )
+    bpe = bytes_per_element(params)
     per_block = bpe * params.pub_rows
     blocks = []
     for start in range(0, len(data), per_block):
@@ -98,14 +95,9 @@ def message_to_blocks(params: GptParams, data: bytes) -> list[list[int]]:
 
 def blocks_to_message(params: GptParams, blocks, msg_len: int) -> bytes:
     """Reassemble decrypted blocks into the original byte string."""
-    ctx = params.field()
-    bpe = bytes_per_element(ctx)
-    if bpe < 1:
-        raise ParameterError("field elements are too small to carry whole bytes")
+    bpe = bytes_per_element(params)
     out = bytearray()
-    for block in blocks:
-        if len(block) != params.pub_rows:
-            raise DecodeFailure("recovered block has the wrong length")
+    for block in blocks:  # decrypt returns blocks of exactly pub_rows entries
         for v in block:
             try:
                 out += int(v).to_bytes(bpe, "big")

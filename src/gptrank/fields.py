@@ -122,11 +122,10 @@ def _poly_mod(a: list[int], f: list[int], q: int) -> list[int]:
     a = _poly_trim(a)
     df = len(f) - 1
     while len(a) - 1 >= df and a:
-        lead = a[-1]
+        lead = a[-1]  # nonzero: a is kept trimmed
         shift = len(a) - 1 - df
-        if lead:
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - lead * fi) % q
+        for i, fi in enumerate(f):
+            a[shift + i] = (a[shift + i] - lead * fi) % q
         a = _poly_trim(a)
     return a
 
@@ -178,20 +177,14 @@ def is_irreducible(q: int, coeffs) -> bool:
     if n == 1:
         return True
     x = [0, 1]
-    # x^(q^n) must reduce to x mod f
-    h = x
+    chain = [x]  # chain[i] = x^(q^i) mod f
     for _ in range(n):
-        h = _poly_powmod(h, q, f, q)
-    if h != x:
-        return False
-    # and x^(q^(n/p)) - x must be coprime to f for every prime p | n
-    for p in _prime_factors(n):
-        g = x
-        for _ in range(n // p):
-            g = _poly_powmod(g, q, f, q)
-        if len(_poly_gcd(_poly_sub(g, x, q), f, q)) - 1 != 0:
-            return False
-    return True
+        chain.append(_poly_powmod(chain[-1], q, f, q))
+    # x^(q^n) must reduce to x mod f, and x^(q^(n/p)) - x must be coprime
+    # to f for every prime p | n
+    return chain[n] == x and all(
+        len(_poly_gcd(_poly_sub(chain[n // p], x, q), f, q)) == 1 for p in _prime_factors(n)
+    )
 
 
 def _digits(a: int, q: int, N: int) -> tuple[int, ...]:
@@ -441,11 +434,8 @@ class FieldCtx:
         return g1
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        if a == 0:
-            return 1 if e == 0 else 0
+        if e < 0:  # the square-and-multiply loop below would never end
+            raise ValueError(f"negative exponent {e}")
         r = 1
         mul = self.mul
         while e:

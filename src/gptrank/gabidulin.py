@@ -125,9 +125,9 @@ class GabidulinCode:
             return self._solve_message(y), [0] * n
         S = LinPoly(ctx, synd)
         A = LinPoly.monomial(ctx, n - k)
+        # V != 0 with qdeg V <= n - k - stop_degree = t: for S != 0, qdeg V is
+        # n - k less the q-degree of the last remainder not below stop_degree
         V, _ = lp_eea(A, S, stop_degree=(n - k + 1) // 2)
-        if V.is_zero():
-            raise DecodeFailure("key equation has no solution within the radius")
         E = V.kernel_basis()
         if not 0 < len(E) <= t:
             raise DecodeFailure("error span dimension outside the decoding radius")

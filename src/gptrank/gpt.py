@@ -87,15 +87,9 @@ class Variant(enum.IntEnum):
                 return cls(value)
             except ValueError:
                 raise ParameterError(f"unknown variant number {value}") from None
-        name = str(value).strip().lower().replace("-", "_")
-        aliases = {
-            "simple": cls.SIMPLE,
-            "extended": cls.EXTENDED,
-            "rectangular_s": cls.RECTANGULAR_S,
-            "two_distortion": cls.TWO_DISTORTION,
-        }
-        if name in aliases:
-            return aliases[name]
+        name = str(value).strip().upper().replace("-", "_")
+        if name in cls.__members__:
+            return cls.__members__[name]
         if name.isdigit():
             return cls.parse(int(name))
         raise ParameterError(f"unknown variant {value!r}")
@@ -290,20 +284,18 @@ def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
         return mat_inv(ctx, P_inv), P_inv
     if not 0 <= s_ext <= kept:
         raise ParameterError(f"s_ext must lie in [0, {kept}]")
-    discard = size - kept
     for _ in range(_MAX_DRAWS):
         block = concat_cols(
             random_matrix(ctx, size, s_ext, rng),
             random_matrix(ctx, size, kept - s_ext, rng, base_field=True),
         )
         mask = random_full_row_rank(ctx, kept, kept, rng, base_field=True)
-        kept_block = mat_mul(ctx, block, mask)
-        if discard:
-            P_inv = concat_cols(random_matrix(ctx, size, discard, rng), kept_block)
-        else:
-            P_inv = kept_block
-        if rank_ext(ctx, P_inv) == size:
+        # with nothing discarded the first block has no columns and draws nothing
+        P_inv = concat_cols(random_matrix(ctx, size, size - kept, rng), mat_mul(ctx, block, mask))
+        try:
             return mat_inv(ctx, P_inv), P_inv
+        except ValueError:  # a singular draw: the inversion is the invertibility test
+            continue
     raise ParameterError("failed to draw an invertible scrambler")
 
 
@@ -334,34 +326,35 @@ def keygen(params: GptParams, rng=None):
     ctx = params.field()
     n, k, v = params.n, params.k, params.variant
     base = params.scrambler_mode == ScramblerMode.BASE_FIELD
-    for _ in range(_MAX_DRAWS):
-        code = GabidulinCode.random(ctx, n, k, rng)
-        if v == Variant.RECTANGULAR_S:
-            S = random_full_row_rank(ctx, k - params.p, k, rng)
-            S_inv = None
-        else:
-            S = random_full_row_rank(ctx, k, k, rng)
-            S_inv = mat_inv(ctx, S)
-        if v == Variant.SIMPLE:
-            core = code.G
-        elif v in (Variant.EXTENDED, Variant.RECTANGULAR_S):
-            X = _distortion_matrix(ctx, k, params.t1, params.t1, params.x_ordinary_rank, rng)
-            core = concat_cols(X, code.G)
-        else:
-            X1 = random_matrix(ctx, k, params.m_cols, rng)
-            X2 = _distortion_matrix(ctx, k, n, params.t1, params.x_ordinary_rank, rng)
-            core = concat_cols(X1, mat_add(ctx, code.G, X2))
-        P, P_inv = build_scrambler(
-            ctx, params.pub_cols, params.s_ext, rng, kept=n, base_field=base
-        )
-        G_pub = mat_mul(ctx, S, mat_mul(ctx, core, P))
-        if rank_ext(ctx, G_pub) == params.pub_rows:
-            pub = GptPublicKey(params=params, matrix=G_pub)
-            priv = GptPrivateKey(
-                params=params, code=code, S=S, S_inv=S_inv, P=P, P_inv=P_inv
-            )
-            return pub, priv
-    raise ParameterError("failed to draw a full-rank public key")
+    code = GabidulinCode.random(ctx, n, k, rng)
+    if v == Variant.RECTANGULAR_S:
+        S = random_full_row_rank(ctx, k - params.p, k, rng)
+        S_inv = None
+    else:
+        S = random_full_row_rank(ctx, k, k, rng)
+        S_inv = mat_inv(ctx, S)
+    if v == Variant.SIMPLE:
+        core = code.G
+    elif v in (Variant.EXTENDED, Variant.RECTANGULAR_S):
+        X = _distortion_matrix(ctx, k, params.t1, params.t1, params.x_ordinary_rank, rng)
+        core = concat_cols(X, code.G)
+    else:
+        X1 = random_matrix(ctx, k, params.m_cols, rng)
+        X2 = _distortion_matrix(ctx, k, n, params.t1, params.x_ordinary_rank, rng)
+        core = concat_cols(X1, mat_add(ctx, code.G, X2))
+    P, P_inv = build_scrambler(
+        ctx, params.pub_cols, params.s_ext, rng, kept=n, base_field=base
+    )
+    # one draw always has full row rank: S does, P is invertible and core has
+    # rank k.  Variants 3-5 hold G; for variant 6, y (G + X2) = 0 with y != 0
+    # would equate the codeword y G, of rank >= n - k + 1, with -y X2, of rank
+    # <= t1 <= t (GptParams puts t1 in the decoding budget)
+    G_pub = mat_mul(ctx, S, mat_mul(ctx, core, P))
+    pub = GptPublicKey(params=params, matrix=G_pub)
+    priv = GptPrivateKey(
+        params=params, code=code, S=S, S_inv=S_inv, P=P, P_inv=P_inv
+    )
+    return pub, priv
 
 
 def _checked_field(params: GptParams, v, length: int, what: str) -> FieldCtx:

@@ -6,10 +6,11 @@ over the base field is the number of its entries that are linearly
 independent over F_q -- the quantity the whole cryptosystem is built on.
 Every F_q question -- ranks, the relations among a vector's entries, and
 coordinates in an F_q-basis -- is answered here.  For q = 2 one bit-packed
-eliminator, _gf2_echelon, serves them all: an element's int is its F_2
-coordinate vector, and each row is reduced on its highest bit.  Tagging
-the entries with identity bits makes the same pass give the relations in
-the reduced form that _rref gives.  For odd q the coordinate matrix goes
+eliminator, _gf2_echelon, serves the questions about one vector: an
+element's int is its F_2 coordinate vector, and each row is reduced on its
+highest bit.  Tagging the entries with identity bits makes the same pass
+give the relations in the reduced form that _rref gives.  For odd q, and
+for the column rank of a matrix at every q, the coordinate matrix goes
 through the extension-field routines; its entries 0..q-1 are the prime
 subfield, which elimination never leaves.
 
@@ -297,25 +298,9 @@ def rank_over_base(ctx, vec):
 
 def column_rank_over_base(ctx, M):
     """Number of columns of M linearly independent over F_q."""
-    if not M:
-        return 0
-    cols = len(M[0])
-    N = ctx.N
-    if ctx.q == 2:
-        packed = []
-        for j in range(cols):
-            v = 0
-            for i, row in enumerate(M):
-                v |= row[j] << (i * N)
-            packed.append(v)
-        return len(_gf2_echelon(packed))
-    expanded = []
-    for j in range(cols):
-        col = []
-        for row in M:
-            col.extend(ctx.coeffs(row[j]))
-        expanded.append(col)
-    return rank_ext(ctx, expanded)
+    # row j lists the F_q coordinates of every entry of column j; a matrix
+    # over F_q has the same rank over F_{q^N}
+    return rank_ext(ctx, [[a for x in col for a in ctx.coeffs(x)] for col in zip(*M)])
 
 
 def base_relations(ctx, vec):
@@ -371,11 +356,8 @@ def base_combination(ctx, w, A):
 
 
 def random_matrix(ctx, rows, cols, rng, base_field=False):
-    if base_field:
-        q = ctx.q
-        return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-    size = ctx.size
-    return [[rng.randrange(size) for _ in range(cols)] for _ in range(rows)]
+    bound = ctx.q if base_field else ctx.size
+    return [[rng.randrange(bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def random_full_row_rank(ctx, rows, cols, rng, base_field=False):

@@ -38,9 +38,9 @@ class LinPoly:
         return cls(ctx, (1,))
 
     @classmethod
-    def monomial(cls, ctx, i: int, c: int = 1) -> "LinPoly":
-        """c * x^(q^i)."""
-        return cls(ctx, (0,) * i + (c,))
+    def monomial(cls, ctx, i: int) -> "LinPoly":
+        """x^(q^i)."""
+        return cls(ctx, (0,) * i + (1,))
 
     @property
     def qdeg(self) -> int:
@@ -62,8 +62,7 @@ class LinPoly:
     def sub(self, other: "LinPoly") -> "LinPoly":
         ctx = self.ctx
         out = list(self.coeffs)
-        if len(out) < len(other.coeffs):
-            out.extend([0] * (len(other.coeffs) - len(out)))
+        out.extend([0] * (len(other.coeffs) - len(out)))  # nothing when other is shorter
         sub = ctx.sub
         for i, c in enumerate(other.coeffs):
             out[i] = sub(out[i], c)
@@ -153,11 +152,8 @@ def lp_eea(A: LinPoly, B: LinPoly, stop_degree: int) -> tuple[LinPoly, LinPoly]:
 
     Returns (V, R) with R = U o A + V o B for some U and qdeg(R) <
     stop_degree, taking the first remainder in the Euclidean sequence that
-    drops below stop_degree.  U itself is not tracked.  With B = 0 the
-    convention is (0, A).
+    drops below stop_degree.  U itself is not tracked.  B must be nonzero.
     """
-    if B.is_zero():
-        return LinPoly.zero(A.ctx), A
     r0, v0 = A, LinPoly.zero(A.ctx)
     r1, v1 = B, LinPoly.identity(A.ctx)
     while not r1.is_zero() and r1.qdeg >= stop_degree:

@@ -68,8 +68,10 @@ def test_chunking_block_count():
 
 def test_chunking_needs_a_big_enough_field():
     tiny = preset("desk-12", N=7, n=7, k=3, t1=1, s_ext=1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="only 7 bits"):
         message_to_blocks(tiny, b"hi")
+    with pytest.raises(ParameterError, match="only 7 bits"):
+        blocks_to_message(tiny, [[1, 2, 3]], 2)
 
 
 # -- full flows ------------------------------------------------
@@ -219,6 +221,18 @@ def test_analyze_simulate_contrast(capsys):
     out = capsys.readouterr().out
     assert "extension_field" in out and "base_field" in out
     assert "-> NOT DISTINGUISHABLE" in out and "-> DISTINGUISHABLE" in out
+
+
+def test_analyze_simulate_from_base_field_twins_an_extension_field_key(capsys):
+    # a base-field key's twin gets an extension-field scrambler and the
+    # default s_ext back
+    assert run("analyze", "--preset", "desk-12", "--mode", "base_field", "--simulate",
+               "--trials", "2", "--seed", "5") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("  base_field      u=5 observed ranks [11 11] full 12 base-field ceiling 11"
+            " -> DISTINGUISHABLE") in lines
+    assert ("  extension_field u=5 observed ranks [12 12] full 12 base-field ceiling 11"
+            " -> NOT DISTINGUISHABLE") in lines
 
 
 def test_analyze_simulate_refuses_depth_before_keygen(monkeypatch, capsys):

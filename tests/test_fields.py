@@ -292,6 +292,21 @@ def test_irreducibility_check():
     assert not is_irreducible(2, (1, 0, 0, 0, 1))  # x^4 + 1 = (x + 1)^4
     assert is_irreducible(2, (1, 1, 1))  # x^2 + x + 1
     assert not is_irreducible(2, (0, 0, 1))  # x^2
+    assert not is_irreducible(2, (0, 1, 0, 0, 1))  # x^4 + x: x^16 = x, but f | x^4 - x
+
+
+@pytest.mark.parametrize("q,n,count", [(2, 6, 9), (2, 8, 30), (3, 4, 18), (5, 3, 40)])
+def test_irreducible_count_matches_the_necklace_formula(q, n, count):
+    # (1/n) sum over d | n of mu(d) q^(n/d) monic irreducibles of degree n;
+    # at n = 6 the x^(q^(n/p)) test runs for both p = 2 and p = 3
+    monic = (tuple(low // q**i % q for i in range(n)) + (1,) for low in range(q**n))
+    assert sum(is_irreducible(q, f) for f in monic) == count
+
+
+def test_pow_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative exponent"):
+        get_field(2, 12).pow(5, -1)
+    assert get_field(2, 12).pow(0, 0) == 1 and get_field(3, 5).pow(0, 4) == 0
 
 
 def test_non_monic_odd_modulus_is_scaled_to_monic():

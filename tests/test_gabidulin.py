@@ -16,6 +16,7 @@ from gptrank.linalg import (
     vec_add,
     vec_sub,
 )
+from gptrank.linpoly import LinPoly, lp_eea
 
 
 def test_moore_matrix_frozen_row():
@@ -144,6 +145,10 @@ def test_beyond_radius_never_silently_wrong(q, N, n, k):
         m = [ctx.rand_elem(rng) for _ in range(k)]
         e = sample_error(ctx, n, code.t + 1, rng)
         y = vec_add(ctx, code.encode(m), e)
+        # the key equation always has a solution, so the decoder does not check
+        V, _ = lp_eea(LinPoly.monomial(ctx, n - k), LinPoly(ctx, code.syndromes(y)),
+                      (n - k + 1) // 2)
+        assert not V.is_zero() and V.qdeg <= code.t
         try:
             got_m, got_e = code.decode(y)
         except DecodeFailure:

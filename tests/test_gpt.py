@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gptrank import gpt
 from gptrank.attacks import distinguisher_trials
 from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.gpt import (
@@ -21,6 +22,7 @@ from gptrank.gpt import (
 from gptrank.fields import FieldCtx, get_field
 from gptrank.linalg import (
     identity_matrix,
+    mat_inv,
     mat_mul,
     rank_ext,
     rank_over_base,
@@ -144,8 +146,11 @@ def test_variant_and_mode_parsing():
     assert Variant.parse(4) == Variant.EXTENDED
     assert Variant.parse("rectangular_s") == Variant.RECTANGULAR_S
     assert Variant.parse("6") == Variant.TWO_DISTORTION
-    with pytest.raises(ParameterError):
-        Variant.parse("7")
+    assert Variant.parse(" Two-Distortion ") == Variant.TWO_DISTORTION
+    assert Variant.parse("EXTENDED") == Variant.EXTENDED
+    for bad in ("7", "simples", "variant"):
+        with pytest.raises(ParameterError):
+            Variant.parse(bad)
     assert ScramblerMode.parse("extension_field_V") == ScramblerMode.EXTENSION_FIELD
     assert ScramblerMode.parse("base") == ScramblerMode.BASE_FIELD
     with pytest.raises(ParameterError):
@@ -192,6 +197,48 @@ def test_public_key_size():
 
 
 # -- scrambler structure ------------------------------------------------
+
+
+# variant 6 at the edge of its budget: t1 + t2 = t and no extension columns,
+# so X2's column rank is as large as a full-rank public key allows
+V6_EDGE = GptParams(q=2, N=12, n=12, k=6, t1=2, t2=1, s_ext=0, variant=6, m_cols=1,
+                    x_ordinary_rank=1)
+
+
+@pytest.mark.parametrize(
+    "seed,params",
+    [(seed, V6_EDGE) for seed in range(40)] + list(enumerate(VARIANT_CASES, start=40)),
+)
+def test_one_keygen_draw_has_a_full_rank_public_key(seed, params):
+    # keygen draws once and does not check the rank: S has full row rank, P
+    # is invertible, and the core has rank k (for variant 6 because a
+    # nonzero codeword y G has rank > t >= t1 >= rank y X2)
+    rng = random.Random(seed)
+    pub, priv = keygen(params, rng)
+    assert rank_ext(params.field(), pub.matrix) == params.pub_rows
+    m = rand_message(params, rng)
+    assert decrypt(priv, encrypt(pub, m, rng)) == m
+
+
+def test_singular_inverse_scrambler_draws_are_redrawn(monkeypatch):
+    # over 40 % of desk-12 draws of P^{-1} are singular; mat_inv rejects
+    # them, and build_scrambler draws again
+    singular = []
+
+    def counting_inv(ctx, M):
+        try:
+            return mat_inv(ctx, M)
+        except ValueError:
+            singular.append(M)
+            raise
+
+    monkeypatch.setattr(gpt, "mat_inv", counting_inv)
+    ctx = get_field(2, 12)
+    rng = random.Random(80)
+    for _ in range(20):
+        P, P_inv = build_scrambler(ctx, 12, 1, rng, kept=12)
+        assert mat_mul(ctx, P, P_inv) == identity_matrix(12)
+    assert singular and all(rank_ext(ctx, M) < 12 for M in singular)
 
 
 def test_scrambler_pair_is_inverse():
