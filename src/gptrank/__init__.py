@@ -9,7 +9,6 @@ scrambler families.
 
 from .attacks import (
     AttackReport,
-    BruteForceDecoder,
     DistinguisherResult,
     TrialSummary,
     attack_cost_report,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackReport",
-    "BruteForceDecoder",
     "CiphertextBundle",
     "DecodeFailure",
     "DistinguisherResult",

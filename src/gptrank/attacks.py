@@ -15,20 +15,18 @@ point for recovering the private code row space, so "distinguishable"
 here means structurally broken.
 
 The module also carries work-factor estimates for the generic decoding
-attacks (log2 of the operation count) and an exhaustive nearest-codeword
-decoder used as a ground-truth oracle for tiny codes.
+attacks (log2 of the operation count).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import DecodeFailure, ParameterError
+from .errors import ParameterError
 from .gpt import GptParams, GptPublicKey, Variant, keygen, preset, public_key_size_bits
-from .linalg import _rref, mat_frobenius, rank_ext, rank_over_base, vec_sub
+from .linalg import _rref, mat_frobenius, rank_ext
 
 __all__ = [
     "extend_public_key",
@@ -44,7 +42,6 @@ __all__ = [
     "REFERENCE_WORK_EXPONENTS",
     "WORK_FACTOR_NOTE",
     "example_security_table",
-    "BruteForceDecoder",
 ]
 
 
@@ -303,56 +300,3 @@ def example_security_table() -> list[dict]:
             }
         )
     return rows
-
-
-# -- exhaustive oracle ------------------------------------------------
-
-
-class BruteForceDecoder:
-    """Nearest-codeword decoding by full enumeration, for tiny codes only.
-
-    Ground truth oracle: no algebra beyond rank computations, so any
-    disagreement with the syndrome decoder indicts the latter.
-    """
-
-    _LIMIT = 1 << 20
-
-    def __init__(self, code):
-        count = code.ctx.size**code.k
-        if count > self._LIMIT:
-            raise ParameterError(
-                f"{count} codewords is too many to enumerate (limit {self._LIMIT})"
-            )
-        self.code = code
-        self.ctx = code.ctx
-        self.codewords = [
-            (list(m), code.encode(list(m)))
-            for m in itertools.product(range(code.ctx.size), repeat=code.k)
-        ]
-        self._min_distance = None
-
-    def min_distance(self) -> int:
-        if self._min_distance is None:
-            self._min_distance = min(
-                rank_over_base(self.ctx, c) for m, c in self.codewords if any(c)
-            )
-        return self._min_distance
-
-    def nearest(self, y):
-        """(message, codeword, distance, unique) of a closest codeword."""
-        best = None
-        best_d = None
-        unique = True
-        for m, c in self.codewords:
-            d = rank_over_base(self.ctx, vec_sub(self.ctx, y, c))
-            if best_d is None or d < best_d:
-                best, best_d, unique = (m, c), d, True
-            elif d == best_d:
-                unique = False
-        return best[0], best[1], best_d, unique
-
-    def decode(self, y):
-        m, c, d, unique = self.nearest(y)
-        if not unique:
-            raise DecodeFailure(f"no unique codeword at rank distance {d}")
-        return m, c

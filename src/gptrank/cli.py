@@ -225,7 +225,7 @@ def _cmd_decrypt(args) -> int:
     sk = load_private_key(args.priv)
     params = sk.params
     ct = load_ciphertext(args.infile)
-    if (ct.q, ct.N, tuple(ct.modulus)) != (params.q, params.N, params.modulus):
+    if ct.field() != params.field():
         raise FormatError("ciphertext field does not match the private key")
     if ct.block_len != params.pub_cols:
         raise FormatError("ciphertext block length does not match the private key")

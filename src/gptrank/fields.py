@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import compress
 from operator import add, neg, sub, xor
 
@@ -64,15 +64,17 @@ def _span_tables(images: list[int], width: int) -> list[list[int]]:
     return tabs
 
 
-def fits_in_word(q: int, N: int) -> bool:
-    """Whether F_{q^N} has at most 2**WORD_BITS elements, for q >= 2."""
-    return N <= WORD_BITS and q**N <= 1 << WORD_BITS
-
-
-def _require_word(q: int, N: int) -> None:
-    # called before any primality test, whose trial division a huge q would stall
-    if not fits_in_word(q, N):
-        raise ValueError(f"q**N = {q}**{N} does not fit in {WORD_BITS} bits")
+def _check_field(q: int, N: int) -> None:
+    """Refuse (q, N) unless N >= 2, q**N fits in a word and q is prime."""
+    if N < 2:
+        raise ParameterError(f"extension degree N must be >= 2, got {N}")
+    # before the primality test, whose trial division a huge q would stall
+    if N > WORD_BITS or q**N > 1 << WORD_BITS:
+        raise ParameterError(f"q**N = {q}**{N} does not fit in {WORD_BITS} bits")
+    if not is_prime(q):
+        raise ParameterError(
+            f"q must be a prime, got {q} (prime-power base fields are not supported)"
+        )
 
 
 def is_prime(p: int) -> bool:
@@ -196,41 +198,48 @@ def _digits(a: int, q: int, N: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_MODULUS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@cache
 def default_modulus(q: int, N: int) -> tuple[int, ...]:
     """First monic irreducible of degree N over F_q, by low-coefficient order.
 
     The search is deterministic, so a given (q, N) always names the same
     field.  Coefficients are returned constant term first.
     """
-    key = (q, N)
-    hit = _MODULUS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    _require_word(q, N)
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if N < 1:
-        raise ValueError("degree must be positive")
+    _check_field(q, N)
     for low in range(1, q**N):
         coeffs = _digits(low, q, N) + (1,)
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        if is_irreducible(q, coeffs):
-            _MODULUS_CACHE[key] = coeffs
+        if coeffs[0] and is_irreducible(q, coeffs):  # coeffs[0] == 0: divisible by x
             return coeffs
     raise RuntimeError(f"no irreducible of degree {N} over F_{q} found")
+
+
+@cache
+def _supplied_irreducible(q: int, mod: tuple[int, ...]) -> bool:
+    return is_irreducible(q, mod)
+
+
+def field_modulus(q: int, N: int, modulus=None) -> tuple[int, ...]:
+    """The monic modulus, reduced mod q, that names F_{q^N}; None names the default.
+
+    Checks q and N first.  The default modulus is trusted from the search
+    that found it; any other is Rabin-tested once per process.
+    """
+    default = default_modulus(q, N)
+    if modulus is None or tuple(modulus) == default:
+        return default
+    mod = tuple(_monic(modulus, q))
+    if len(mod) - 1 != N:
+        raise ParameterError(f"modulus must have degree {N}, got degree {len(mod) - 1}")
+    if mod != default and not _supplied_irreducible(q, mod):
+        raise ParameterError(f"modulus {mod} is reducible over F_{q}")
+    return mod
 
 
 class FieldCtx:
     """Arithmetic context for F_{q^N}.
 
-    Construction checks that q is prime, that the modulus is monic
-    irreducible of degree N, and that q**N fits in a 64-bit word.  Prime
-    powers q are rejected: a composite base field would itself be an
-    extension and nothing in this package needs one.
+    Construction takes its modulus from ``field_modulus``, which refuses
+    what ``_check_field`` refuses and a modulus not irreducible of degree N.
 
     When q**N is small enough, discrete log/exp tables are built eagerly
     and multiplication becomes two lookups.  Otherwise q = 2 multiplies
@@ -257,26 +266,12 @@ class FieldCtx:
     """
 
     def __init__(self, q: int = 2, N: int = 2, modulus=None):
-        if N < 2:
-            raise ValueError(f"extension degree N must be >= 2, got {N}")
-        _require_word(q, N)
-        if not is_prime(q):
-            raise ValueError(
-                f"q must be a prime, got {q} (prime-power base fields are not supported)"
-            )
+        mod = self.modulus = field_modulus(q, N, modulus)
         size = q**N
         self.q = q
         self.N = N
         self.size = size
         self.order = size - 1
-        if modulus is None:
-            modulus = default_modulus(q, N)
-        mod = _monic(modulus, q)
-        if len(mod) - 1 != N:
-            raise ValueError(f"modulus must have degree {N}, got degree {len(mod) - 1}")
-        if not is_irreducible(q, mod):
-            raise ValueError(f"modulus {mod} is reducible over F_{q}")
-        self.modulus = tuple(mod)
         self._mod_int = sum(c << i for i, c in enumerate(mod)) if q == 2 else None
 
         if q == 2:
@@ -588,12 +583,9 @@ _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...]], FieldCtx] = {}
 
 
 def get_field(q: int = 2, N: int = 2, modulus=None) -> FieldCtx:
-    """Shared, cached FieldCtx for (q, N, modulus)."""
-    if modulus is None:
-        modulus = default_modulus(q, N)
-    key = (q, N, tuple(modulus))
+    """Shared FieldCtx for F_{q^N}; every spelling of one modulus gives the same object."""
+    key = (q, N, field_modulus(q, N, modulus))
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:
-        ctx = FieldCtx(q, N, modulus)
-        _FIELD_CACHE[key] = ctx
+        ctx = _FIELD_CACHE[key] = FieldCtx(*key)
     return ctx

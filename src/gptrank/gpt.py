@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DecodeFailure, ParameterError
-from .fields import WORD_BITS, FieldCtx, default_modulus, fits_in_word, get_field, is_prime
+from .fields import FieldCtx, field_modulus, get_field
 from .gabidulin import GabidulinCode
 from .linalg import (
     column_rank_over_base,
@@ -122,7 +122,8 @@ class GptParams:
     carries an error.  ``s_ext`` is the number of extension-field columns
     inside the kept block of P^{-1} and defaults to the full decodability
     budget of the variant; ``x_ordinary_rank`` is the ordinary rank of the
-    distortion block (defaults to t1).
+    distortion block (defaults to t1).  ``modulus`` is kept in the normal
+    form of `fields.field_modulus`, so every spelling of one field is equal.
     """
 
     N: int
@@ -142,21 +143,11 @@ class GptParams:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant.parse(self.variant))
         object.__setattr__(self, "scrambler_mode", ScramblerMode.parse(self.scrambler_mode))
-        if self.N < 2:
-            raise ParameterError("N must be at least 2")
-        # before the primality test, whose trial division a huge q would stall
-        if not fits_in_word(self.q, self.N):
-            raise ParameterError(f"q**N = {self.q}**{self.N} does not fit in {WORD_BITS} bits")
-        if not is_prime(self.q):
-            raise ParameterError(f"q must be prime, got {self.q}")
+        object.__setattr__(self, "modulus", field_modulus(self.q, self.N, self.modulus))
         if not 1 <= self.k < self.n <= self.N:
             raise ParameterError(f"need 1 <= k < n <= N, got k={self.k}, n={self.n}, N={self.N}")
         if self.n - self.k < 2:
             raise ParameterError("need n - k >= 2 so the code corrects at least one rank error")
-        if self.modulus is not None:
-            object.__setattr__(self, "modulus", tuple(self.modulus))
-        else:
-            object.__setattr__(self, "modulus", default_modulus(self.q, self.N))
         t = self.t
         v = self.variant
         if self.t1 < 0 or self.t2 < 0:

@@ -440,7 +440,7 @@ def _json_write(rec: _Record, values: dict, ctx, members: dict) -> bytes:
 def _json_read(rec: _Record, data: bytes):
     try:
         doc = json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, deep nesting, a huge int
         raise FormatError(f"bad json: {exc}") from None
     if not isinstance(doc, dict) or doc.get("gptrank") != 1:
         raise FormatError("not a recognized json key file")

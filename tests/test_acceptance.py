@@ -9,9 +9,9 @@ import time
 
 import pytest
 
+from brute_force import BruteForceDecoder
 from gptrank.attacks import (
     WORK_FACTOR_NOTE,
-    BruteForceDecoder,
     attack_cost_report,
     distinguisher_trials,
     example_security_table,

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from brute_force import BruteForceDecoder
 from gptrank.attacks import (
     REFERENCE_WORK_EXPONENTS,
     SECURITY_THRESHOLD_BITS,
     WORK_FACTOR_NOTE,
-    BruteForceDecoder,
     attack_cost_report,
     attack_public_key,
     default_stack_depth,

@@ -343,6 +343,19 @@ def test_ciphertext_key_mismatch_is_format_error(tmp_path):
     assert run("decrypt", "--priv", str(s2), "--in", str(ct), "--out", str(tmp_path / "o")) == 4
 
 
+def test_ciphertext_with_a_respelled_modulus_decrypts(tmp_path):
+    # coefficients 3 and 2 name the same field over F_2 as 1 and 0
+    pub, priv = tmp_path / "p", tmp_path / "s"
+    msg, ct, out = tmp_path / "m", tmp_path / "c", tmp_path / "o"
+    msg.write_bytes(b"same field, other spelling")
+    run("keygen", "--preset", "desk-12", "--pub", str(pub), "--priv", str(priv), "--seed", "25")
+    run("encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(ct),
+        "--format", "json", "--seed", "26")
+    rechecksum_json(ct, lambda d: d.update(modulus=[c + 2 for c in d["modulus"]]))
+    assert run("decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(out)) == 0
+    assert out.read_bytes() == msg.read_bytes()
+
+
 def test_malformed_public_key_exits_4_without_traceback(tmp_path):
     pub, priv = tmp_path / "p", tmp_path / "s"
     run("keygen", "--preset", "desk-12", "--pub", str(pub), "--priv", str(priv),

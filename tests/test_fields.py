@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptrank import fields
 from gptrank.fields import FieldCtx, default_modulus, get_field, is_irreducible, is_prime
+from gptrank.gpt import GptParams
 
 
 def slow_poly_mul_mod(q, modulus, a_digits, b_digits):
@@ -321,6 +323,33 @@ def test_default_modulus_is_deterministic_and_irreducible():
         assert m1 == m2
         assert m1[-1] == 1 and len(m1) == N + 1
         assert is_irreducible(q, m1)
+
+
+@pytest.mark.parametrize("q,N", [(2, 12), (3, 5)])
+def test_no_modulus_is_rabin_tested_twice(monkeypatch, q, N):
+    tested = []
+
+    def counted(q, coeffs):
+        tested.append(tuple(coeffs))
+        return is_irreducible(q, coeffs)
+
+    monkeypatch.setattr(fields, "is_irreducible", counted)
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    default_modulus.cache_clear()
+    fields._supplied_irreducible.cache_clear()
+    ctx = get_field(q, N)  # cold: the search tests each candidate once
+    assert len(set(tested)) == len(tested) and tested[-1] == ctx.modulus
+    searched = len(tested)
+    # the default modulus, named or respelled, is trusted from the search
+    respelled = [c + q for c in ctx.modulus]
+    assert get_field(q, N, respelled) is ctx and FieldCtx(q, N, ctx.modulus) == ctx
+    assert GptParams(q=q, N=N, n=N, k=N - 2, t1=1, modulus=respelled).field() is ctx
+    assert len(tested) == searched
+    # a modulus supplied from outside is tested on first use only
+    candidates = (fields._digits(low, q, N) + (1,) for low in range(q**N))
+    other = next(m for m in candidates if m != ctx.modulus and is_irreducible(q, m))
+    assert get_field(q, N, other) is get_field(q, N, [c + q for c in other])
+    assert tested[searched:] == [other]
 
 
 def test_huge_q_is_refused_before_the_primality_test():

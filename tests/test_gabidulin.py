@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gptrank.attacks import BruteForceDecoder
+from brute_force import BruteForceDecoder
 from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.fields import get_field
 from gptrank.gabidulin import GabidulinCode, moore_matrix

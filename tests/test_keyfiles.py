@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gptrank.cli import main
 from gptrank.errors import FormatError
 from gptrank.gpt import GptParams, GptPrivateKey, keygen, preset
 from gptrank.keyfiles import (
@@ -303,3 +304,37 @@ def test_malformed_checksummed_file_is_a_format_error(tmp_path, load, make):
     path.write_text(make())
     with pytest.raises(FormatError):
         load(path)
+
+
+# json.loads itself fails on these, with errors other than JSONDecodeError
+UNPARSABLE_JSON = {
+    "nested-200000-deep": '{"a": ' + "[" * 200_000 + "]" * 200_000 + "}",  # RecursionError
+    "int-of-5000-digits": '{"gptrank": 1, "q": ' + "7" * 5000 + "}",  # int conversion limit
+}
+
+
+@pytest.mark.parametrize("text", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON)
+def test_unparsable_json_is_a_format_error(tmp_path, text):
+    path = tmp_path / "pub.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="bad json"):
+        load_public_key(path)
+    assert main(["attack", "--pub", str(path)]) == 4
+
+
+@pytest.mark.parametrize(
+    "spell", [lambda c: c + 2, lambda c: -c], ids=["coefficients-above-q", "negative-coefficients"]
+)
+def test_respelled_modulus_names_the_canonical_field(tmp_path, keypair, spell):
+    canonical = preset("desk-12")
+    params = preset("desk-12", modulus=[spell(c) for c in canonical.modulus])
+    assert params == canonical and params.field() is canonical.field()
+    pub, priv = keygen(params, random.Random(90))
+    assert pub.matrix == keypair[0].matrix
+    for fmt in FORMATS:
+        save_public_key(tmp_path / "pub", pub, fmt)
+        save_private_key(tmp_path / "priv", priv, fmt)
+        save_public_key(tmp_path / "canonical", keypair[0], fmt)
+        assert (tmp_path / "pub").read_bytes() == (tmp_path / "canonical").read_bytes()
+        assert load_public_key(tmp_path / "pub").params == canonical
+        assert load_private_key(tmp_path / "priv").params == canonical
