@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
-from .gpt import GptParams, GptPublicKey, Variant, keygen, preset, public_key_size_bits
+from .gpt import GptParams, GptPublicKey, keygen, preset, public_key_size_bits
 from .linalg import _rref, mat_frobenius, rank_ext
 
 __all__ = [
@@ -74,13 +74,10 @@ class DistinguisherResult:
 
 
 def _leak_bound(params: GptParams, u: int, full: int) -> int:
-    # rank ceiling for a base-field scrambler: Moore-row overlap caps the
-    # code part at k + u; the distortion adds its columns left of the code
-    # and, for variant 6, the column rank t1 of X2 added onto it
+    # rank ceiling for a base-field scrambler: Moore-row overlap caps the code
+    # part at k + u, plus the columns left of the code and the overlay rank
     core = min(params.k + u, params.n)
-    two = params.variant == Variant.TWO_DISTORTION
-    extra = params.kept_offset + (params.t1 if two else 0)
-    return min(core + extra, full)
+    return min(core + params.kept_offset + params.overlay_rank, full)
 
 
 def default_stack_depth(params: GptParams) -> int:

@@ -27,7 +27,6 @@ from .attacks import (
     WORK_FACTOR_NOTE,
     attack_cost_report,
     attack_public_key,
-    default_stack_depth,
     distinguisher_trials,
     example_security_table,
     security_status,

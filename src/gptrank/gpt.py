@@ -112,18 +112,29 @@ class ScramblerMode(str, enum.Enum):
         raise ParameterError(f"unknown scrambler mode {value!r}")
 
 
+# the least value of each count a variant takes; a count it does not take must be 0
+_COUNT_FLOORS = {
+    Variant.SIMPLE: {"t1": 1},
+    Variant.EXTENDED: {"t1": 1, "t2": 1},
+    Variant.RECTANGULAR_S: {"t1": 1, "t2": 1, "p": 1},
+    Variant.TWO_DISTORTION: {"t1": 0, "t2": 1, "m_cols": 1},
+}
+
+
 @dataclass(frozen=True)
 class GptParams:
     """Validated parameter set for one key pair.
 
     ``t1`` is the ciphertext error rank for SIMPLE and the distortion
     column rank for the other variants; those use ``t2`` as the error rank
-    instead.  The error rank must be positive so that every ciphertext
-    carries an error.  ``s_ext`` is the number of extension-field columns
-    inside the kept block of P^{-1} and defaults to the full decodability
-    budget of the variant; ``x_ordinary_rank`` is the ordinary rank of the
-    distortion block (defaults to t1).  ``modulus`` is kept in the normal
-    form of `fields.field_modulus`, so every spelling of one field is equal.
+    instead.  A variant's counts are at least their `_COUNT_FLOORS` and the
+    counts it does not take are 0, so every ciphertext carries an error.
+    ``s_ext`` is the number of extension-field columns inside the kept
+    block of P^{-1}; it defaults to what the decodability budget
+    s_ext + error_rank + overlay_rank <= t leaves.  ``x_ordinary_rank`` is
+    the ordinary rank of the distortion block (defaults to min(t1, k)).
+    ``modulus`` is kept in the normal form of `fields.field_modulus`, so
+    every spelling of one field is equal.
     """
 
     N: int
@@ -148,61 +159,42 @@ class GptParams:
             raise ParameterError(f"need 1 <= k < n <= N, got k={self.k}, n={self.n}, N={self.N}")
         if self.n - self.k < 2:
             raise ParameterError("need n - k >= 2 so the code corrects at least one rank error")
-        t = self.t
         v = self.variant
-        if self.t1 < 0 or self.t2 < 0:
-            raise ParameterError("t1 and t2 must be non-negative")
-        if v == Variant.SIMPLE:
-            if self.t2 or self.p or self.m_cols:
-                raise ParameterError("t2, p, and m_cols do not apply to the SIMPLE variant")
-            if self.x_ordinary_rank is not None:
-                raise ParameterError("x_ordinary_rank does not apply to the SIMPLE variant")
-            if not 1 <= self.t1 <= t:
-                raise ParameterError(f"SIMPLE needs 1 <= t1 <= t = {t}, got t1 = {self.t1}")
-        else:
-            if v in (Variant.EXTENDED, Variant.RECTANGULAR_S):
-                if self.t1 < 1:
-                    raise ParameterError("the distortion block needs t1 >= 1 columns")
-                if self.m_cols:
-                    raise ParameterError("m_cols applies only to TWO_DISTORTION")
-            else:
-                if self.m_cols < 1:
-                    raise ParameterError("TWO_DISTORTION needs m_cols >= 1")
-            if v == Variant.RECTANGULAR_S:
-                if not 1 <= self.p < self.k:
-                    raise ParameterError(f"need 1 <= p < k, got p = {self.p}")
-            elif self.p:
-                raise ParameterError("p applies only to RECTANGULAR_S")
-            if self.t2 < 1:
-                raise ParameterError("the concatenation variants need an error rank t2 >= 1")
-            rx = self.x_ordinary_rank
-            if self.t1:
-                if rx is None:
-                    rx = min(self.t1, self.k)
-                if not 1 <= rx <= min(self.t1, self.k):
-                    raise ParameterError(
-                        f"x_ordinary_rank must lie in [1, min(t1, k)] = [1, {min(self.t1, self.k)}]"
-                    )
-                if self.t1 > rx * self.N:
-                    raise ParameterError("column rank t1 cannot exceed x_ordinary_rank * N")
-            elif rx is not None:
-                raise ParameterError("x_ordinary_rank needs a distortion block, t1 >= 1")
+        floors = _COUNT_FLOORS[v]
+        for name in ("t1", "t2", "p", "m_cols"):
+            value = getattr(self, name)
+            if name in floors and value < floors[name]:
+                raise ParameterError(f"{v.name} needs {name} >= {floors[name]}, got {value}")
+            if name not in floors and value:
+                raise ParameterError(f"{name} does not apply to the {v.name} variant")
+        if self.p >= self.k:
+            raise ParameterError(f"need p < k, got p = {self.p}")
+        rx = self.x_ordinary_rank
+        if v != Variant.SIMPLE and self.t1:
+            top = min(self.t1, self.k)
+            rx = top if rx is None else rx
+            if not 1 <= rx <= top:
+                raise ParameterError(f"x_ordinary_rank must lie in [1, min(t1, k)] = [1, {top}]")
+            if self.t1 > rx * self.N:
+                raise ParameterError("column rank t1 cannot exceed x_ordinary_rank * N")
             object.__setattr__(self, "x_ordinary_rank", rx)
-        budget_t1 = self.t1 if v in (Variant.SIMPLE, Variant.TWO_DISTORTION) else 0
-        budget_t2 = self.t2 if v != Variant.SIMPLE else 0
+        elif rx is not None:
+            raise ParameterError("x_ordinary_rank needs a distortion block, t1 >= 1")
+        # the budget also caps the error rank at t < n <= min(pub_cols, N),
+        # so an error of that rank always exists
+        t = self.t
+        spent = self.error_rank + self.overlay_rank
         if self.scrambler_mode == ScramblerMode.BASE_FIELD:
             if self.s_ext not in (None, 0):
                 raise ParameterError("s_ext must be 0 with a base-field scrambler")
             object.__setattr__(self, "s_ext", 0)
         elif self.s_ext is None:
-            object.__setattr__(self, "s_ext", t - budget_t1 - budget_t2)
-        if self.s_ext < 0 or self.s_ext + budget_t1 + budget_t2 > t:
+            object.__setattr__(self, "s_ext", t - spent)
+        if self.s_ext < 0 or self.s_ext + spent > t:
             raise ParameterError(
-                f"decodability budget violated: s_ext + error/distortion ranks = "
-                f"{self.s_ext + budget_t1 + budget_t2} exceeds t = {t}"
+                f"decodability budget: need s_ext >= 0 and s_ext + error rank + overlay rank"
+                f" <= t, got {self.s_ext} + {self.error_rank} + {self.overlay_rank}, t = {t}"
             )
-        if v != Variant.SIMPLE and self.t2 > min(self.pub_cols, self.N):
-            raise ParameterError("t2 exceeds the maximal rank of an error vector")
 
     @property
     def t(self) -> int:
@@ -210,15 +202,13 @@ class GptParams:
 
     @property
     def pub_rows(self) -> int:
-        return self.k - self.p if self.variant == Variant.RECTANGULAR_S else self.k
+        return self.k - self.p
 
     @property
     def pub_cols(self) -> int:
-        if self.variant in (Variant.EXTENDED, Variant.RECTANGULAR_S):
-            return self.n + self.t1
-        if self.variant == Variant.TWO_DISTORTION:
-            return self.n + self.m_cols
-        return self.n
+        """n plus the block left of the code: t1 columns for variants 4-5, else m_cols."""
+        concatenated = (Variant.EXTENDED, Variant.RECTANGULAR_S)
+        return self.n + (self.t1 if self.variant in concatenated else self.m_cols)
 
     @property
     def kept_offset(self) -> int:
@@ -228,6 +218,11 @@ class GptParams:
     @property
     def error_rank(self) -> int:
         return self.t1 if self.variant == Variant.SIMPLE else self.t2
+
+    @property
+    def overlay_rank(self) -> int:
+        """Column rank of X2, the distortion added onto the code (variant 6)."""
+        return self.t1 if self.variant == Variant.TWO_DISTORTION else 0
 
     def field(self) -> FieldCtx:
         return get_field(self.q, self.N, self.modulus)
@@ -271,6 +266,7 @@ def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
     if base_field:
         if s_ext:
             raise ParameterError("a base-field scrambler has no extension-field columns")
+        # most square draws over F_2 are singular; rank_ext rejects them faster than mat_inv
         P_inv = random_full_row_rank(ctx, size, size, rng, base_field=True)
         return mat_inv(ctx, P_inv), P_inv
     if not 0 <= s_ext <= kept:
@@ -318,12 +314,8 @@ def keygen(params: GptParams, rng=None):
     n, k, v = params.n, params.k, params.variant
     base = params.scrambler_mode == ScramblerMode.BASE_FIELD
     code = GabidulinCode.random(ctx, n, k, rng)
-    if v == Variant.RECTANGULAR_S:
-        S = random_full_row_rank(ctx, k - params.p, k, rng)
-        S_inv = None
-    else:
-        S = random_full_row_rank(ctx, k, k, rng)
-        S_inv = mat_inv(ctx, S)
+    S = random_full_row_rank(ctx, params.pub_rows, k, rng)
+    S_inv = mat_inv(ctx, S) if params.pub_rows == k else None
     if v == Variant.SIMPLE:
         core = code.G
     elif v in (Variant.EXTENDED, Variant.RECTANGULAR_S):
@@ -378,7 +370,7 @@ def decrypt(sk: GptPrivateKey, c):
     inner = vec_mat_mul(ctx, c, sk.P_inv)
     kept = inner[params.kept_offset :]
     u, _ = sk.code.decode(kept)
-    if params.variant == Variant.RECTANGULAR_S:
+    if sk.S_inv is None:  # a rectangular S: solve for m
         try:
             return solve_linear(ctx, transpose(sk.S), u)
         except ValueError:

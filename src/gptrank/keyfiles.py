@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import FormatError, ParameterError
-from .fields import get_field
+from .fields import field_modulus, get_field
 from .gabidulin import GabidulinCode
-from .gpt import GptParams, GptPrivateKey, GptPublicKey, Variant
+from .gpt import GptParams, GptPrivateKey, GptPublicKey
 from .linalg import identity_matrix, mat_inv, mat_mul
 
 __all__ = [
@@ -52,7 +52,11 @@ MAGIC = b"GPTRANK1"
 
 @dataclass
 class CiphertextBundle:
-    """One encrypted message: field identity plus the padded blocks."""
+    """One encrypted message: field identity plus the padded blocks.
+
+    ``modulus`` is kept in the normal form of `fields.field_modulus`, and
+    ``block_len`` must be positive.
+    """
 
     q: int
     N: int
@@ -60,6 +64,11 @@ class CiphertextBundle:
     block_len: int
     msg_len: int
     blocks: list[list[int]]
+
+    def __post_init__(self):
+        if not self.block_len:
+            raise ParameterError("ciphertext blocks must not be empty")
+        self.modulus = field_modulus(self.q, self.N, self.modulus)
 
     def field(self):
         return get_field(self.q, self.N, self.modulus)
@@ -147,18 +156,12 @@ def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
     except ParameterError as exc:
         raise FormatError(f"invalid code vector: {exc}") from None
     S_inv = None
-    if params.variant != Variant.RECTANGULAR_S:
+    if params.pub_rows == params.k:
         try:
             S_inv = mat_inv(ctx, m["S"])
         except ValueError:
             raise FormatError("row scrambler is singular") from None
     return GptPrivateKey(params, code, m["S"], S_inv, m["P"], m["P_inv"])
-
-
-def _ciphertext_context(values: dict) -> CiphertextBundle:
-    if not values["block_len"]:
-        raise ParameterError("ciphertext blocks must not be empty")
-    return CiphertextBundle(**values, blocks=[])
 
 
 def _ciphertext_split(ct: CiphertextBundle):
@@ -200,7 +203,7 @@ _CIPHERTEXT = _Record(
             ("block_len", "I"), ("blocks", "I"), ("msg_len", "Q")),
     members=(_Member("blocks", row="block"),),
     values=lambda ct: {name: getattr(ct, name) for name in _CIPHERTEXT.scalars},
-    context=_ciphertext_context,
+    context=lambda values: CiphertextBundle(**values, blocks=[]),
     dims=lambda ct: {"blocks": (None, ct.block_len)},
     split=_ciphertext_split,
     build=lambda ct, m: replace(ct, blocks=m["blocks"]),

@@ -82,14 +82,9 @@ def vec_mat_mul(ctx, v, M):
     for a, row in zip(v, M):
         if a == 0:
             continue
-        if a == 1:
-            for j, b in enumerate(row):
-                if b:
-                    out[j] = add(out[j], b)
-        else:
-            for j, b in enumerate(row):
-                if b:
-                    out[j] = add(out[j], mul(a, b))
+        for j, b in enumerate(row):
+            if b:
+                out[j] = add(out[j], mul(a, b))
     return out
 
 

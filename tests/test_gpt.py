@@ -1,5 +1,6 @@
 """Key generation, encryption, decryption, and the scrambler rank budget."""
 
+import itertools
 import random
 
 import pytest
@@ -167,6 +168,31 @@ def test_x_ordinary_rank_bounds():
     # without a distortion block there is no rank to record in the key header
     with pytest.raises(ParameterError, match="distortion block"):
         GptParams(q=2, N=12, n=12, k=4, t1=0, t2=1, variant=6, m_cols=2, x_ordinary_rank=3)
+
+
+def test_parameter_rules_sweep():
+    # every combination of counts around the legal ranges, at desk-12 size:
+    # only ParameterError may escape, and what is accepted fits the budget
+    grid = itertools.product(
+        range(3, 7), range(-1, 5), range(-1, 4), range(-1, 3), range(-1, 3),
+        ("base_field", "extension_field"), (None, -1, 0, 1, 2, 3), (None, 0, 1, 2, 3),
+    )  # fmt: skip
+    accepted = 0
+    for v, t1, t2, p, m_cols, mode, s_ext, rx in grid:
+        try:
+            params = GptParams(
+                **DESK, variant=v, t1=t1, t2=t2, p=p, m_cols=m_cols,
+                scrambler_mode=mode, s_ext=s_ext, x_ordinary_rank=rx,
+            )  # fmt: skip
+        except ParameterError:
+            continue
+        accepted += 1
+        error_rank = t1 if v == 3 else t2
+        overlay_rank = t1 if v == 6 else 0
+        assert 0 <= params.s_ext and params.s_ext + error_rank + overlay_rank <= params.t
+        assert mode == "extension_field" or params.s_ext == 0
+        assert (params.x_ordinary_rank is None) == (v == 3 or t1 == 0)
+    assert accepted == 690
 
 
 def test_shape_properties():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -338,3 +339,16 @@ def test_respelled_modulus_names_the_canonical_field(tmp_path, keypair, spell):
         assert (tmp_path / "pub").read_bytes() == (tmp_path / "canonical").read_bytes()
         assert load_public_key(tmp_path / "pub").params == canonical
         assert load_private_key(tmp_path / "priv").params == canonical
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "spell", [lambda c: c + 2, lambda c: -c], ids=["coefficients-above-q", "negative-coefficients"]
+)
+def test_respelled_modulus_saves_the_canonical_ciphertext(tmp_path, spell, fmt):
+    canonical = make_ct(preset("desk-12"), random.Random(92))
+    ct = replace(canonical, modulus=[spell(c) for c in canonical.modulus])
+    save_ciphertext(tmp_path / "ct", ct, fmt)
+    save_ciphertext(tmp_path / "canonical", canonical, fmt)
+    assert (tmp_path / "ct").read_bytes() == (tmp_path / "canonical").read_bytes()
+    assert load_ciphertext(tmp_path / "ct") == canonical == ct
