@@ -102,7 +102,7 @@ def blocks_to_message(params: GptParams, blocks, msg_len: int) -> bytes:
                 out += int(v).to_bytes(bpe, "big")
             except OverflowError:
                 raise DecodeFailure(
-                    "recovered element does not fit the message byte packing"
+                    "recovered element does not fit the message byte packing", "packing"
                 ) from None
     if msg_len > len(out):
         raise FormatError("declared message length exceeds the decrypted data")

@@ -10,7 +10,14 @@ class ParameterError(GptRankError, ValueError):
 
 
 class DecodeFailure(GptRankError):
-    """No codeword was found within the decoding radius."""
+    """No codeword was found within the decoding radius.
+
+    ``stage`` names the failed step: span, locations, radius, codeword, row_scrambler or packing.
+    """
+
+    def __init__(self, message: str, stage: str):
+        super().__init__(message)
+        self.stage = stage
 
 
 class FormatError(GptRankError):

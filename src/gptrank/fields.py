@@ -42,8 +42,6 @@ _PARITY = bytes(48 + (i & 1) for i in range(256))  # byte count -> b"0" or b"1"
 _WINDOW = 14
 # Bits of an element mapped by one lookup in a q = 2 Frobenius table.
 _FROB_WINDOW = 7
-# A packed pivot row holds one element per 64-bit lane (array typecode "Q").
-_ONE_LANE = (1).to_bytes(8, sys.byteorder)
 
 
 def _span_tables(images: list[int], width: int) -> list[list[int]]:
@@ -258,11 +256,14 @@ class FieldCtx:
 
     ``submul_row(prow, start)`` returns ``upd(wrow, f)``, which does
     ``wrow[j] -= f * prow[j]`` for every j >= start: the row update of an
-    elimination or a matrix product, chosen per field like ``mul``.  For
-    q = 2, table fields precompute the logs of the pivot row's nonzero
-    entries, and fields without tables pack x^i * prow mod f for i < N into
-    one int each and xor the copies that f's bits select; odd q loops per
-    element over ``mul``.
+    elimination, chosen per field like ``mul``.  For q = 2, table fields
+    precompute the logs of the pivot row's nonzero entries, and fields
+    without tables pack x^i * prow mod f for i < N into one int each and
+    xor the copies that f's bits select; odd q loops per element over
+    ``mul``.  ``row_combiner(M)`` returns ``times(v) = v M``, built once
+    for a matrix that many vectors multiply: one ``submul_row`` update per
+    row of M, except that q = 2 without tables xors, in one pass, the
+    packed copies of all of M's rows that the bits of all of v select.
     """
 
     def __init__(self, q: int = 2, N: int = 2, modulus=None):
@@ -296,6 +297,7 @@ class FieldCtx:
             self.mul = self._mul_table
             if q == 2:
                 self.submul_row = self._submul_table
+        self.row_combiner = self._combine_rows if q != 2 or self._log else self._combine_packed
 
         # _frob[i] applies sigma^i for 1 <= i < N: the window tables of its
         # basis images for q = 2, otherwise the image list itself
@@ -455,20 +457,23 @@ class FieldCtx:
 
         return upd
 
-    def _submul_packed(self, prow, start):
+    def _shifted(self, row) -> list[int]:
+        """x^i * row mod f for i < N, each packing row's entries one per 64-bit lane."""
         N = self.N
-        order = sys.byteorder
-        lanes = len(prow) - start
-        nbytes = 8 * lanes
-        ones = int.from_bytes(_ONE_LANE * lanes, order)
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(row), "little")  # bit 0 of each lane
         low = ones * ((1 << (N - 1)) - 1)
         fold = self._mod_int ^ (1 << N)  # x^N mod f
-        p = int.from_bytes(array("Q", prow[start:]), order)
-        shifted = [p]  # shifted[i] holds x^i * prow[j] mod f in lane j - start
+        p = int.from_bytes(array("Q", row), sys.byteorder)
+        out = [p]
         for _ in range(N - 1):
             p = ((p & low) << 1) ^ ((p >> (N - 1) & ones) * fold)
-            shifted.append(p)
-        spread = _SPREAD
+            out.append(p)
+        return out
+
+    def _submul_packed(self, prow, start):
+        shifted = self._shifted(prow[start:])
+        nbytes = 8 * (len(prow) - start)
+        order, spread = sys.byteorder, _SPREAD
 
         def upd(wrow, f):
             u = reduce(xor, compress(shifted, bin(f)[:1:-1].encode().translate(spread)), 0)
@@ -485,6 +490,35 @@ class FieldCtx:
                 wrow[j] = sub(wrow[j], mul(f, b))
 
         return upd
+
+    def _combine_rows(self, M):
+        cols, neg = len(M[0]), self.neg
+        updates = [self.submul_row(row, 0) for row in M]
+
+        def times(v):
+            out = [0] * cols
+            for a, upd in zip(v, updates):
+                if a:
+                    upd(out, neg(a))
+            return out
+
+        return times
+
+    def _combine_packed(self, M):
+        # bit i of the lane of v's int that holds v[r] selects x^i * M[r] mod f;
+        # lane r holds v[r] on little-endian machines, v[-1 - r] on others
+        pad = [0] * (WORD_BITS - self.N)
+        rows = M if sys.byteorder == "little" else M[::-1]
+        copies = [c for row in rows for c in self._shifted(row) + pad]
+        nbytes = 8 * len(M[0])
+        order, spread = sys.byteorder, _SPREAD
+
+        def times(v):
+            bits = bin(int.from_bytes(array("Q", v), order))[:1:-1]
+            u = reduce(xor, compress(copies, bits.encode().translate(spread)), 0)
+            return memoryview(u.to_bytes(nbytes, order)).cast("Q").tolist()
+
+        return times
 
     # -- Frobenius -----------------------------------------------------------
 

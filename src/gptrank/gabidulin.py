@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from .errors import DecodeFailure, ParameterError
 from .linalg import (
+    FixedMatrix,
     base_combination,
     base_coordinates,
     ext_nullspace,
@@ -71,13 +72,13 @@ class GabidulinCode:
         # s = k+1-n the index i-s-l lies in [0, n-2] for every i < k and
         # l < n-k, so every entry of G H^T is 0.
         moore = moore_matrix(ctx, g, n - 1)
-        self.G = moore[:k]
+        self.G = FixedMatrix(moore[:k])
         (h0,) = ext_nullspace(ctx, moore)
         self.h = [ctx.frobenius(v, k + 1 - n) for v in h0]
         self.H = moore_matrix(ctx, self.h, n - k)
         # per-column Frobenius powers of h, reused by every syndrome pass
-        self._htab = transpose(self.H)
-        self._info_inv = mat_inv(ctx, [row[:k] for row in self.G])
+        self._htab = FixedMatrix(transpose(self.H))
+        self._info_inv = FixedMatrix(mat_inv(ctx, [row[:k] for row in self.G]))
 
     @classmethod
     def random(cls, ctx, n: int, k: int, rng) -> "GabidulinCode":
@@ -130,18 +131,20 @@ class GabidulinCode:
         V, _ = lp_eea(A, S, stop_degree=(n - k + 1) // 2)
         E = V.kernel_basis()
         if not 0 < len(E) <= t:
-            raise DecodeFailure("error span dimension outside the decoding radius")
+            raise DecodeFailure("error span dimension outside the decoding radius", "span")
         try:
             A_loc = self._solve_locations(E, synd)
         except ValueError:
-            raise DecodeFailure("error locations are inconsistent with the syndromes") from None
+            raise DecodeFailure("error locations contradict the syndromes", "locations") from None
         e = base_combination(ctx, E, A_loc)
+        # cannot fire: e's entries lie in the F_q-span of the len(E) <= t elements of E.
+        # Kept until perfbench stops timing rank_over_base in decrypt, its one source.
         if rank_over_base(ctx, e) > t:
-            raise DecodeFailure("reconstructed error exceeds the decoding radius")
+            raise DecodeFailure("reconstructed error exceeds the decoding radius", "radius")
         c = vec_sub(ctx, y, e)
         m = self._solve_message(c)
         if self.encode(m) != c:
-            raise DecodeFailure("reconstructed word is not a codeword")
+            raise DecodeFailure("reconstructed word is not a codeword", "codeword")
         return m, e
 
     def __repr__(self) -> str:

@@ -36,6 +36,7 @@ from .errors import DecodeFailure, ParameterError
 from .fields import FieldCtx, field_modulus, get_field
 from .gabidulin import GabidulinCode
 from .linalg import (
+    FixedMatrix,
     column_rank_over_base,
     concat_cols,
     mat_add,
@@ -315,7 +316,7 @@ def keygen(params: GptParams, rng=None):
     base = params.scrambler_mode == ScramblerMode.BASE_FIELD
     code = GabidulinCode.random(ctx, n, k, rng)
     S = random_full_row_rank(ctx, params.pub_rows, k, rng)
-    S_inv = mat_inv(ctx, S) if params.pub_rows == k else None
+    S_inv = FixedMatrix(mat_inv(ctx, S)) if params.pub_rows == k else None
     if v == Variant.SIMPLE:
         core = code.G
     elif v in (Variant.EXTENDED, Variant.RECTANGULAR_S):
@@ -332,10 +333,10 @@ def keygen(params: GptParams, rng=None):
     # rank k.  Variants 3-5 hold G; for variant 6, y (G + X2) = 0 with y != 0
     # would equate the codeword y G, of rank >= n - k + 1, with -y X2, of rank
     # <= t1 <= t (GptParams puts t1 in the decoding budget)
-    G_pub = mat_mul(ctx, S, mat_mul(ctx, core, P))
+    G_pub = FixedMatrix(mat_mul(ctx, S, mat_mul(ctx, core, P)))
     pub = GptPublicKey(params=params, matrix=G_pub)
     priv = GptPrivateKey(
-        params=params, code=code, S=S, S_inv=S_inv, P=P, P_inv=P_inv
+        params=params, code=code, S=S, S_inv=S_inv, P=P, P_inv=FixedMatrix(P_inv)
     )
     return pub, priv
 
@@ -374,7 +375,7 @@ def decrypt(sk: GptPrivateKey, c):
         try:
             return solve_linear(ctx, transpose(sk.S), u)
         except ValueError:
-            raise DecodeFailure("decoded word does not match the row scrambler") from None
+            raise DecodeFailure("decoded word is outside S's row space", "row_scrambler") from None
     return vec_mat_mul(ctx, u, sk.S_inv)
 
 

@@ -33,7 +33,7 @@ from .errors import FormatError, ParameterError
 from .fields import field_modulus, get_field
 from .gabidulin import GabidulinCode
 from .gpt import GptParams, GptPrivateKey, GptPublicKey
-from .linalg import identity_matrix, mat_inv, mat_mul
+from .linalg import FixedMatrix, identity_matrix, mat_inv, mat_mul
 
 __all__ = [
     "MAGIC",
@@ -149,7 +149,8 @@ def _params_context(values: dict) -> GptParams:
 
 def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
     ctx = params.field()
-    if mat_mul(ctx, m["P"], m["P_inv"]) != identity_matrix(params.pub_cols):
+    P_inv = FixedMatrix(m["P_inv"])  # decryption reuses the kernel the check builds
+    if mat_mul(ctx, m["P"], P_inv) != identity_matrix(params.pub_cols):
         raise FormatError("column scrambler pair is not mutually inverse")
     try:
         code = GabidulinCode(ctx, m["g"][0], params.k)
@@ -158,10 +159,10 @@ def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
     S_inv = None
     if params.pub_rows == params.k:
         try:
-            S_inv = mat_inv(ctx, m["S"])
+            S_inv = FixedMatrix(mat_inv(ctx, m["S"]))
         except ValueError:
             raise FormatError("row scrambler is singular") from None
-    return GptPrivateKey(params, code, m["S"], S_inv, m["P"], m["P_inv"])
+    return GptPrivateKey(params, code, m["S"], S_inv, m["P"], P_inv)
 
 
 def _ciphertext_split(ct: CiphertextBundle):
@@ -177,7 +178,7 @@ _PUBLIC = _Record(
     context=_params_context,
     dims=lambda p: {"matrix": (p.pub_rows, p.pub_cols)},
     split=lambda pub: (pub.params, {"matrix": pub.matrix}),
-    build=lambda params, m: GptPublicKey(params=params, matrix=m["matrix"]),
+    build=lambda params, m: GptPublicKey(params=params, matrix=FixedMatrix(m["matrix"])),
 )
 
 _PRIVATE = _Record(

@@ -27,6 +27,7 @@ Gauss-Jordan pass.
 from __future__ import annotations
 
 __all__ = [
+    "FixedMatrix",
     "vec_add",
     "vec_sub",
     "vec_mat_mul",
@@ -71,37 +72,35 @@ def vec_sub(ctx, u, v):
     return [sub(a, b) for a, b in zip(u, v)]
 
 
+class FixedMatrix(list):
+    """A matrix, never changed once made, that keeps its product kernel.
+
+    ``times`` is None until the first product by the matrix builds it with
+    ``FieldCtx.row_combiner``; otherwise the matrix is its plain list of rows.
+    """
+
+    times = None
+
+
+def _combiner(ctx, M):
+    """v -> v M, kept on M when M is a FixedMatrix."""
+    times = getattr(M, "times", None) or ctx.row_combiner(M)
+    if isinstance(M, FixedMatrix):
+        M.times = times
+    return times
+
+
 def vec_mat_mul(ctx, v, M):
     """Row vector times matrix."""
     if len(v) != len(M):
         raise ValueError(f"dimension mismatch: vector {len(v)}, matrix {len(M)} rows")
-    cols = len(M[0])
-    add = ctx.add
-    mul = ctx.mul
-    out = [0] * cols
-    for a, row in zip(v, M):
-        if a == 0:
-            continue
-        for j, b in enumerate(row):
-            if b:
-                out[j] = add(out[j], mul(a, b))
-    return out
+    return _combiner(ctx, M)(v)
 
 
 def mat_mul(ctx, A, B):
     if len(A[0]) != len(B):
         raise ValueError(f"dimension mismatch: {len(A[0])} cols vs {len(B)} rows")
-    cols = len(B[0])
-    neg = ctx.neg
-    updates = [ctx.submul_row(brow, 0) for brow in B]
-    out = []
-    for row in A:
-        acc = [0] * cols
-        for a, upd in zip(row, updates):
-            if a:
-                upd(acc, neg(a))
-        out.append(acc)
-    return out
+    return list(map(_combiner(ctx, B), A))
 
 
 def mat_add(ctx, A, B):

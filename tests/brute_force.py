@@ -55,5 +55,5 @@ class BruteForceDecoder:
     def decode(self, y):
         m, c, d, unique = self.nearest(y)
         if not unique:
-            raise DecodeFailure(f"no unique codeword at rank distance {d}")
+            raise DecodeFailure(f"no unique codeword at rank distance {d}", "codeword")
         return m, c

@@ -12,7 +12,7 @@ import pytest
 
 from gptrank import attacks
 from gptrank.cli import blocks_to_message, main, message_to_blocks
-from gptrank.errors import ParameterError
+from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.gpt import preset
 from gptrank.keyfiles import CiphertextBundle, load_ciphertext, save_ciphertext
 
@@ -72,6 +72,13 @@ def test_chunking_needs_a_big_enough_field():
         message_to_blocks(tiny, b"hi")
     with pytest.raises(ParameterError, match="only 7 bits"):
         blocks_to_message(tiny, [[1, 2, 3]], 2)
+
+
+def test_an_element_too_wide_for_the_packing_fails_at_that_stage():
+    params = preset("desk-12")  # one byte per element
+    with pytest.raises(DecodeFailure) as info:
+        blocks_to_message(params, [[256, 0, 0, 0, 0, 0]], 6)
+    assert info.value.stage == "packing"
 
 
 # -- full flows ------------------------------------------------

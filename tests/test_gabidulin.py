@@ -173,3 +173,32 @@ def test_syndromes_of_codeword_vanish():
     code = GabidulinCode.random(ctx, 7, 3, rng)
     m = [ctx.rand_elem(rng) for _ in range(3)]
     assert all(s == 0 for s in code.syndromes(code.encode(m)))
+
+
+@pytest.mark.parametrize("stage", ["span", "locations", "codeword"])
+def test_decode_failure_names_the_failed_stage(stage):
+    # with n < N an x_i can leave span_Fq(h), so random words reach all three
+    ctx = get_field(2, 8)
+    rng = random.Random(51)
+    code = GabidulinCode.random(ctx, 6, 2, rng)
+    stages = set()
+    for _ in range(100):
+        try:
+            code.decode([ctx.rand_elem(rng) for _ in range(6)])
+        except DecodeFailure as exc:
+            stages.add(exc.stage)
+    assert stage in stages <= {"span", "locations", "codeword"}
+
+
+def test_full_length_codes_never_fail_at_locations():
+    # with n = N the entries of h are an F_q-basis of the whole field
+    ctx = get_field(2, 8)
+    rng = random.Random(52)
+    code = GabidulinCode.random(ctx, 8, 2, rng)
+    stages = set()
+    for _ in range(100):
+        try:
+            code.decode([ctx.rand_elem(rng) for _ in range(8)])
+        except DecodeFailure as exc:
+            stages.add(exc.stage)
+    assert stages == {"span", "codeword"}

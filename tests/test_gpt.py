@@ -441,6 +441,20 @@ def test_garbage_ciphertext_fails_loudly():
     assert failures >= 18  # a random word essentially never sits near the code
 
 
+def test_a_word_outside_the_row_scrambler_fails_at_that_stage():
+    params = VARIANT_CASES[2]  # variant 5: S has k - 1 rows
+    rng = random.Random(75)
+    pub, priv = keygen(params, rng)
+    ctx = params.field()
+    u = [ctx.rand_elem(rng) for _ in range(params.k)]
+    assert rank_ext(ctx, priv.S + [u]) == params.k
+    # a codeword of u, with no error, decodes to u, which no plaintext gives
+    inner = [ctx.rand_elem(rng) for _ in range(params.kept_offset)] + priv.code.encode(u)
+    with pytest.raises(DecodeFailure) as info:
+        decrypt(priv, vec_mat_mul(ctx, inner, priv.P))
+    assert info.value.stage == "row_scrambler"
+
+
 def test_encrypt_validates_input():
     params = VARIANT_CASES[0]
     rng = random.Random(71)

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from gptrank.attacks import attack_public_key
 from gptrank.cli import main
 from gptrank.errors import FormatError
-from gptrank.gpt import GptParams, GptPrivateKey, keygen, preset
+from gptrank.gpt import GptParams, GptPrivateKey, decrypt, encrypt, keygen, preset
 from gptrank.keyfiles import (
     MAGIC,
     CiphertextBundle,
@@ -22,6 +23,7 @@ from gptrank.keyfiles import (
     save_public_key,
     sniff_format,
 )
+from gptrank.linalg import FixedMatrix
 
 FORMATS = ("bin", "hex", "json")
 GOLDEN = Path(__file__).parent / "golden"
@@ -352,3 +354,33 @@ def test_respelled_modulus_saves_the_canonical_ciphertext(tmp_path, spell, fmt):
     save_ciphertext(tmp_path / "canonical", canonical, fmt)
     assert (tmp_path / "ct").read_bytes() == (tmp_path / "canonical").read_bytes()
     assert load_ciphertext(tmp_path / "ct") == canonical == ct
+
+
+def test_fixed_matrices_save_the_bytes_of_plain_lists(tmp_path, keypair):
+    pub, priv = keypair
+    m = [1, 2, 3, 4, 5, 6]
+    assert decrypt(priv, encrypt(pub, m, random.Random(93))) == m  # builds the kernels
+    assert isinstance(pub.matrix, FixedMatrix) and pub.matrix.times is not None
+    assert isinstance(priv.P_inv, FixedMatrix) and priv.P_inv.times is not None
+    plain_pub = replace(pub, matrix=[list(row) for row in pub.matrix])
+    plain_priv = replace(priv, P_inv=[list(row) for row in priv.P_inv])
+    for fmt in FORMATS:
+        for name, save, key, plain in (
+            ("pub", save_public_key, pub, plain_pub),
+            ("priv", save_private_key, priv, plain_priv),
+        ):
+            save(tmp_path / name, key, fmt)
+            save(tmp_path / "plain", plain, fmt)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "plain").read_bytes()
+
+
+def test_keygen_loading_and_the_attack_build_no_product_kernel(tmp_path):
+    pub, priv = keygen(preset("desk-12"), random.Random(94))
+    code = priv.code
+    fixed = (pub.matrix, priv.P_inv, priv.S_inv, code.G, code._htab, code._info_inv)
+    assert all(isinstance(M, FixedMatrix) and M.times is None for M in fixed)
+    for fmt in FORMATS:
+        save_public_key(tmp_path / "pub", pub, fmt)
+        loaded = load_public_key(tmp_path / "pub")
+        attack_public_key(loaded)
+        assert isinstance(loaded.matrix, FixedMatrix) and loaded.matrix.times is None

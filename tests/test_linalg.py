@@ -9,6 +9,7 @@ import pytest
 
 from gptrank.fields import get_field
 from gptrank.linalg import (
+    FixedMatrix,
     _rref,
     base_combination,
     base_coordinates,
@@ -333,3 +334,51 @@ def test_vec_sub_inverts_addition():
     v = [ctx.rand_elem(rng) for _ in range(5)]
     w = [ctx.add(a, b) for a, b in zip(u, v)]
     assert vec_sub(ctx, w, v) == u
+
+
+# -- products ------------------------------------------------
+
+# a table field, two table-less q = 2 fields (N = 64 fills every 64-bit lane)
+# and two odd characteristics
+PRODUCT_FIELDS = [(2, 12), (2, 28), (2, 64), (3, 5), (5, 3)]
+
+
+def scalar_product(ctx, v, M):
+    """v M as one sum of ctx.mul terms per entry."""
+    cols = zip(*M)
+    return [reduce(ctx.add, [ctx.mul(a, b) for a, b in zip(v, col)], 0) for col in cols]
+
+
+@pytest.mark.parametrize("q,N", PRODUCT_FIELDS)
+def test_products_match_the_scalar_sum(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(q * 1000 + N)
+
+    def entry():
+        return ctx.rand_elem(rng) if rng.random() < 0.7 else 0
+
+    for rows, cols in [(1, 1), (1, 7), (7, 1), (5, 9), (9, 5)]:
+        M = [[entry() for _ in range(cols)] for _ in range(rows)]
+        M[0][0] = ctx.size - 1
+        if rows > 1:
+            M[-1] = [0] * cols
+        vs = [[entry() for _ in range(rows)] for _ in range(6)]
+        vs += [[0] * rows, [ctx.size - 1] * rows]
+        for v in vs:
+            assert vec_mat_mul(ctx, v, M) == scalar_product(ctx, v, M)
+        assert mat_mul(ctx, vs, M) == [scalar_product(ctx, v, M) for v in vs]
+
+
+@pytest.mark.parametrize("q,N", PRODUCT_FIELDS)
+def test_fixed_matrix_keeps_its_kernel_and_equals_its_rows(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(q * 1000 + N + 1)
+    rows = random_matrix(ctx, 6, 8, rng)
+    fixed = FixedMatrix(rows)
+    assert fixed == rows and rows == fixed and fixed.times is None
+    vs = [[ctx.rand_elem(rng) for _ in range(6)] for _ in range(50)]
+    got = [vec_mat_mul(ctx, v, fixed) for v in vs]
+    kernel = fixed.times
+    assert kernel is not None
+    assert got == [vec_mat_mul(ctx, v, rows) for v in vs]
+    assert mat_mul(ctx, vs, fixed) == got and fixed.times is kernel
