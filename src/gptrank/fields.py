@@ -264,6 +264,14 @@ class FieldCtx:
     for a matrix that many vectors multiply: one ``submul_row`` update per
     row of M, except that q = 2 without tables xors, in one pass, the
     packed copies of all of M's rows that the bits of all of v select.
+
+    ``scale_row(row, f)`` returns f * row, chosen per field like ``mul``:
+    q = 2 without tables packs row into lanes of 64 bits (N <= 32) or 128
+    bits, wide enough for a (2N-1)-bit carry-less product, xors one shifted
+    copy per set bit of f and folds the high halves back with x^N mod f.
+    ``power_basis_images(c)`` is L(a^j), j < N, for L = sum_i c_i x^(q^i):
+    c times the Moore matrix [sigma^i(a^j)] kept from building the
+    Frobenius tables, through a ``row_combiner`` kernel built on first use.
     """
 
     def __init__(self, q: int = 2, N: int = 2, modulus=None):
@@ -286,6 +294,9 @@ class FieldCtx:
 
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        # power_basis_images' kernel; not a cached_property, whose write to
+        # __dict__ slows every later attribute load on the field (CPython 3.11)
+        self._moore_times = None
         if q == 2:
             self._clmul = self.mul = self._make_clmul()
             self.submul_row = self._submul_packed
@@ -297,21 +308,24 @@ class FieldCtx:
             self.mul = self._mul_table
             if q == 2:
                 self.submul_row = self._submul_table
-        self.row_combiner = self._combine_rows if q != 2 or self._log else self._combine_packed
+        packed = q == 2 and not self._log
+        self.row_combiner = self._combine_packed if packed else self._combine_rows
+        self.scale_row = self._make_scale_packed() if packed else self._scale_generic
 
-        # _frob[i] applies sigma^i for 1 <= i < N: the window tables of its
-        # basis images for q = 2, otherwise the image list itself
+        # _moore[i] lists the basis images sigma^i(a^j), and _frob[i] applies
+        # sigma^i for 1 <= i < N: the window tables of its images for q = 2,
+        # otherwise the image list itself
         if q == 2:
             self.frobenius = self._frobenius_gf2
             pack = partial(_span_tables, width=_FROB_WINDOW)
         else:
             self.frobenius = self._frobenius_generic
             pack = list
-        images = [self.pow(q**j, q) for j in range(N)]
-        self._frob = [None, pack(images)]
-        while len(self._frob) < N:
-            images = [self.frobenius(v) for v in images]
-            self._frob.append(pack(images))
+        moore = self._moore = [[q**j for j in range(N)], [self.pow(q**j, q) for j in range(N)]]
+        self._frob = [None, pack(moore[1])]
+        while len(moore) < N:
+            moore.append([self.frobenius(v) for v in moore[-1]])
+            self._frob.append(pack(moore[-1]))
 
     # -- addition ----------------------------------------------------------
 
@@ -520,6 +534,40 @@ class FieldCtx:
 
         return times
 
+    # -- scalar times row ----------------------------------------------------
+
+    def _scale_generic(self, row, f):
+        mul = self.mul
+        return [mul(f, a) if a else 0 for a in row]
+
+    def _make_scale_packed(self):
+        """f * row for q = 2 without tables, in lanes that hold a (2N-1)-bit product."""
+        N = self.N
+        words = 1 if 2 * N - 1 <= WORD_BITS else 2  # 64-bit words per lane
+        lo = 0 if sys.byteorder == "little" else words - 1  # the word holding the element
+        lane_one = b"\1" + bytes(8 * words - 1)
+        fold = [i for i in range(N) if self._mod_int >> i & 1]  # bits of x^N mod f
+        order, spread, low_bits = sys.byteorder, _SPREAD, range(N)
+
+        def scale(row, f):
+            lanes = array("Q", bytes(8 * words * len(row)))
+            lanes[lo::words] = array("Q", row)
+            p = int.from_bytes(lanes, order)
+            ones = int.from_bytes(lane_one * len(row), "little")  # bit 0 of each lane
+            low, high = ones * ((1 << N) - 1), ones * ((1 << (N - 1)) - 1)
+            prod = 0  # one shifted copy of the row per set bit of f
+            for i in compress(low_bits, bin(f)[:1:-1].encode().translate(spread)):
+                prod ^= p << i
+            r, h = prod & low, prod >> N & high
+            while h:  # fold each lane's high half h back: x^N h = (x^N mod f) h
+                prod = 0
+                for i in fold:
+                    prod ^= h << i
+                r, h = r ^ prod & low, prod >> N & high
+            return memoryview(r.to_bytes(len(lanes) * 8, order)).cast("Q")[lo::words].tolist()
+
+        return scale
+
     # -- Frobenius -----------------------------------------------------------
 
     def _frobenius_gf2(self, a: int, i: int = 1) -> int:
@@ -540,6 +588,15 @@ class FieldCtx:
         coeffs = self.coeffs
         terms = [[d * c for c in coeffs(t)] for t, d in zip(self._frob[i], coeffs(a)) if d]
         return self.from_coeffs(map(sum, zip(*terms)))
+
+    def power_basis_images(self, coeffs) -> list[int]:
+        """L(a^j) for j < N, where L = sum_i coeffs[i] x^(q^i): coeffs times the Moore matrix."""
+        v = [0] * self.N
+        for i, c in enumerate(coeffs):  # sigma^N is the identity
+            v[i % self.N] = self.add(v[i % self.N], c)
+        if self._moore_times is None:
+            self._moore_times = self.row_combiner(self._moore)
+        return self._moore_times(v)
 
     # -- coordinates and encoding --------------------------------------------
 

@@ -13,6 +13,9 @@ zero polynomial has an empty coefficient tuple and q-degree -1.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import starmap, zip_longest
+
 from .linalg import base_relations
 
 __all__ = ["LinPoly", "lp_eea"]
@@ -50,54 +53,36 @@ class LinPoly:
         return not self.coeffs
 
     def add(self, other: "LinPoly") -> "LinPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.ctx.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return LinPoly(self.ctx, out)
+        return self._termwise(self.ctx.add, other)
 
     def sub(self, other: "LinPoly") -> "LinPoly":
-        ctx = self.ctx
-        out = list(self.coeffs)
-        out.extend([0] * (len(other.coeffs) - len(out)))  # nothing when other is shorter
-        sub = ctx.sub
-        for i, c in enumerate(other.coeffs):
-            out[i] = sub(out[i], c)
-        return LinPoly(ctx, out)
+        return self._termwise(self.ctx.sub, other)
+
+    def _termwise(self, op, other: "LinPoly") -> "LinPoly":
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return LinPoly(self.ctx, starmap(op, pairs))
 
     def scale(self, c: int) -> "LinPoly":
         """Left scalar multiple, (c*L)(x) = c * L(x)."""
-        mul = self.ctx.mul
-        return LinPoly(self.ctx, [mul(c, a) for a in self.coeffs])
+        return LinPoly(self.ctx, self.ctx.scale_row(self.coeffs, c))
 
     def compose(self, other: "LinPoly") -> "LinPoly":
         """self o other, i.e. x -> self(other(x))."""
         ctx = self.ctx
         add = ctx.add
-        mul = ctx.mul
         frob = ctx.frobenius
+        m = len(other.coeffs)
         out = [0] * (self.qdeg + other.qdeg + 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = add(out[i + j], mul(a, frob(b, i)))
+            if a:  # out[i + j] += a * sigma^i(b_j), one row per term of self
+                term = ctx.scale_row([frob(b, i) for b in other.coeffs], a)
+                out[i : i + m] = map(add, out[i : i + m], term)
         return LinPoly(ctx, out)
 
     def __call__(self, beta: int) -> int:
         ctx = self.ctx
-        add = ctx.add
-        mul = ctx.mul
-        frob = ctx.frobenius
-        acc = 0
-        for i, a in enumerate(self.coeffs):
-            if a:
-                acc = add(acc, mul(a, frob(beta, i)))
-        return acc
+        terms = [ctx.mul(a, ctx.frobenius(beta, i)) for i, a in enumerate(self.coeffs) if a]
+        return reduce(ctx.add, terms, 0)
 
     def right_divmod(self, divisor: "LinPoly") -> tuple["LinPoly", "LinPoly"]:
         """Q, R with self = Q o divisor + R and qdeg(R) < qdeg(divisor)."""
@@ -106,19 +91,16 @@ class LinPoly:
         ctx = self.ctx
         dd = divisor.qdeg
         sub = ctx.sub
-        mul = ctx.mul
-        inv = ctx.inv
         frob = ctx.frobenius
-        dlead = divisor.coeffs[-1]
+        # one inverse per division: sigma^s(d^-1) = sigma^s(d)^-1
+        dinv = ctx.inv(divisor.coeffs[-1])
         R = list(self.coeffs)
         Q = [0] * (self.qdeg - dd + 1)
         while len(R) - 1 >= dd:
             s = len(R) - 1 - dd
-            c = mul(R[-1], inv(frob(dlead, s)))
-            Q[s] = c
-            for k, dk in enumerate(divisor.coeffs):
-                if dk:
-                    R[k + s] = sub(R[k + s], mul(c, frob(dk, s)))
+            c = Q[s] = ctx.mul(R[-1], frob(dinv, s))
+            term = ctx.scale_row([frob(dk, s) for dk in divisor.coeffs], c)
+            R[s:] = map(sub, R[s:], term)
             while R and R[-1] == 0:
                 R.pop()
         return LinPoly(ctx, Q), LinPoly(ctx, R)
@@ -127,7 +109,7 @@ class LinPoly:
         """Basis over F_q of {beta in F_{q^N} : L(beta) = 0}."""
         ctx = self.ctx
         # beta = sum_j c_j alpha^j is in the kernel iff c relates the images
-        images = [self(ctx.q**j) for j in range(ctx.N)]
+        images = ctx.power_basis_images(self.coeffs)
         return [ctx.from_coeffs(c) for c in base_relations(ctx, images)]
 
     def __eq__(self, other) -> bool:

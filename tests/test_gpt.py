@@ -349,6 +349,17 @@ def test_roundtrip_base_field_scrambler(params):
         assert decrypt(priv, c) == m
 
 
+@pytest.mark.parametrize("N", [40, 64])
+def test_roundtrip_in_a_field_wider_than_32_bits(N):
+    # 128-bit lanes in the packed scalar-times-row kernel of the decoder
+    params = GptParams(q=2, N=N, n=12, k=6, t1=2)
+    rng = random.Random(N)
+    pub, priv = keygen(params, rng)
+    for _ in range(5):
+        m = rand_message(params, rng)
+        assert decrypt(priv, encrypt(pub, m, rng)) == m
+
+
 def test_simple_ciphertext_error_has_exact_rank():
     params = VARIANT_CASES[0]
     rng = random.Random(67)

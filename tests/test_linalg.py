@@ -338,9 +338,10 @@ def test_vec_sub_inverts_addition():
 
 # -- products ------------------------------------------------
 
-# a table field, two table-less q = 2 fields (N = 64 fills every 64-bit lane)
-# and two odd characteristics
-PRODUCT_FIELDS = [(2, 12), (2, 28), (2, 64), (3, 5), (5, 3)]
+# a table field; table-less q = 2 fields on both sides of scale_row's switch
+# from 64-bit to 128-bit lanes (N = 32, 33), and N = 64, which fills every
+# 64-bit lane of row_combiner; and two odd characteristics
+PRODUCT_FIELDS = [(2, 12), (2, 28), (2, 32), (2, 33), (2, 64), (3, 5), (5, 3)]
 
 
 def scalar_product(ctx, v, M):
@@ -367,6 +368,20 @@ def test_products_match_the_scalar_sum(q, N):
         for v in vs:
             assert vec_mat_mul(ctx, v, M) == scalar_product(ctx, v, M)
         assert mat_mul(ctx, vs, M) == [scalar_product(ctx, v, M) for v in vs]
+
+
+@pytest.mark.parametrize("q,N", PRODUCT_FIELDS)
+def test_scale_row_matches_mul(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(q * 1000 + N + 2)
+    top = ctx.size - 1
+    rows = [[0], [top], [ctx.rand_nonzero(rng)]]
+    for _ in range(3):
+        row = [rng.choice((0, top, ctx.rand_elem(rng))) for _ in range(33)]
+        rows.append([0, top] + row)
+    for f in [0, 1, top] + [ctx.rand_elem(rng) for _ in range(5)]:
+        for row in rows:
+            assert ctx.scale_row(row, f) == [ctx.mul(f, a) for a in row]
 
 
 @pytest.mark.parametrize("q,N", PRODUCT_FIELDS)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptrank.fields import get_field
-from gptrank.linalg import rank_over_base
+from gptrank.linalg import base_relations, rank_over_base
 from gptrank.linpoly import LinPoly, lp_eea
+from test_linalg import PRODUCT_FIELDS
 
 ctx = get_field(2, 8)
 
@@ -104,6 +105,18 @@ def test_right_divmod_reconstructs():
         assert Q.compose(B).add(R) == A
 
 
+@pytest.mark.parametrize("q,N", PRODUCT_FIELDS)
+def test_right_divmod_reconstructs_in_every_product_field(q, N):
+    field = get_field(q, N)
+    rng = random.Random(q * 1000 + N)
+    for _ in range(10):
+        A = rand_poly(rng, max_qdeg=min(N - 1, 8), field=field)
+        D = rand_poly(rng, max_qdeg=min(N - 1, 4), allow_zero=False, field=field)
+        Q, R = A.right_divmod(D)
+        assert R.qdeg < D.qdeg
+        assert Q.compose(D).add(R) == A
+
+
 def test_right_divmod_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         LinPoly.identity(ctx).right_divmod(LinPoly.zero(ctx))
@@ -135,6 +148,21 @@ def test_kernel_basis_spans_exact_kernel():
             assert killed == field.q ** len(basis)
             if basis:
                 assert rank_over_base(field, basis) == len(basis)
+
+
+@pytest.mark.parametrize("q,N", PRODUCT_FIELDS)
+def test_kernel_basis_matches_per_basis_evaluation(q, N):
+    field = get_field(q, N)
+    rng = random.Random(q * 1000 + N + 1)
+    # every q-degree up to min(N - 1, 8), and one past N, where sigma^N = id
+    degrees = list(range(min(N - 1, 8) + 1)) + [N + 1]
+    for d in degrees:
+        coeffs = [rng.choice((0, field.rand_elem(rng))) for _ in range(d)]
+        L = LinPoly(field, coeffs + [field.rand_nonzero(rng)])
+        images = [L(field.q**j) for j in range(N)]
+        assert field.power_basis_images(L.coeffs) == images
+        expected = [field.from_coeffs(c) for c in base_relations(field, images)]
+        assert L.kernel_basis() == expected
 
 
 def test_kernel_of_zero_poly_is_everything():
