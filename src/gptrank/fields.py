@@ -42,6 +42,11 @@ _PARITY = bytes(48 + (i & 1) for i in range(256))  # byte count -> b"0" or b"1"
 _WINDOW = 14
 # Bits of an element mapped by one lookup in a q = 2 Frobenius table.
 _FROB_WINDOW = 7
+# Bits of a multiplier per lookup in a pivot row's window tables, and the
+# number of row updates from which building those tables pays off.
+_SPAN_WINDOW = 4
+_SPAN_USES = 16
+_LITTLE = sys.byteorder == "little"
 
 
 def _span_tables(images: list[int], width: int) -> list[list[int]]:
@@ -53,13 +58,30 @@ def _span_tables(images: list[int], width: int) -> list[list[int]]:
     """
     tabs = []
     for lo in range(0, len(images), width):
-        basis = images[lo : lo + width]
-        tab = [0] * (1 << len(basis))
-        for k in range(1, len(tab)):
-            low = k & -k
-            tab[k] = tab[k ^ low] ^ basis[low.bit_length() - 1]
+        tab = [0]
+        for image in images[lo : lo + width]:  # second half: the first with this image added
+            tab += [t ^ image for t in tab]
         tabs.append(tab)
     return tabs
+
+
+def _pack_lanes(row) -> int:
+    """row as one int, entry c in bits 64c .. 64c + 63 (the lane-packed row format)."""
+    return int.from_bytes(array("Q", row if _LITTLE else row[::-1]), sys.byteorder)
+
+
+def _unpack_lanes(w: int, length: int) -> list[int]:
+    """The first length lanes of a lane-packed row, as a list."""
+    row = memoryview(w.to_bytes(8 * length, sys.byteorder)).cast("Q").tolist()
+    return row if _LITTLE else row[::-1]
+
+
+def _list_row(row: list[int], length: int) -> list[int]:
+    return row
+
+
+def _list_column(rows, c, first):
+    return [row[c] for row in rows[first:]]
 
 
 def _check_field(q: int, N: int) -> None:
@@ -254,16 +276,23 @@ class FieldCtx:
     as one lookup per window (27 powers x 4 windows x 128 = 13,824 ints at
     N = 28).  Other primes sum the basis images digit by digit.
 
-    ``submul_row(prow, start)`` returns ``upd(wrow, f)``, which does
-    ``wrow[j] -= f * prow[j]`` for every j >= start: the row update of an
-    elimination, chosen per field like ``mul``.  For q = 2, table fields
-    precompute the logs of the pivot row's nonzero entries, and fields
-    without tables pack x^i * prow mod f for i < N into one int each and
-    xor the copies that f's bits select; odd q loops per element over
-    ``mul``.  ``row_combiner(M)`` returns ``times(v) = v M``, built once
-    for a matrix that many vectors multiply: one ``submul_row`` update per
-    row of M, except that q = 2 without tables xors, in one pass, the
-    packed copies of all of M's rows that the bits of all of v select.
+    Elimination keeps its rows in a format chosen per field like ``mul``:
+    for q = 2 without tables one int per row, entry c in bits 64c to
+    64c + 63 (lane-packed), otherwise a list.  ``pack_row(row)`` and
+    ``unpack_row(w, length)`` convert, and ``column(rows, c, first)``
+    lists entry c of rows[first], rows[first + 1], ...
+    ``submul_row(prow, start, uses=1)`` returns ``upd(w, f)``, which
+    returns w - f * prow over the columns >= start, for rows in that
+    format (a list row is changed in place).  Table fields precompute the
+    logs of the pivot row's nonzero entries, and odd q loops per element
+    over ``mul``.  Lane-packed rows xor the copies x^i * prow mod f that
+    f's bits select; when the update is to be used at least ``_SPAN_USES``
+    times, it builds xor-span tables of those copies once and looks f up
+    4 bits at a time.  ``row_combiner(M)`` returns ``times(v) = v M``,
+    built once for a matrix that many vectors multiply: one ``submul_row``
+    update per row of M, except that q = 2 without tables xors, in one
+    pass, the lane-packed copies of all of M's rows that the bits of all
+    of v select.
 
     ``scale_row(row, f)`` returns f * row, chosen per field like ``mul``:
     q = 2 without tables packs row into lanes of 64 bits (N <= 32) or 128
@@ -299,18 +328,25 @@ class FieldCtx:
         self._moore_times = None
         if q == 2:
             self._clmul = self.mul = self._make_clmul()
-            self.submul_row = self._submul_packed
         else:
             self.mul = self._mul_generic
-            self.submul_row = self._submul_generic
         if size <= _TABLE_LIMIT:
             self._build_tables()
             self.mul = self._mul_table
-            if q == 2:
-                self.submul_row = self._submul_table
-        packed = q == 2 and not self._log
-        self.row_combiner = self._combine_packed if packed else self._combine_rows
-        self.scale_row = self._make_scale_packed() if packed else self._scale_generic
+        # the row format of elimination, and the row kernels that go with it:
+        # one lane-packed int per row for q = 2 without tables, else a list
+        if q == 2 and not self._log:
+            self.pack_row, self.unpack_row = _pack_lanes, _unpack_lanes
+            self.column = self._lane_column
+            self.submul_row = self._submul_lanes
+            self.row_combiner = self._combine_packed
+            self.scale_row = self._make_scale_packed()
+        else:
+            self.pack_row, self.unpack_row = list, _list_row
+            self.column = _list_column
+            self.submul_row = self._submul_table if q == 2 else self._submul_generic
+            self.row_combiner = self._combine_rows
+            self.scale_row = self._scale_generic
 
         # _moore[i] lists the basis images sigma^i(a^j), and _frob[i] applies
         # sigma^i for 1 <= i < N: the window tables of its images for q = 2,
@@ -456,9 +492,9 @@ class FieldCtx:
             e >>= 1
         return r
 
-    # -- row updates ---------------------------------------------------------
+    # -- row formats and row updates -------------------------------------------
 
-    def _submul_table(self, prow, start):
+    def _submul_table(self, prow, start, uses=1):
         # q = 2 only: subtraction is xor
         log, exp = self._log, self._exp
         pairs = [(j, log[prow[j]]) for j in range(start, len(prow)) if prow[j]]
@@ -468,40 +504,56 @@ class FieldCtx:
                 lf = log[f]
                 for j, lb in pairs:
                     wrow[j] ^= exp[lf + lb]
+            return wrow
 
         return upd
 
-    def _shifted(self, row) -> list[int]:
-        """x^i * row mod f for i < N, each packing row's entries one per 64-bit lane."""
-        N = self.N
-        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(row), "little")  # bit 0 of each lane
-        low = ones * ((1 << (N - 1)) - 1)
-        fold = self._mod_int ^ (1 << N)  # x^N mod f
-        p = int.from_bytes(array("Q", row), sys.byteorder)
-        out = [p]
-        for _ in range(N - 1):
-            p = ((p & low) << 1) ^ ((p >> (N - 1) & ones) * fold)
-            out.append(p)
-        return out
-
-    def _submul_packed(self, prow, start):
-        shifted = self._shifted(prow[start:])
-        nbytes = 8 * (len(prow) - start)
-        order, spread = sys.byteorder, _SPREAD
-
-        def upd(wrow, f):
-            u = reduce(xor, compress(shifted, bin(f)[:1:-1].encode().translate(spread)), 0)
-            wrow[start:] = map(xor, wrow[start:], memoryview(u.to_bytes(nbytes, order)).cast("Q"))
-
-        return upd
-
-    def _submul_generic(self, prow, start):
+    def _submul_generic(self, prow, start, uses=1):
         mul, sub = self.mul, self.sub
         pairs = [(j, prow[j]) for j in range(start, len(prow)) if prow[j]]
 
         def upd(wrow, f):
             for j, b in pairs:
                 wrow[j] = sub(wrow[j], mul(f, b))
+            return wrow
+
+        return upd
+
+    def _lane_column(self, rows, c, first):
+        shift, mask = WORD_BITS * c, self.order  # 2^N - 1
+        return [w >> shift & mask for w in rows[first:]]
+
+    def _shifted(self, p: int, lanes: int) -> list[int]:
+        """x^i * row mod f for i < N, for a row lane-packed into p."""
+        N = self.N
+        ones = _pack_lanes([1] * lanes)
+        low = ones * ((1 << (N - 1)) - 1)
+        fold = self._mod_int ^ (1 << N)  # x^N mod f
+        out = [p]
+        for _ in range(N - 1):
+            p = ((p & low) << 1) ^ ((p >> (N - 1) & ones) * fold)
+            out.append(p)
+        return out
+
+    def _submul_lanes(self, prow: int, start: int, uses: int = 1):
+        # f * prow is the xor of the x^i * prow copies that f's bits select
+        prow = prow >> WORD_BITS * start << WORD_BITS * start
+        shifted = self._shifted(prow, -(-prow.bit_length() // WORD_BITS))
+        if uses < _SPAN_USES:
+            spread = _SPREAD
+
+            def upd(w, f):
+                return reduce(xor, compress(shifted, bin(f)[:1:-1].encode().translate(spread)), w)
+
+            return upd
+        tabs = _span_tables(shifted, _SPAN_WINDOW)
+        wmask = (1 << _SPAN_WINDOW) - 1
+
+        def upd(w, f):
+            for tab in tabs:
+                w ^= tab[f & wmask]
+                f >>= _SPAN_WINDOW
+            return w
 
         return upd
 
@@ -519,18 +571,15 @@ class FieldCtx:
         return times
 
     def _combine_packed(self, M):
-        # bit i of the lane of v's int that holds v[r] selects x^i * M[r] mod f;
-        # lane r holds v[r] on little-endian machines, v[-1 - r] on others
+        # bit i of lane r of v's packed int selects x^i * M[r] mod f
         pad = [0] * (WORD_BITS - self.N)
-        rows = M if sys.byteorder == "little" else M[::-1]
-        copies = [c for row in rows for c in self._shifted(row) + pad]
-        nbytes = 8 * len(M[0])
-        order, spread = sys.byteorder, _SPREAD
+        cols = len(M[0])
+        copies = [c for row in M for c in self._shifted(_pack_lanes(row), cols) + pad]
+        spread = _SPREAD
 
         def times(v):
-            bits = bin(int.from_bytes(array("Q", v), order))[:1:-1]
-            u = reduce(xor, compress(copies, bits.encode().translate(spread)), 0)
-            return memoryview(u.to_bytes(nbytes, order)).cast("Q").tolist()
+            bits = bin(_pack_lanes(v))[:1:-1].encode().translate(spread)
+            return _unpack_lanes(reduce(xor, compress(copies, bits), 0), cols)
 
         return times
 

@@ -267,7 +267,7 @@ def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
     if base_field:
         if s_ext:
             raise ParameterError("a base-field scrambler has no extension-field columns")
-        # most square draws over F_2 are singular; rank_ext rejects them faster than mat_inv
+        # most square draws over F_2 are singular; a rank test rejects them faster than mat_inv
         P_inv = random_full_row_rank(ctx, size, size, rng, base_field=True)
         return mat_inv(ctx, P_inv), P_inv
     if not 0 <= s_ext <= kept:

@@ -6,25 +6,29 @@ over the base field is the number of its entries that are linearly
 independent over F_q -- the quantity the whole cryptosystem is built on.
 Every F_q question -- ranks, the relations among a vector's entries, and
 coordinates in an F_q-basis -- is answered here.  For q = 2 one bit-packed
-eliminator, _gf2_echelon, serves the questions about one vector: an
-element's int is its F_2 coordinate vector, and each row is reduced on its
-highest bit.  Tagging the entries with identity bits makes the same pass
-give the relations in the reduced form that _rref gives.  For odd q, and
-for the column rank of a matrix at every q, the coordinate matrix goes
-through the extension-field routines; its entries 0..q-1 are the prime
-subfield, which elimination never leaves.
+eliminator, _gf2_echelon, serves them all: an element's int is its F_2
+coordinate vector, a matrix column is its entries' bits laid end to end,
+and each row is reduced on its highest bit.  Tagging the entries with
+identity bits makes the same pass give the relations in the reduced form
+that _rref gives.  For odd q the coordinate matrix goes through the
+extension-field eliminator; its entries 0..q-1 are the prime subfield,
+which elimination never leaves.
 
-Over F_{q^N} there are two eliminators.  rank_ext runs forward only and
-stops at the last pivot row; _rref reduces fully, for null spaces, solves
-and inverses, and its nonzero rows are a reduced basis of the row space
-(the distinguisher stacks them in place of the public matrix).  They stay
-apart: in micro-benchmarks on 12 x 12 to 28 x 28 matrices over GF(2^12)
-and GF(2^28), a rank taken through _rref was 30-65 % slower, and a forward
-pass plus back-substitution made mat_inv 6-12 % slower than one
-Gauss-Jordan pass.
+Over F_{q^N} there is one elimination loop, _eliminate.  rank_ext runs it
+forward only: each pivot clears the rows below, and a pivot in the last
+column clears nothing.  _rref runs it fully reduced, for null spaces,
+solves and inverses; its nonzero rows are a reduced basis of the row space
+(the distinguisher stacks them in place of the public matrix).  The loop
+never sees an entry directly: the field chooses its row format when it is
+built (ctx.pack_row, ctx.unpack_row), reads a column (ctx.column) and
+updates rows (ctx.submul_row) in that format.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from functools import reduce
+from itertools import compress
 
 __all__ = [
     "FixedMatrix",
@@ -137,72 +141,61 @@ def mat_frobenius(ctx, M, i=1):
 # -- elimination over the extension field -----------------------------------
 
 
-def rank_ext(ctx, M):
-    """Ordinary rank of a matrix, by elimination over F_{q^N}."""
-    if not M:
-        return 0
-    work = [list(row) for row in M]
-    rows = len(work)
-    cols = len(work[0])
-    mul = ctx.mul
-    inv = ctx.inv
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if r + 1 == rows:
-            return rows
-        work[r], work[pivot] = work[pivot], work[r]
-        piv_inv = inv(work[r][c])
-        prow = work[r]
-        if piv_inv != 1:
-            work[r] = prow = [mul(piv_inv, a) for a in prow]
-        targets = [row for row in work[r + 1 :] if row[c]]
-        if targets:
-            upd = ctx.submul_row(prow, c)
-            for row in targets:
-                upd(row, row[c])
-        r += 1
-    return r
+def _eliminate(ctx, M, full):
+    """Gauss-Jordan elimination of M over F_{q^N}; returns (rows, pivot columns).
 
-
-def _rref(ctx, M):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    work = [list(row) for row in M]
+    The rows come back in the field's row format (``ctx.pack_row``).  With
+    full, each pivot clears its column in every other row, which leaves the
+    reduced echelon form.  Otherwise it clears only the rows below, and
+    only while a column is left to find a pivot in: the pivot count is the
+    rank, and the rows are left partly reduced.
+    """
+    cols = len(M[0]) if M else 0
+    pack, unpack, column = ctx.pack_row, ctx.unpack_row, ctx.column
+    submul, mul, inv = ctx.submul_row, ctx.mul, ctx.inv
+    work = list(map(pack, M))
     rows = len(work)
-    cols = len(work[0]) if work else 0
-    mul = ctx.mul
-    inv = ctx.inv
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+        lo = 0 if full else r
+        vals = column(work, c, lo)
+        hits = list(compress(range(lo, rows), vals))
+        k = bisect_left(hits, r)
+        if k == len(hits):
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        piv_inv = inv(work[r][c])
-        prow = work[r]
-        if piv_inv != 1:
-            work[r] = prow = [mul(piv_inv, a) for a in prow]
-        targets = [row for row in work if row[c] and row is not prow]
-        if targets:
-            upd = ctx.submul_row(prow, c)
-            for row in targets:
-                upd(row, row[c])
+        # row r holds a zero here unless it is the pivot, so after the swap
+        # the rows to clear are the other hits
+        p = hits.pop(k)
+        work[r], work[p] = work[p], work[r]
+        # forward only, a pivot with no row below it, or in the last
+        # column, has nothing to clear that the rank depends on
+        if full or hits and c + 1 < cols:
+            a = vals[p - lo]
+            if a != 1:
+                piv_inv = inv(a)
+                work[r] = pack([mul(piv_inv, x) if x else 0 for x in unpack(work[r], cols)])
+            if hits:
+                upd = submul(work[r], c, len(hits))
+                for i in hits:
+                    work[i] = upd(work[i], vals[i - lo])
         pivots.append(c)
         r += 1
         if r == rows:
             break
     return work, pivots
+
+
+def rank_ext(ctx, M):
+    """Ordinary rank of a matrix, by elimination over F_{q^N}."""
+    return len(_eliminate(ctx, M, full=False)[1])
+
+
+def _rref(ctx, M):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    work, pivots = _eliminate(ctx, M, full=True)
+    cols = len(M[0]) if M else 0
+    return [ctx.unpack_row(w, cols) for w in work], pivots
 
 
 def ext_nullspace(ctx, M):
@@ -293,7 +286,11 @@ def rank_over_base(ctx, vec):
 def column_rank_over_base(ctx, M):
     """Number of columns of M linearly independent over F_q."""
     # row j lists the F_q coordinates of every entry of column j; a matrix
-    # over F_q has the same rank over F_{q^N}
+    # over F_q has the same rank over F_{q^N}.  For q = 2 the row is the
+    # entries' bits laid end to end.
+    if ctx.q == 2:
+        N = ctx.N
+        return len(_gf2_echelon(reduce(lambda acc, x: acc << N | x, col, 0) for col in zip(*M)))
     return rank_ext(ctx, [[a for x in col for a in ctx.coeffs(x)] for col in zip(*M)])
 
 
@@ -357,9 +354,16 @@ def random_matrix(ctx, rows, cols, rng, base_field=False):
 def random_full_row_rank(ctx, rows, cols, rng, base_field=False):
     if rows > cols:
         raise ValueError(f"cannot have row rank {rows} with only {cols} columns")
+    # an F_2 row read as the int of its bytes keeps its bit j at bit 8j: an
+    # injective F_2-linear map, so the rank is unchanged
+    bits = base_field and ctx.q == 2
     while True:
         M = random_matrix(ctx, rows, cols, rng, base_field=base_field)
-        if rank_ext(ctx, M) == rows:
+        if bits:
+            rank = len(_gf2_echelon(int.from_bytes(bytes(row), "little") for row in M))
+        else:
+            rank = rank_ext(ctx, M)
+        if rank == rows:
             return M
 
 

@@ -254,6 +254,113 @@ def test_ext_nullspace_annihilates():
             assert acc == 0
 
 
+# the eliminator against a textbook Gauss-Jordan: a table field, table-less
+# q = 2 fields with 28, 40 and 64 bits per 64-bit lane (lane-packed rows),
+# and an odd characteristic
+ELIMINATION_FIELDS = [(2, 12), (2, 28), (2, 40), (2, 64), (3, 5)]
+
+
+def reference_rref(ctx, M):
+    """Reduced row echelon form by the textbook loop on ctx.mul and ctx.inv."""
+    work = [list(row) for row in M]
+    cols = len(M[0]) if M else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        a_inv = ctx.inv(work[r][c])
+        work[r] = [ctx.mul(a_inv, x) for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                f = row[c]
+                work[i] = [ctx.sub(x, ctx.mul(f, y)) if y else x for x, y in zip(row, work[r])]
+        pivots.append(c)
+    return work, pivots
+
+
+def elimination_cases(ctx, rng):
+    """(name, matrix) pairs: every shape, full and rank-deficient, with zero rows and columns."""
+    top = ctx.size - 1
+
+    def rand(rows, cols):
+        return [[rng.choice((top, ctx.rand_elem(rng))) for _ in range(cols)] for _ in range(rows)]
+
+    def deficient(M):
+        # row 1 a multiple of row 0 plus row 2, the last row and column 1 zero
+        M = [list(row) for row in M]
+        f = ctx.rand_nonzero(rng)
+        M[1] = [ctx.add(ctx.mul(f, a), b) for a, b in zip(M[0], M[2])]
+        M[-1] = [0] * len(M[0])
+        for row in M:
+            row[1] = 0
+        return M
+
+    def low_rank(rows, cols, rank, base_field=False):
+        return mat_mul(ctx, rand(rows, rank), random_matrix(ctx, rank, cols, rng, base_field))
+
+    def stack(M, depth=14):
+        return [[ctx.frobenius(a, i) for a in row] for i in range(depth) for row in M]
+
+    square = random_full_row_rank(ctx, 28, 28, rng)
+    singular = deficient(square)
+    cases = [
+        ("1x1 zero", [[0]]),
+        ("1x1 one", [[1]]),
+        ("1x1", [[ctx.rand_nonzero(rng)]]),
+        ("3x4", rand(3, 4)),
+        ("3x4 deficient", deficient(rand(3, 4))),
+        ("3x4 rank 1", low_rank(3, 4, 1)),
+        ("14x28", rand(14, 28)),
+        ("14x28 deficient", deficient(rand(14, 28))),
+        ("14x28 rank 5", low_rank(14, 28, 5)),
+        ("28x56 augmented", concat_cols(square, identity_matrix(28))),
+        ("28x56 augmented singular", concat_cols(singular, identity_matrix(28))),
+        ("196x28 stack", stack(rand(14, 28))),
+        # sigma fixes a base-field factor, so this stack keeps rank <= 3
+        ("196x28 stack rank 3", stack(low_rank(14, 28, 3, base_field=True))),
+    ]
+    return cases, square, singular
+
+
+@pytest.mark.parametrize("q,N", ELIMINATION_FIELDS)
+def test_elimination_matches_textbook_gauss_jordan(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(q * 1000 + N + 3)
+    cases, square, singular = elimination_cases(ctx, rng)
+    for name, M in cases:
+        work, pivots = reference_rref(ctx, M)
+        assert _rref(ctx, M) == (work, pivots), name
+        assert rank_ext(ctx, M) == len(pivots), name
+        # the null space read off the reduced form, one vector per free column
+        cols = len(M[0])
+        expected = []
+        for free in sorted(set(range(cols)) - set(pivots)):
+            x = [0] * cols
+            x[free] = 1
+            for r, pc in enumerate(pivots):
+                x[pc] = ctx.neg(work[r][free])
+            expected.append(x)
+        assert ext_nullspace(ctx, M) == expected, name
+        # M x = b for the last column b, solved with the free variables zero
+        A, b = [row[:-1] for row in M], [row[-1] for row in M]
+        if cols > 1:
+            if pivots and pivots[-1] == cols - 1:
+                with pytest.raises(ValueError):
+                    solve_linear(ctx, A, b)
+            else:
+                x = [0] * (cols - 1)
+                for r, pc in enumerate(pivots):
+                    x[pc] = work[r][-1]
+                assert solve_linear(ctx, A, b) == x, name
+    work, _ = reference_rref(ctx, concat_cols(square, identity_matrix(28)))
+    assert mat_inv(ctx, square) == [row[28:] for row in work]
+    with pytest.raises(ValueError):
+        mat_inv(ctx, singular)
+
+
 # -- samplers ------------------------------------------------
 
 
