@@ -16,7 +16,7 @@ import sys
 from array import array
 from functools import cache, partial, reduce
 from itertools import compress
-from operator import add, neg, sub, xor
+from operator import add, neg, pos, sub, xor
 
 from .errors import ParameterError
 
@@ -261,6 +261,8 @@ class FieldCtx:
     Construction takes its modulus from ``field_modulus``, which refuses
     what ``_check_field`` refuses and a modulus not irreducible of degree N.
 
+    For q = 2, ``add`` and ``sub`` are ``operator.xor`` and ``neg`` is
+    ``operator.pos``; other primes add, subtract and negate digit by digit.
     When q**N is small enough, discrete log/exp tables are built eagerly
     and multiplication becomes two lookups.  Otherwise q = 2 multiplies
     carry-lessly with one integer product of byte-spread operands (see
@@ -312,14 +314,13 @@ class FieldCtx:
         self.order = size - 1
         self._mod_int = sum(c << i for i, c in enumerate(mod)) if q == 2 else None
 
-        if q == 2:
-            self.add = self._add_xor
-            self.sub = self._add_xor
-            self.neg = self._neg_char2
+        if q == 2:  # -a = a in characteristic 2
+            self.add = self.sub = xor
+            self.neg = pos
         else:
-            self.add = self._add_generic
-            self.sub = self._sub_generic
-            self.neg = self._neg_generic
+            self.add = partial(self._digitwise, add)
+            self.sub = partial(self._digitwise, sub)
+            self.neg = partial(self._digitwise, neg)
 
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -348,37 +349,22 @@ class FieldCtx:
             self.row_combiner = self._combine_rows
             self.scale_row = self._scale_generic
 
-        # _moore[i] lists the basis images sigma^i(a^j), and _frob[i] applies
-        # sigma^i for 1 <= i < N: the window tables of its images for q = 2,
-        # otherwise the image list itself
-        if q == 2:
-            self.frobenius = self._frobenius_gf2
-            pack = partial(_span_tables, width=_FROB_WINDOW)
-        else:
-            self.frobenius = self._frobenius_generic
-            pack = list
+        # _moore[i] lists the basis images sigma^i(a^j); for q = 2, _frob[i]
+        # holds the window tables of those images, 1 <= i < N
+        self.frobenius = self._frobenius_gf2 if q == 2 else self._frobenius_generic
         moore = self._moore = [[q**j for j in range(N)], [self.pow(q**j, q) for j in range(N)]]
-        self._frob = [None, pack(moore[1])]
-        while len(moore) < N:
-            moore.append([self.frobenius(v) for v in moore[-1]])
-            self._frob.append(pack(moore[-1]))
+        self._frob = [None]
+        for i in range(1, N):
+            if q == 2:
+                self._frob.append(_span_tables(moore[i], _FROB_WINDOW))
+            if i + 1 < N:  # sigma^(i+1)(a^j) = sigma(sigma^i(a^j))
+                moore.append([self.frobenius(v) for v in moore[i]])
 
     # -- addition ----------------------------------------------------------
 
-    def _add_xor(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def _neg_char2(self, a: int) -> int:
-        return a
-
-    def _add_generic(self, a: int, b: int) -> int:
-        return self.from_coeffs(map(add, self.coeffs(a), self.coeffs(b)))
-
-    def _sub_generic(self, a: int, b: int) -> int:
-        return self.from_coeffs(map(sub, self.coeffs(a), self.coeffs(b)))
-
-    def _neg_generic(self, a: int) -> int:
-        return self.from_coeffs(map(neg, self.coeffs(a)))
+    def _digitwise(self, op, *operands: int) -> int:
+        """op applied to the base-q digits of the operands (odd q)."""
+        return self.from_coeffs(map(op, *map(self.coeffs, operands)))
 
     # -- multiplication ----------------------------------------------------
 
@@ -404,28 +390,16 @@ class FieldCtx:
         window = _WINDOW
         wmask = (1 << window) - 1
 
-        if len(tabs) <= 2:  # N <= 29; below N = 16 the second table is [0]
-            t0, t1 = (tabs + [[0]])[:2]
-
-            def clmul(a: int, b: int) -> int:
-                p = from_bytes(bin(a).encode().translate(spread), "big")
-                p *= from_bytes(bin(b).encode().translate(spread), "big")
-                r = int(p.to_bytes(width, "big").translate(parity), 2)
-                h = r >> N
-                return (r & mask) ^ t0[h & wmask] ^ t1[h >> window]
-
-        else:
-
-            def clmul(a: int, b: int) -> int:
-                p = from_bytes(bin(a).encode().translate(spread), "big")
-                p *= from_bytes(bin(b).encode().translate(spread), "big")
-                r = int(p.to_bytes(width, "big").translate(parity), 2)
-                h = r >> N
-                r &= mask
-                for tab in tabs:
-                    r ^= tab[h & wmask]
-                    h >>= window
-                return r
+        def clmul(a: int, b: int) -> int:
+            p = from_bytes(bin(a).encode().translate(spread), "big")
+            p *= from_bytes(bin(b).encode().translate(spread), "big")
+            r = int(p.to_bytes(width, "big").translate(parity), 2)
+            h = r >> N
+            r &= mask
+            for tab in tabs:
+                r ^= tab[h & wmask]
+                h >>= window
+            return r
 
         return clmul
 
@@ -438,13 +412,10 @@ class FieldCtx:
         # runs while self.mul is still the table-less multiply
         raw_mul = self.mul
         factors = _prime_factors(self.order)
-        gen = None
-        for cand in range(2, self.size):
-            if all(self.pow(cand, self.order // p) != 1 for p in factors):
-                gen = cand
-                break
-        if gen is None:  # pragma: no cover - the group is cyclic
-            raise RuntimeError("no multiplicative generator found")
+        # F_{q^N}* is cyclic, so a generator lies in 2 .. q^N - 1
+        gen = next(
+            c for c in range(2, self.size) if all(self.pow(c, self.order // p) != 1 for p in factors)
+        )
         exp = [1] * (2 * self.order - 1)
         log = [-1] * self.size
         v = 1
@@ -635,7 +606,7 @@ class FieldCtx:
             return a
         # sum_j a_j sigma^i(a^j), added up digit by digit
         coeffs = self.coeffs
-        terms = [[d * c for c in coeffs(t)] for t, d in zip(self._frob[i], coeffs(a)) if d]
+        terms = [[d * c for c in coeffs(t)] for t, d in zip(self._moore[i], coeffs(a)) if d]
         return self.from_coeffs(map(sum, zip(*terms)))
 
     def power_basis_images(self, coeffs) -> list[int]:

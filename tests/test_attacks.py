@@ -11,6 +11,7 @@ from gptrank.attacks import (
     REFERENCE_WORK_EXPONENTS,
     SECURITY_THRESHOLD_BITS,
     WORK_FACTOR_NOTE,
+    TrialSummary,
     attack_cost_report,
     attack_public_key,
     default_stack_depth,
@@ -40,6 +41,9 @@ def test_extend_public_key_shape_and_content():
     assert stacked[:2] == M
     assert stacked[2:4] == mat_frobenius(ctx, M, 1)
     assert stacked[6:8] == mat_frobenius(ctx, M, 3)
+    assert extend_public_key(ctx, M, 0) == M
+    with pytest.raises(ParameterError):
+        extend_public_key(ctx, M, -1)
 
 
 def test_stack_of_hidden_code_collapses_without_scrambling():
@@ -79,6 +83,18 @@ def test_distinguisher_on_concatenation_variant():
     assert r_base.verdict == "DISTINGUISHABLE"
     # code part caps at k + u = 11, distortion block adds at most t1 = 1
     assert all(r.observed_rank <= 12 for r in r_base.results)
+
+
+def test_trials_that_disagree_read_mixed():
+    rng = random.Random(87)
+    results = [
+        distinguish_public_key(keygen(GptParams(**DESK, t1=2, scrambler_mode=mode), rng)[0])
+        for mode in ("base_field", "extension_field")
+    ]
+    summary = TrialSummary(GptParams(**DESK, t1=2), 5, results)
+    assert [r.distinguishable for r in results] == [True, False]
+    assert summary.distinguishable_count == 1
+    assert summary.verdict == "MIXED"
 
 
 def test_stack_depth_validation():

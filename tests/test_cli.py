@@ -185,6 +185,16 @@ def test_analyze_table(capsys):
     assert "24" in out and "28" in out
 
 
+def test_analyze_table_with_parameters(capsys):
+    assert run("analyze", "--table", "--preset", "desk-12") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("reference security table")
+    blank = lines.index("")
+    assert lines[blank - 1].startswith("  note: ")
+    assert lines[blank + 1] == "parameters:"
+    assert "code length n: 12" in lines[blank + 3]
+
+
 def test_analyze_parameters(capsys):
     assert run("analyze", "--preset", "paper-28") == 0
     out = capsys.readouterr().out
@@ -348,6 +358,35 @@ def test_ciphertext_key_mismatch_is_format_error(tmp_path):
         "--sext", "1", "--pub", str(p2), "--priv", str(s2), "--seed", "19")
     run("encrypt", "--pub", str(p1), "--in", str(msg), "--out", str(ct), "--seed", "20")
     assert run("decrypt", "--priv", str(s2), "--in", str(ct), "--out", str(tmp_path / "o")) == 4
+
+
+def test_ciphertext_block_length_must_match_the_key(tmp_path, capsys):
+    # a variant-4 key over the desk-12 field has 12 + t1 = 14 public columns
+    p1, s1 = tmp_path / "p1", tmp_path / "s1"
+    p2, s2 = tmp_path / "p2", tmp_path / "s2"
+    msg, ct = tmp_path / "m", tmp_path / "c"
+    msg.write_bytes(b"fourteen wide")
+    run("keygen", "--preset", "desk-12", "--pub", str(p1), "--priv", str(s1), "--seed", "27")
+    run("keygen", "--variant", "4", "--bigN", "12", "--n", "12", "--k", "6", "--t1", "2",
+        "--t2", "1", "--pub", str(p2), "--priv", str(s2), "--seed", "28")
+    run("encrypt", "--pub", str(p2), "--in", str(msg), "--out", str(ct), "--seed", "29")
+    assert load_ciphertext(ct).block_len == 14
+    capsys.readouterr()
+    assert run("decrypt", "--priv", str(s1), "--in", str(ct), "--out", str(tmp_path / "o")) == 4
+    assert "block length does not match" in capsys.readouterr().err
+
+
+def test_declared_message_length_beyond_the_data_is_format_error(tmp_path, capsys):
+    pub, priv = tmp_path / "p", tmp_path / "s"
+    msg, ct = tmp_path / "m", tmp_path / "c"
+    msg.write_bytes(b"short")
+    run("keygen", "--preset", "desk-12", "--pub", str(pub), "--priv", str(priv), "--seed", "30")
+    run("encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(ct),
+        "--format", "json", "--seed", "31")
+    rechecksum_json(ct, lambda d: d.update(msg_len=d["msg_len"] + 1000))
+    capsys.readouterr()
+    assert run("decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(tmp_path / "o")) == 4
+    assert "declared message length exceeds" in capsys.readouterr().err
 
 
 def test_ciphertext_with_a_respelled_modulus_decrypts(tmp_path):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gptrank import gpt
-from gptrank.attacks import distinguisher_trials
+from gptrank.attacks import distinguish_public_key, distinguisher_trials
 from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.gpt import (
     GptParams,
@@ -21,6 +21,7 @@ from gptrank.gpt import (
     public_key_size_bits,
 )
 from gptrank.fields import FieldCtx, get_field
+from gptrank.keyfiles import load_private_key, load_public_key, save_private_key, save_public_key
 from gptrank.linalg import (
     identity_matrix,
     mat_inv,
@@ -140,6 +141,13 @@ def test_variant_field_applicability():
         GptParams(**DESK, t1=1, t2=1, variant=5)  # p required
     with pytest.raises(ParameterError):
         GptParams(**DESK, t1=1, t2=1, variant=6)  # m_cols required
+    with pytest.raises(ParameterError, match="need p < k"):
+        GptParams(**DESK, t1=1, t2=2, variant=5, p=6)
+
+
+def test_code_must_correct_one_error():
+    with pytest.raises(ParameterError, match="n - k >= 2"):
+        GptParams(q=2, N=12, n=12, k=11, t1=1)
 
 
 def test_variant_and_mode_parsing():
@@ -165,6 +173,9 @@ def test_x_ordinary_rank_bounds():
     assert q.x_ordinary_rank == 1
     with pytest.raises(ParameterError):
         GptParams(**DESK, t1=2, t2=1, s_ext=0, variant=4, x_ordinary_rank=3)
+    # t1 = 13 columns of an ordinary-rank-1 block over F_2^12 have F_2-rank <= 12
+    with pytest.raises(ParameterError, match="cannot exceed x_ordinary_rank"):
+        GptParams(**DESK, t1=13, t2=1, variant=4, x_ordinary_rank=1)
     # without a distortion block there is no rank to record in the key header
     with pytest.raises(ParameterError, match="distortion block"):
         GptParams(q=2, N=12, n=12, k=4, t1=0, t2=1, variant=6, m_cols=2, x_ordinary_rank=3)
@@ -347,6 +358,28 @@ def test_roundtrip_base_field_scrambler(params):
         m = rand_message(base, rng)
         c = encrypt(pub, m, rng)
         assert decrypt(priv, c) == m
+
+
+def test_variant6_without_a_distortion_block(tmp_path):
+    # t1 = 0: X2 is the zero block, so the m_cols extra columns carry only the scrambler
+    params = GptParams(**DESK, t1=0, variant=6, t2=2, m_cols=2)
+    assert params.x_ordinary_rank is None and params.pub_cols == 14
+    rng = random.Random(3)
+    pub, priv = keygen(params, rng)
+    for _ in range(20):
+        m = rand_message(params, rng)
+        assert decrypt(priv, encrypt(pub, m, rng)) == m
+    for fmt in ("bin", "hex", "json"):
+        save_public_key(tmp_path / "pub", pub, fmt)
+        save_private_key(tmp_path / "priv", priv, fmt)
+        loaded_pub = load_public_key(tmp_path / "pub")
+        loaded_priv = load_private_key(tmp_path / "priv")
+        assert (loaded_pub.params, loaded_pub.matrix) == (params, pub.matrix)
+        assert (loaded_priv.params, loaded_priv.code.g) == (params, priv.code.g)
+        assert (loaded_priv.S, loaded_priv.P) == (priv.S, priv.P)
+    result = distinguish_public_key(pub)
+    assert (result.u, result.observed_rank, result.full_rank) == (5, 14, 14)
+    assert not result.distinguishable
 
 
 @pytest.mark.parametrize("N", [40, 64])

@@ -10,7 +10,7 @@ import pytest
 
 from gptrank.attacks import attack_public_key
 from gptrank.cli import main
-from gptrank.errors import FormatError
+from gptrank.errors import FormatError, ParameterError
 from gptrank.gpt import GptParams, GptPrivateKey, decrypt, encrypt, keygen, preset
 from gptrank.keyfiles import (
     MAGIC,
@@ -307,6 +307,82 @@ def test_malformed_checksummed_file_is_a_format_error(tmp_path, load, make):
     path.write_text(make())
     with pytest.raises(FormatError):
         load(path)
+
+
+def _repeat_first(text):
+    first, _, *rest = text.split()
+    return " ".join([first, first, *rest])
+
+
+def _copy_first_S_row(doc):
+    doc["S"][1] = doc["S"][0]
+
+
+def _shorten_first_row(doc):
+    doc["matrix"][0] = doc["matrix"][0].rsplit(" ", 1)[0]
+
+
+def bin_append(name, extra):
+    """A golden bin file with ``extra`` appended to its payload and the sha256 trailer redone."""
+    payload = (GOLDEN / name).read_bytes()[:-32] + extra
+    return payload + hashlib.sha256(payload).digest()
+
+
+# each loader check, reached by a file whose checksum holds
+REFUSED = [
+    pytest.param(
+        load_private_key,
+        lambda: json_edit("desk12.private.json", lambda d: d.update(g=_repeat_first(d["g"]))),
+        "invalid code vector",
+        id="json-private-g-repeats-an-entry",
+    ),
+    pytest.param(
+        load_private_key,
+        lambda: json_edit("desk12.private.json", _copy_first_S_row),
+        "row scrambler is singular",
+        id="json-private-S-two-equal-rows",
+    ),
+    pytest.param(
+        load_public_key,
+        lambda: json_edit("desk12.public.json", _shorten_first_row),
+        "expected 12 elements per row",
+        id="json-public-row-one-element-short",
+    ),
+    pytest.param(
+        load_public_key,
+        lambda: bin_append("desk12.public.bin", bytes(4)),
+        "trailing bytes after the public data",
+        id="bin-public-4-trailing-bytes",
+    ),
+    pytest.param(
+        load_public_key, lambda: '{"a": 1}', "not a recognized json key file", id="json-foreign"
+    ),
+]
+
+
+@pytest.mark.parametrize("load, make, reason", REFUSED)
+def test_loader_check_names_its_reason(tmp_path, load, make, reason):
+    data = make()
+    path = tmp_path / "refused"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    with pytest.raises(FormatError, match=reason):
+        load(path)
+
+
+def test_unknown_save_format_is_a_parameter_error(tmp_path, keypair):
+    with pytest.raises(ParameterError, match="unknown file format"):
+        save_public_key(tmp_path / "pub.xml", keypair[0], "xml")
+    assert not (tmp_path / "pub.xml").exists()
+
+
+def test_ciphertext_blocks_must_match_a_positive_block_len(tmp_path):
+    ct = make_ct(preset("desk-12"), random.Random(95))
+    with pytest.raises(ParameterError, match="must not be empty"):
+        replace(ct, block_len=0)
+    ct.blocks[1] = ct.blocks[1][:-1]  # 11 entries against block_len 12
+    for fmt in FORMATS:
+        with pytest.raises(ParameterError, match="disagree with block_len"):
+            save_ciphertext(tmp_path / "ct", ct, fmt)
 
 
 # json.loads itself fails on these, with errors other than JSONDecodeError
