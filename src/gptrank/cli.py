@@ -11,13 +11,14 @@ Subcommands:
 * ``attack``: run the extended-rank distinguisher against a public key
   file and report the security verdict.
 
-Exit codes: 0 success, 2 bad parameters or usage, 3 decoding failure,
-4 malformed or mismatched files.
+Exit codes: 0 success, or standard output closed early (``| head``); 2 bad
+parameters or usage; 3 decoding failure; 4 malformed or mismatched files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import replace
@@ -56,6 +57,16 @@ EXIT_OK = 0
 EXIT_PARAMS = 2
 EXIT_DECODE = 3
 EXIT_FORMAT = 4
+
+# exception -> (stderr label, exit code); the first match wins, so subclasses come first
+_FAILURES = {
+    DecodeFailure: ("decoding failed", EXIT_DECODE),
+    FormatError: ("bad file", EXIT_FORMAT),
+    ParameterError: ("bad parameters", EXIT_PARAMS),
+    BrokenPipeError: (None, EXIT_OK),  # a closed stdout is no failure
+    OSError: ("file error", EXIT_FORMAT),
+    ValueError: ("bad input", EXIT_PARAMS),
+}
 
 _COST_LABELS = {
     "basis_enumeration": "support basis enumeration",
@@ -159,12 +170,6 @@ def _params_from_args(args) -> GptParams:
     return GptParams(**over)
 
 
-def _mode_twin(params: GptParams) -> GptParams:
-    if params.scrambler_mode == ScramblerMode.EXTENSION_FIELD:
-        return replace(params, scrambler_mode=ScramblerMode.BASE_FIELD, s_ext=0)
-    return replace(params, scrambler_mode=ScramblerMode.EXTENSION_FIELD, s_ext=None)
-
-
 def _describe_params(params: GptParams) -> str:
     bits = public_key_size_bits(params)
     lines = [
@@ -253,39 +258,45 @@ def _print_table() -> None:
     print(f"  {WORK_FACTOR_NOTE}")
 
 
-def _print_simulation(params: GptParams, trials: int, u, seed) -> None:
-    rng = _rng(seed)
-    print(f"distinguisher simulation ({trials} fresh keys per mode):")
-    for pp in (params, _mode_twin(params)):
-        summary = distinguisher_trials(pp, trials=trials, u=u, rng=rng)
+def _simulation_report(params: GptParams, args) -> str:
+    """Distinguisher trials on fresh keys of params and of its twin, as text."""
+    # the twin switches the scrambler family and leaves s_ext to GptParams
+    (other,) = set(ScramblerMode) - {params.scrambler_mode}
+    twin = replace(params, scrambler_mode=other, s_ext=None)
+    rng = _rng(args.seed)
+    lines = [f"distinguisher simulation ({args.trials} fresh keys per mode):"]
+    for pp in (params, twin):
+        summary = distinguisher_trials(pp, trials=args.trials, u=args.u, rng=rng)
         first = summary.results[0]
         ranks = " ".join(str(r) for r in summary.observed_ranks)
-        print(
+        lines.append(
             f"  {pp.scrambler_mode.value:15s} u={summary.u}"
             f" observed ranks [{ranks}] full {first.full_rank}"
             f" base-field ceiling {first.leak_bound} -> {summary.verdict}"
         )
+    return "\n".join(lines)
 
 
 def _cmd_analyze(args) -> int:
-    has_params = bool(args.preset or _param_overrides(args))
-    if not has_params and not args.table:
+    params = _params_from_args(args) if args.preset or _param_overrides(args) else None
+    if params is None and not args.table:
         raise ParameterError("nothing to analyze: give parameters, --preset, or --table")
+    # the trials run first, so a refused --trials or --u prints nothing
+    simulation = _simulation_report(params, args) if params and args.simulate else None
     if args.table:
         _print_table()
-    if not has_params:
+    if params is None:
         return EXIT_OK
-    params = _params_from_args(args)
     if args.table:
         print()
     print(_describe_params(params))
     costs = attack_cost_report(params)
     _print_costs(costs)
-    structurally_leaky = params.scrambler_mode == ScramblerMode.BASE_FIELD
-    status, reason = security_status(costs, structurally_leaky)
+    # with no extension-field columns, P^-1's kept block lies over F_q
+    status, reason = security_status(costs, params.s_ext == 0)
     print(f"status: {status} ({reason})")
-    if args.simulate:
-        _print_simulation(params, trials=args.trials, u=args.u, seed=args.seed)
+    if simulation:
+        print(simulation)
     return EXIT_OK
 
 
@@ -361,22 +372,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except DecodeFailure as exc:
-        print(f"decoding failed: {exc}", file=sys.stderr)
-        return EXIT_DECODE
-    except FormatError as exc:
-        print(f"bad file: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ParameterError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ValueError as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except tuple(_FAILURES) as exc:
+        label, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+        if label is None:  # send what is left of stdout nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        else:
+            print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -226,11 +226,9 @@ def default_modulus(q: int, N: int) -> tuple[int, ...]:
     field.  Coefficients are returned constant term first.
     """
     _check_field(q, N)
-    for low in range(1, q**N):
-        coeffs = _digits(low, q, N) + (1,)
-        if coeffs[0] and is_irreducible(q, coeffs):  # coeffs[0] == 0: divisible by x
-            return coeffs
-    raise RuntimeError(f"no irreducible of degree {N} over F_{q} found")
+    # F_q has an irreducible of every degree, so the search ends; c[0] == 0: divisible by x
+    monic = (_digits(low, q, N) + (1,) for low in range(1, q**N))
+    return next(c for c in monic if c[0] and is_irreducible(q, c))
 
 
 @cache
@@ -661,20 +659,6 @@ class FieldCtx:
 
     # -- identity ------------------------------------------------------------
 
-    def modulus_str(self) -> str:
-        terms = []
-        for i in range(self.N, -1, -1):
-            c = self.modulus[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("x" if c == 1 else f"{c}*x")
-            else:
-                terms.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
-        return " + ".join(terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldCtx)
@@ -687,7 +671,7 @@ class FieldCtx:
         return hash((self.q, self.N, self.modulus))
 
     def __repr__(self) -> str:
-        return f"FieldCtx(q={self.q}, N={self.N}, modulus={self.modulus_str()})"
+        return f"FieldCtx(q={self.q}, N={self.N}, modulus={self.modulus})"
 
 
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...]], FieldCtx] = {}

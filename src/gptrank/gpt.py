@@ -73,6 +73,23 @@ __all__ = [
 _MAX_DRAWS = 200
 
 
+def _parse_member(cls, value, what: str):
+    """The member of the enum cls that value spells, else ParameterError."""
+    if isinstance(value, cls):
+        return value
+    try:  # the exact value first: every key load passes one
+        return cls(value)
+    except ValueError:
+        name = str(value).strip().upper().replace("-", "_")
+    # the name in any case, with - for _; a variant's number; or a compatibility spelling
+    name = next((m.name for m in cls if name.isdigit() and m == int(name)), name)
+    name = {"BASE": "BASE_FIELD", "EXTENSION_FIELD_V": "EXTENSION_FIELD"}.get(name, name)
+    try:
+        return cls[name]
+    except KeyError:
+        raise ParameterError(f"unknown {what} {value!r}") from None
+
+
 class Variant(enum.IntEnum):
     SIMPLE = 3
     EXTENDED = 4
@@ -81,19 +98,7 @@ class Variant(enum.IntEnum):
 
     @classmethod
     def parse(cls, value) -> "Variant":
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, int):
-            try:
-                return cls(value)
-            except ValueError:
-                raise ParameterError(f"unknown variant number {value}") from None
-        name = str(value).strip().upper().replace("-", "_")
-        if name in cls.__members__:
-            return cls.__members__[name]
-        if name.isdigit():
-            return cls.parse(int(name))
-        raise ParameterError(f"unknown variant {value!r}")
+        return _parse_member(cls, value, "variant")
 
 
 class ScramblerMode(str, enum.Enum):
@@ -102,15 +107,7 @@ class ScramblerMode(str, enum.Enum):
 
     @classmethod
     def parse(cls, value) -> "ScramblerMode":
-        if isinstance(value, cls):
-            return value
-        name = str(value).strip().lower()
-        if name in ("base_field", "base"):
-            return cls.BASE_FIELD
-        # the _V spelling is accepted for interface compatibility
-        if name in ("extension_field", "extension_field_v"):
-            return cls.EXTENSION_FIELD
-        raise ParameterError(f"unknown scrambler mode {value!r}")
+        return _parse_member(cls, value, "scrambler mode")
 
 
 # the least value of each count a variant takes; a count it does not take must be 0

@@ -271,16 +271,11 @@ def _gf2_echelon(rows):
 # -- linear algebra over the base field ----------------------------------------
 
 
-def _coord_matrix(ctx, elems):
-    """The F_q matrix whose column j holds the coordinates of elems[j]."""
-    return [list(row) for row in zip(*map(ctx.coeffs, elems))]
-
-
 def rank_over_base(ctx, vec):
     """Number of entries of vec linearly independent over F_q."""
     if ctx.q == 2:
         return len(_gf2_echelon(vec))
-    return rank_ext(ctx, _coord_matrix(ctx, vec))
+    return rank_ext(ctx, list(map(ctx.coeffs, vec)))  # the transpose has the same rank
 
 
 def column_rank_over_base(ctx, M):
@@ -302,7 +297,7 @@ def base_relations(ctx, vec):
     i-th entry of vec that depends on the entries before it.
     """
     if ctx.q != 2:
-        return ext_nullspace(ctx, _coord_matrix(ctx, vec))
+        return ext_nullspace(ctx, [list(row) for row in zip(*map(ctx.coeffs, vec))])
     # Tag entry j with bit j below its coordinates.  Entry j whose
     # coordinates eliminate to zero leaves the row led by tag bit j: its
     # own bit plus tags of independent earlier entries, never another

@@ -123,10 +123,7 @@ class LinPoly:
         return hash((self.ctx, self.coeffs))
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "LinPoly(0)"
-        terms = [f"{a}*x^[{i}]" for i, a in enumerate(self.coeffs) if a]
-        return "LinPoly(" + " + ".join(terms) + ")"
+        return f"LinPoly({' + '.join(f'{a}*x^[{i}]' for i, a in enumerate(self.coeffs) if a) or 0})"
 
 
 def lp_eea(A: LinPoly, B: LinPoly, stop_degree: int) -> tuple[LinPoly, LinPoly]:

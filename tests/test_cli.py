@@ -172,6 +172,16 @@ def test_base_field_mode_flag_drops_sext(tmp_path):
                "--pub", str(pub), "--priv", str(priv), "--seed", "8") == 0
 
 
+def test_dashed_mode_spelling_makes_the_same_key(tmp_path):
+    keys = []
+    for mode in ("base_field", "base-field"):
+        pub, priv = tmp_path / f"{mode}.p", tmp_path / f"{mode}.s"
+        assert run("keygen", "--preset", "desk-12", "--mode", mode, "--variant", "simple",
+                   "--pub", str(pub), "--priv", str(priv), "--seed", "8") == 0
+        keys.append((pub.read_bytes(), priv.read_bytes()))
+    assert keys[0] == keys[1]
+
+
 # -- analyze and attack output ------------------------------------------------
 
 
@@ -208,6 +218,15 @@ def test_analyze_base_field_flagged_insecure(capsys):
     out = capsys.readouterr().out
     assert "status: insecure" in out
     assert "distinguisher" in out
+
+
+def test_analyze_flags_an_extension_field_key_without_extension_columns(capsys):
+    # s_ext = 0 leaves P^-1's kept block over F_q, as a base-field scrambler does;
+    # a seed-1 key with these flags reads DISTINGUISHABLE under attack
+    assert run("analyze", "--preset", "paper-28", "--t1", "7", "--sext", "0") == 0
+    out = capsys.readouterr().out
+    assert "scrambler: extension_field (extension columns s_ext: 0)" in out
+    assert "status: insecure (the extended-rank distinguisher separates this key" in out
 
 
 def test_unseeded_commands_draw_from_the_os_csprng(tmp_path, monkeypatch):
@@ -258,7 +277,16 @@ def test_analyze_simulate_refuses_depth_before_keygen(monkeypatch, capsys):
 
     monkeypatch.setattr(attacks, "keygen", no_keygen)
     assert run("analyze", "--preset", "desk-12", "--simulate", "--u", "99") == 2
-    assert "stack depth u must lie in [1, 11]" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "stack depth u must lie in [1, 11]" in captured.err
+    assert captured.out == ""
+
+
+def test_analyze_simulate_refuses_no_trials_before_printing(capsys):
+    assert run("analyze", "--preset", "desk-12", "--table", "--simulate", "--trials", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "bad parameters: need at least one trial\n"
+    assert captured.out == ""
 
 
 def test_analyze_without_work_is_an_error(capsys):
@@ -434,3 +462,24 @@ def test_unknown_scrambler_mode_exits_2_without_traceback(tmp_path):
     assert "unknown scrambler mode 'extension'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not pub.exists() and not priv.exists()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_0_quietly(buffered):
+    # the read end closes before the command writes a byte, so every write to
+    # stdout fails: at the flush in main when buffered, at the first print when not
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=path, **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gptrank.cli", "analyze", "--table", "--preset", "desk-12"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Exception ignored" not in proc.stderr and "file error" not in proc.stderr
+    assert proc.stderr == ""

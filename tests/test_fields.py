@@ -423,3 +423,28 @@ def test_field_identity_cache():
     assert get_field(2, 12) is get_field(2, 12)
     assert get_field(2, 12) == FieldCtx(2, 12)
     assert get_field(2, 12) != get_field(2, 13)
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: is_irreducible(4, (1, 1, 1)), (ValueError, "q must be prime, got 4")),
+        (lambda: is_irreducible(2, (1,)), False),  # units are not irreducible
+        (lambda: is_irreducible(3, (2, 0)), False),  # trims to the constant 2
+        (lambda: is_irreducible(2, (1, 1)), True),  # every degree-1 polynomial is
+        (lambda: get_field(2, 8).inv(0), (ZeroDivisionError, "0 has no multiplicative inverse")),
+        (lambda: get_field(3, 5).from_coeffs([1] * 6),
+         (ValueError, "expected at most 5 coordinates, got 6")),
+        (lambda: hash(FieldCtx(2, 12)) == hash(get_field(2, 12)), True),
+        (lambda: repr(get_field(2, 4)), "FieldCtx(q=2, N=4, modulus=(1, 1, 0, 0, 1))"),
+    ],
+    ids=["composite q", "constant", "constant over F_3", "x + 1", "inverse of 0",
+         "N + 1 coordinates", "hash of the cached field", "repr"],
+)
+def test_field_edge_cases(call, outcome):
+    if isinstance(outcome, tuple):
+        kind, message = outcome
+        with pytest.raises(kind, match=f"^{message}$"):
+            call()
+    else:
+        assert call() == outcome

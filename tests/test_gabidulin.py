@@ -202,3 +202,10 @@ def test_full_length_codes_never_fail_at_locations():
         except DecodeFailure as exc:
             stages.add(exc.stage)
     assert stages == {"span", "codeword"}
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_encode_refuses_a_message_of_the_wrong_length(length):
+    code = GabidulinCode.random(get_field(2, 12), 12, 6, random.Random(53))
+    with pytest.raises(ParameterError, match=f"^message length must be 6, got {length}$"):
+        code.encode([1] * length)

@@ -23,6 +23,7 @@ from gptrank.gpt import (
 from gptrank.fields import FieldCtx, get_field
 from gptrank.keyfiles import load_private_key, load_public_key, save_private_key, save_public_key
 from gptrank.linalg import (
+    column_rank_over_base,
     identity_matrix,
     mat_inv,
     mat_mul,
@@ -166,6 +167,52 @@ def test_variant_and_mode_parsing():
         ScramblerMode.parse("ext??")
 
 
+SPELLINGS = [
+    (Variant, Variant.TWO_DISTORTION, Variant.TWO_DISTORTION),
+    (Variant, 3, Variant.SIMPLE),
+    (Variant, "5", Variant.RECTANGULAR_S),
+    (Variant, " 06 ", Variant.TWO_DISTORTION),
+    (Variant, "extended", Variant.EXTENDED),
+    (Variant, "Rectangular-S", Variant.RECTANGULAR_S),
+    (Variant, "two-distortion", Variant.TWO_DISTORTION),
+    (ScramblerMode, ScramblerMode.BASE_FIELD, ScramblerMode.BASE_FIELD),
+    (ScramblerMode, "base_field", ScramblerMode.BASE_FIELD),
+    (ScramblerMode, "extension_field", ScramblerMode.EXTENSION_FIELD),
+    (ScramblerMode, " BASE_FIELD ", ScramblerMode.BASE_FIELD),
+    (ScramblerMode, "base-field", ScramblerMode.BASE_FIELD),
+    (ScramblerMode, "Extension-Field", ScramblerMode.EXTENSION_FIELD),
+    (ScramblerMode, "Base", ScramblerMode.BASE_FIELD),
+    (ScramblerMode, "extension_field_v", ScramblerMode.EXTENSION_FIELD),
+]
+
+
+@pytest.mark.parametrize("enum, spelling, member", SPELLINGS)
+def test_every_spelling_parses_to_its_member(enum, spelling, member):
+    assert enum.parse(spelling) is member
+
+
+@pytest.mark.parametrize(
+    "enum, spelling, message",
+    [
+        (Variant, 7, "unknown variant 7"),
+        (Variant, "2", "unknown variant '2'"),
+        (Variant, "base", "unknown variant 'base'"),
+        (ScramblerMode, "3", "unknown scrambler mode '3'"),
+        (ScramblerMode, "simple", "unknown scrambler mode 'simple'"),
+        (ScramblerMode, "extension", "unknown scrambler mode 'extension'"),
+    ],
+)
+def test_unknown_spellings_are_named(enum, spelling, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        enum.parse(spelling)
+
+
+def test_parsing_adds_no_members_and_files_keep_the_value_spelling():
+    assert list(ScramblerMode) == [ScramblerMode.BASE_FIELD, ScramblerMode.EXTENSION_FIELD]
+    params = GptParams(**DESK, t1=2, scrambler_mode="base-field")
+    assert params.scrambler_mode.value == "base_field"
+
+
 def test_x_ordinary_rank_bounds():
     p = GptParams(**DESK, t1=2, t2=1, s_ext=0, variant=4)
     assert p.x_ordinary_rank == 2
@@ -292,6 +339,39 @@ def test_base_field_scrambler_is_base_field():
     P, P_inv = build_scrambler(ctx, 12, 0, rng, base_field=True)
     assert all(v < ctx.q for M in (P, P_inv) for row in M for v in row)
     assert mat_mul(ctx, P, P_inv) == identity_matrix(12)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(size=12, s_ext=0, kept=0), "kept block size out of range"),
+        (dict(size=12, s_ext=0, kept=13), "kept block size out of range"),
+        (dict(size=12, s_ext=1, base_field=True), "a base-field scrambler has no extension-field"),
+        (dict(size=12, s_ext=5, kept=4), r"s_ext must lie in \[0, 4\]"),
+    ],
+    ids=["kept 0", "kept size + 1", "base field with s_ext", "s_ext over kept"],
+)
+def test_scrambler_refusals_name_their_reason(kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        build_scrambler(get_field(2, 12), rng=random.Random(66), **kwargs)
+
+
+def test_distortion_block_failing_the_column_rank_is_redrawn(monkeypatch):
+    # at seed 32 the first C of this key has column rank 1 over F_q, not 2
+    ranks = []
+
+    def counting_rank(ctx, M):
+        ranks.append(column_rank_over_base(ctx, M))
+        return ranks[-1]
+
+    monkeypatch.setattr(gpt, "column_rank_over_base", counting_rank)
+    params = GptParams(q=2, N=8, n=8, k=2, t1=2, variant=6, t2=1, m_cols=1,
+                       x_ordinary_rank=1, s_ext=0)
+    rng = random.Random(32)
+    pub, priv = keygen(params, rng)
+    assert ranks == [1, 2]
+    m = rand_message(params, rng)
+    assert decrypt(priv, encrypt(pub, m, rng)) == m
 
 
 def test_scrambled_error_rank_obeys_budget():

@@ -19,6 +19,7 @@ from gptrank.linalg import (
     ext_nullspace,
     identity_matrix,
     independent_elements,
+    mat_add,
     mat_inv,
     mat_mul,
     random_full_row_rank,
@@ -29,6 +30,7 @@ from gptrank.linalg import (
     sample_error_decomposed,
     solve_linear,
     transpose,
+    vec_add,
     vec_mat_mul,
     vec_sub,
 )
@@ -504,3 +506,34 @@ def test_fixed_matrix_keeps_its_kernel_and_equals_its_rows(q, N):
     assert kernel is not None
     assert got == [vec_mat_mul(ctx, v, rows) for v in vs]
     assert mat_mul(ctx, vs, fixed) == got and fixed.times is kernel
+
+
+F = get_field(2, 8)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: vec_add(F, [1, 2], [1, 2, 3]), "length mismatch: 2 vs 3"),
+        (lambda: vec_sub(F, [1, 2, 3], [1]), "length mismatch: 3 vs 1"),
+        (lambda: vec_mat_mul(F, [1, 2], [[1], [2], [3]]),
+         "dimension mismatch: vector 2, matrix 3 rows"),
+        (lambda: mat_mul(F, [[1, 2]], [[1], [2], [3]]), "dimension mismatch: 2 cols vs 3 rows"),
+        (lambda: mat_add(F, [[1, 2]], [[1, 2], [3, 4]]), "shape mismatch"),
+        (lambda: mat_add(F, [[1, 2]], [[1, 2, 3]]), "shape mismatch"),
+        (lambda: concat_cols([[1]], [[1], [2]]), "row-count mismatch"),
+        (lambda: solve_linear(F, [[1, 0], [0, 1]], [1]), "dimension mismatch"),
+        (lambda: mat_inv(F, [[1, 0, 0], [0, 1, 0]]), "matrix must be square"),
+        (lambda: random_full_row_rank(F, 3, 2, random.Random(1)),
+         "cannot have row rank 3 with only 2 columns"),
+    ],
+    ids=["vec_add", "vec_sub", "vec_mat_mul", "mat_mul", "mat_add rows", "mat_add cols",
+         "concat_cols", "solve_linear", "mat_inv", "random_full_row_rank"],
+)
+def test_shape_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_null_space_of_no_rows_is_empty():
+    assert ext_nullspace(F, []) == []

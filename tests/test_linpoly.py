@@ -178,3 +178,10 @@ def test_scale_and_add():
     x = ctx.rand_elem(rng)
     assert S(x) == ctx.mul(c, A(x))
     assert A.add(A).is_zero()  # characteristic two
+
+
+def test_equal_polynomials_hash_alike_and_print_their_terms():
+    A = LinPoly(ctx, [0, 3, 0, 1, 0])
+    assert hash(A) == hash(LinPoly(ctx, (0, 3, 0, 1))) and len({A, LinPoly(ctx, [0, 3, 0, 1])}) == 1
+    assert repr(A) == "LinPoly(3*x^[1] + 1*x^[3])"
+    assert repr(LinPoly.zero(ctx)) == "LinPoly(0)"
