@@ -9,11 +9,16 @@ commutation, and the same measurement reads full rank.
 The collapse is not cosmetic: once the stacked matrix is rank deficient
 its kernel hands over the secret code, which is the classical break of
 base-field scrambling.
+
+The stack need not be built to be ranked: sigma fixes the identity block
+of the reduced echelon form, so the images beyond the first add only the
+rank of the shallower stack of the differences sigma(A) - A of its free
+block A, and stacked_rank repeats that on ever smaller blocks.
 """
 
 import random
 
-from gptrank import GptParams, distinguisher_trials, extend_public_key, keygen, rank_ext
+from gptrank import GptParams, distinguisher_trials, keygen, stacked_rank
 
 rng = random.Random(44)
 DESK = dict(q=2, N=12, n=12, k=6, t1=2)
@@ -26,7 +31,7 @@ pub, _ = keygen(base, rng)
 ctx = base.field()
 print("one base-field key, growing the stack:")
 for u in range(0, 6):
-    r = rank_ext(ctx, extend_public_key(ctx, pub.matrix, u))
+    r = stacked_rank(ctx, pub.matrix, u)
     full = min((u + 1) * base.k, base.n)
     marker = "  <- stuck at k + u" if r < full else ""
     print(f"  u = {u}: rank {r:2d} of {full}{marker}")

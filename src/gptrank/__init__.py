@@ -18,6 +18,7 @@ from .attacks import (
     example_security_table,
     extend_public_key,
     security_status,
+    stacked_rank,
 )
 from .errors import DecodeFailure, FormatError, GptRankError, ParameterError
 from .fields import FieldCtx, default_modulus, get_field, is_irreducible, is_prime
@@ -106,5 +107,6 @@ __all__ = [
     "save_private_key",
     "save_public_key",
     "security_status",
+    "stacked_rank",
     "__version__",
 ]

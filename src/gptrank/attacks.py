@@ -14,6 +14,11 @@ the full rank min((u + 1) * rows, cols).  A collapsed rank is the entry
 point for recovering the private code row space, so "distinguishable"
 here means structurally broken.
 
+stacked_rank measures that rank without building the stack: a reduced
+echelon pass gives the rank of G, and the rest is the rank of a stack one
+level shallower on sigma(A) - A, A being the non-pivot block.  The blocks
+shrink at every level.
+
 The module also carries work-factor estimates for the generic decoding
 attacks (log2 of the operation count).
 """
@@ -26,10 +31,11 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError
 from .gpt import GptParams, GptPublicKey, keygen, preset, public_key_size_bits
-from .linalg import _rref, mat_frobenius, rank_ext
+from .linalg import _rref, mat_frobenius, rank_ext, vec_sub
 
 __all__ = [
     "extend_public_key",
+    "stacked_rank",
     "DistinguisherResult",
     "distinguish_public_key",
     "TrialSummary",
@@ -56,6 +62,32 @@ def extend_public_key(ctx, matrix, u: int):
     for i in range(1, u + 1):
         stacked.extend(mat_frobenius(ctx, matrix, i))
     return stacked
+
+
+def stacked_rank(ctx, M, u: int) -> int:
+    """rank_ext(ctx, extend_public_key(ctx, M, u)), without building the stack."""
+    if u < 0:
+        raise ParameterError("u must be non-negative")
+    # R = the r nonzero rows of the reduced echelon form of M, A = its
+    # non-pivot block.  sigma^i maps row spaces to row spaces, so the stacks
+    # of R and M have one rank.  sigma fixes 0 and 1, so sigma^i(R) - R is 0
+    # on R's identity block and sigma^i(A) - A elsewhere, and the stack has
+    # rank r + rank([sigma^i(A) - A for i = 1..u]).  With D = sigma(A) - A,
+    # sigma^i(A) - A = sum_{j<i} sigma^j(D), a block-unitriangular
+    # recombination of [D; ...; sigma^(u-1)(D)], so that rank is the rank
+    # of the depth-(u - 1) stack of D's nonzero rows.  Each pass keeps
+    # total + rank(stack_u(M)) fixed; the return reads it where the stack
+    # is trivial.
+    total = 0
+    while u and M:
+        work, pivots = _rref(ctx, M)
+        total += len(pivots)
+        R = work[: len(pivots)]
+        A = [[x for c, x in enumerate(row) if c not in pivots] for row in R]
+        D = (vec_sub(ctx, sa, a) for sa, a in zip(mat_frobenius(ctx, A), A))
+        M = [row for row in D if any(row)]
+        u -= 1
+    return total + rank_ext(ctx, extend_public_key(ctx, M, u))
 
 
 @dataclass(frozen=True)
@@ -96,18 +128,14 @@ def _stack_depth(params: GptParams, u: int | None) -> int:
 def distinguish_public_key(pub: GptPublicKey, u: int | None = None) -> DistinguisherResult:
     """Measure the stacked rank of one public key and compare with full rank.
 
-    The stack is built from the nonzero rows R of the reduced echelon form
-    of the public matrix G, which leaves its rank unchanged: R = T G for an
-    invertible T, so sigma^i(R) = sigma^i(T) sigma^i(G) spans the same rows
-    as sigma^i(G).  sigma fixes 0 and 1, so every sigma^i(R) keeps R's
-    identity columns, and the elimination finds each of R's pivots with
-    only the u rows below it to clear.
+    stacked_rank ranks [G; sigma(G); ...; sigma^u(G)] level by level: the
+    reduced echelon form of G gives its rank, and sigma(A) - A, for its
+    non-pivot block A, carries the rest one level shallower.  No level
+    builds or eliminates the (u + 1) * rows stack.
     """
     params = pub.params
     u = _stack_depth(params, u)
-    ctx = params.field()
-    work, pivots = _rref(ctx, pub.matrix)
-    observed = rank_ext(ctx, extend_public_key(ctx, work[: len(pivots)], u))
+    observed = stacked_rank(params.field(), pub.matrix, u)
     full = min((u + 1) * params.pub_rows, params.pub_cols)
     return DistinguisherResult(
         u=u,

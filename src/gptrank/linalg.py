@@ -18,7 +18,7 @@ Over F_{q^N} there is one elimination loop, _eliminate.  rank_ext runs it
 forward only: each pivot clears the rows below, and a pivot in the last
 column clears nothing.  _rref runs it fully reduced, for null spaces,
 solves and inverses; its nonzero rows are a reduced basis of the row space
-(the distinguisher stacks them in place of the public matrix).  The loop
+(the distinguisher's stacked_rank recurses on their free block).  The loop
 never sees an entry directly: the field chooses its row format when it is
 built (ctx.pack_row, ctx.unpack_row), reads a column (ctx.column) and
 updates rows (ctx.submul_row) in that format.

@@ -20,13 +20,14 @@ from gptrank.attacks import (
     example_security_table,
     extend_public_key,
     security_status,
+    stacked_rank,
 )
 from gptrank.errors import ParameterError
 from gptrank.fields import get_field
-from gptrank.gabidulin import GabidulinCode
+from gptrank.gabidulin import GabidulinCode, moore_matrix
 from gptrank.gpt import GptParams, keygen, preset
 from gptrank.keyfiles import load_public_key
-from gptrank.linalg import mat_frobenius, rank_ext
+from gptrank.linalg import independent_elements, mat_frobenius, random_matrix, rank_ext
 
 DESK = dict(q=2, N=12, n=12, k=6)
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +55,41 @@ def test_stack_of_hidden_code_collapses_without_scrambling():
     for u in range(0, 5):
         stacked = extend_public_key(ctx, code.G, u)
         assert rank_ext(ctx, stacked) == min(3 + u, 8)
+
+
+def reference_matrices(ctx, rng):
+    """Named matrices whose stacks grow, collapse or repeat in different ways."""
+    full = random_matrix(ctx, 3, 8, rng)
+    base = random_matrix(ctx, 3, 8, rng, base_field=True)
+    return {
+        "full": full,
+        "base field": base,  # sigma fixes every entry: the stack collapses
+        "base field plus one column": [row + [ctx.rand_elem(rng)] for row in base],
+        "repeated row": full + [full[1]],
+        "zero row": full[:2] + [[0] * 8] + full[2:],
+        "zero column": [row[:4] + [0] + row[4:] for row in full],
+        "1 x 1": random_matrix(ctx, 1, 1, rng),
+        "more rows than columns": random_matrix(ctx, 6, 3, rng),
+        # the stack of a Moore matrix grows by one row per level
+        "moore": moore_matrix(ctx, independent_elements(ctx, min(ctx.N, 8), rng), 2),
+    }
+
+
+@pytest.mark.parametrize("q, N", [(2, 12), (2, 28), (2, 40), (3, 5), (5, 3)])
+def test_stacked_rank_equals_rank_of_built_stack(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(89 + N)
+    for name, M in reference_matrices(ctx, rng).items():
+        # u = N and beyond: sigma^N is the identity, so the stack repeats
+        for u in range(N + 2):
+            built = rank_ext(ctx, extend_public_key(ctx, M, u))
+            assert stacked_rank(ctx, M, u) == built, (name, u)
+
+
+def test_stacked_rank_refuses_negative_depth_before_any_work():
+    unusable = object()  # any field operation or row access on it raises
+    with pytest.raises(ParameterError):
+        stacked_rank(unusable, unusable, -1)
 
 
 def test_distinguisher_separates_the_two_scrambler_families():
@@ -122,7 +158,7 @@ def test_distinguisher_trials_checks_depth_before_drawing_a_key():
 
 
 # every depth 1..N-1, pinned from rank_ext(extend_public_key(G_pub, u)) on
-# the raw public matrix, before the distinguisher stacked its echelon form
+# the raw public matrix, before the distinguisher ranked it by stacked_rank
 GOLDEN_PROFILES = {
     "basefield": [7, 8, 9, 10, 11] + [12] * 6,
     "desk12": [8, 9, 10, 11] + [12] * 7,
@@ -149,6 +185,8 @@ def test_rank_profile_of_golden_public_keys(name):
         GptParams(**DESK, t1=2, scrambler_mode="base_field"),
         GptParams(q=3, N=6, n=6, k=2, t1=1, s_ext=1),
         GptParams(q=2, N=14, n=12, k=6, t1=2, s_ext=1),  # n < N
+        GptParams(**DESK, t1=1, t2=2, p=1, s_ext=1, variant=5),
+        GptParams(q=2, N=14, n=14, k=6, t1=2, t2=1, m_cols=2, s_ext=1, x_ordinary_rank=1, variant=6),
     ],
 )
 def test_echelon_stack_rank_equals_raw_stack_rank(params):
