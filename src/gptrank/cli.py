@@ -73,6 +73,7 @@ _COST_LABELS = {
     "coordinate_enumeration": "support coordinate enumeration",
     "polynomial_reconstruction": "map reconstruction",
     "brute_force": "rank component brute force",
+    "message_enumeration": "message enumeration",
 }
 
 

@@ -1,15 +1,17 @@
 """The GPT public-key cryptosystem over Gabidulin codes.
 
-The public key is a disguised generator matrix.  Four layouts are
-supported, named by their classical variant numbers:
+The public key is a disguised generator matrix G_pub = S [X1 | G + X2] P:
+X1 fills the ``kept_offset`` columns left of the k x n Gabidulin generator
+G, and X2 lies on G.  The variants, named by their classical numbers,
+differ only in X1, X2 and S:
 
-* ``SIMPLE`` (3): G_pub = S G P, ciphertext error of rank exactly t1.
-* ``EXTENDED`` (4): G_pub = S [X | G] P with a k x t1 distortion block X of
-  column rank t1 over F_q; ciphertext error of rank exactly t2.
+* ``SIMPLE`` (3): no X1 and X2 = 0; ciphertext error of rank exactly t1.
+* ``EXTENDED`` (4): X1 is k x t1 of column rank t1 over F_q and X2 = 0;
+  ciphertext error of rank exactly t2.
 * ``RECTANGULAR_S`` (5): as EXTENDED but S is (k - p) x k of full row rank,
   so plaintexts are shorter than k.
-* ``TWO_DISTORTION`` (6): G_pub = S ([O | G] + [X1 | X2]) P where X1 is an
-  arbitrary k x m_cols block and X2 is k x n of column rank t1 over F_q.
+* ``TWO_DISTORTION`` (6): X1 is an arbitrary k x m_cols block and X2 is
+  k x n of column rank t1 over F_q.
 
 The column scrambler P comes in two flavours.  With ``base_field`` every
 entry of P lies in F_q; this is the classical choice and it is exactly what
@@ -309,20 +311,19 @@ def keygen(params: GptParams, rng=None):
     if rng is None:
         rng = random.SystemRandom()
     ctx = params.field()
-    n, k, v = params.n, params.k, params.variant
+    n, k = params.n, params.k
     base = params.scrambler_mode == ScramblerMode.BASE_FIELD
     code = GabidulinCode.random(ctx, n, k, rng)
     S = random_full_row_rank(ctx, params.pub_rows, k, rng)
     S_inv = FixedMatrix(mat_inv(ctx, S)) if params.pub_rows == k else None
-    if v == Variant.SIMPLE:
-        core = code.G
-    elif v in (Variant.EXTENDED, Variant.RECTANGULAR_S):
-        X = _distortion_matrix(ctx, k, params.t1, params.t1, params.x_ordinary_rank, rng)
-        core = concat_cols(X, code.G)
+    # core = [X1 | G + X2]; a block of rank 0 is zero and draws nothing
+    w, rx = params.kept_offset, params.x_ordinary_rank
+    if params.variant == Variant.TWO_DISTORTION:
+        X1 = random_matrix(ctx, k, w, rng)
     else:
-        X1 = random_matrix(ctx, k, params.m_cols, rng)
-        X2 = _distortion_matrix(ctx, k, n, params.t1, params.x_ordinary_rank, rng)
-        core = concat_cols(X1, mat_add(ctx, code.G, X2))
+        X1 = _distortion_matrix(ctx, k, w, w, rx, rng)
+    X2 = _distortion_matrix(ctx, k, n, params.overlay_rank, rx, rng)
+    core = concat_cols(X1, mat_add(ctx, code.G, X2))
     P, P_inv = build_scrambler(
         ctx, params.pub_cols, params.s_ext, rng, kept=n, base_field=base
     )

@@ -33,7 +33,7 @@ from .errors import FormatError, ParameterError
 from .fields import field_modulus, get_field
 from .gabidulin import GabidulinCode
 from .gpt import GptParams, GptPrivateKey, GptPublicKey
-from .linalg import FixedMatrix, identity_matrix, mat_inv, mat_mul
+from .linalg import FixedMatrix, identity_matrix, mat_inv, mat_mul, rank_ext
 
 __all__ = [
     "MAGIC",
@@ -162,6 +162,8 @@ def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
             S_inv = FixedMatrix(mat_inv(ctx, m["S"]))
         except ValueError:
             raise FormatError("row scrambler is singular") from None
+    elif rank_ext(ctx, m["S"]) < params.pub_rows:
+        raise FormatError("row scrambler does not have full row rank")
     return GptPrivateKey(params, code, m["S"], S_inv, m["P"], P_inv)
 
 

@@ -25,9 +25,17 @@ from gptrank.attacks import (
 from gptrank.errors import ParameterError
 from gptrank.fields import get_field
 from gptrank.gabidulin import GabidulinCode, moore_matrix
-from gptrank.gpt import GptParams, keygen, preset
+from gptrank.gpt import GptParams, encrypt, keygen, preset
 from gptrank.keyfiles import load_public_key
-from gptrank.linalg import independent_elements, mat_frobenius, random_matrix, rank_ext
+from gptrank.linalg import (
+    independent_elements,
+    mat_frobenius,
+    random_matrix,
+    rank_ext,
+    rank_over_base,
+    vec_mat_mul,
+    vec_sub,
+)
 
 DESK = dict(q=2, N=12, n=12, k=6)
 GOLDEN = Path(__file__).parent / "golden"
@@ -133,6 +141,16 @@ def test_trials_that_disagree_read_mixed():
     assert summary.verdict == "MIXED"
 
 
+def test_trials_that_agree_read_their_common_verdict():
+    rng = random.Random(88)
+    for mode in ("base_field", "extension_field"):
+        params = GptParams(**DESK, t1=2, scrambler_mode=mode)
+        results = [distinguish_public_key(keygen(params, rng)[0]) for _ in range(3)]
+        summary = TrialSummary(params, 5, results)
+        assert {r.verdict for r in results} == {results[0].verdict}
+        assert summary.verdict == results[0].verdict
+
+
 def test_stack_depth_validation():
     rng = random.Random(85)
     pub, _ = keygen(GptParams(**DESK, t1=2, s_ext=1), rng)
@@ -210,6 +228,33 @@ def test_cost_report_frozen_values():
     assert costs["brute_force"] == pytest.approx(84.0, abs=1e-9)
 
 
+def test_message_enumeration_breaks_a_one_row_public_key():
+    # a 1 x 31 public key has only 2^28 messages, far cheaper than brute force
+    params = GptParams(N=28, n=28, k=14, t1=3, t2=2, p=13, variant=5)
+    costs = attack_cost_report(params)
+    assert costs["message_enumeration"] == pytest.approx(28 + 3 * math.log2(31))
+    assert costs["message_enumeration"] < costs["brute_force"] == 84
+    assert security_status(costs, False) == (
+        "insecure",
+        "message enumeration costs about 2^42.9, below the 2^64 threshold",
+    )
+
+
+def test_message_enumeration_recovers_the_plaintext_at_toy_size():
+    params = GptParams(N=12, n=12, k=6, t1=1, t2=2, p=5, variant=5)
+    rng = random.Random(7)
+    pub, _ = keygen(params, rng)
+    ctx = params.field()
+    m = [ctx.rand_elem(rng)]
+    c = encrypt(pub, m, rng)
+    found = []
+    for x in range(ctx.size):
+        e = vec_sub(ctx, c, vec_mat_mul(ctx, [x], pub.matrix))
+        if rank_over_base(ctx, e) <= params.t2:
+            found.append([x])
+    assert ctx.size == 4096 and found == [m]
+
+
 def test_cost_report_scales_with_parameters():
     lo = attack_cost_report(GptParams(q=2, N=16, n=16, k=8, t1=2, s_ext=1))
     hi = attack_cost_report(preset("paper-28"))
@@ -245,6 +290,31 @@ def test_attack_report_end_to_end():
 
 
 # -- reference table ------------------------------------------------
+
+# example_security_table() as recorded, one row per branch of the verdict
+# rule that derived it: no distortion, work factor below the threshold,
+# secure, and the whole decodability budget spent
+RECORDED_TABLE = [
+    (0, 0, 0.0, 7, "insecure", "no distortion; information-set decoding applies"),
+    (1, 24, 28.0, 6, "insecure", "work factor 2^24 is below the 2^64 threshold"),
+    (2, 48, 56.0, 5, "insecure", "work factor 2^48 is below the 2^64 threshold"),
+    (3, 72, 84.0, 4, "secure",
+     "work factor 2^72 with 4 extension-field scrambler columns available"),
+    (4, 96, 112.0, 3, "secure",
+     "work factor 2^96 with 3 extension-field scrambler columns available"),
+    (5, 120, 140.0, 2, "secure",
+     "work factor 2^120 with 2 extension-field scrambler columns available"),
+    (6, 144, 168.0, 1, "secure",
+     "work factor 2^144 with 1 extension-field scrambler column available"),
+    (7, 168, 196.0, 0, "insecure",
+     "distortion uses the whole decodability budget, forcing a base-field scrambler"
+     " that structural rank attacks strip"),
+]  # fmt: skip
+
+
+def test_reference_table_equals_the_recorded_rows():
+    keys = ("t1", "stored_exponent", "formula_exponent", "ext_budget", "status", "reason")
+    assert example_security_table() == [dict(zip(keys, row)) for row in RECORDED_TABLE]
 
 
 def test_reference_table_statuses():

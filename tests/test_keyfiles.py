@@ -343,6 +343,12 @@ REFUSED = [
         id="json-private-S-two-equal-rows",
     ),
     pytest.param(
+        load_private_key,
+        lambda: json_edit("v5.private.json", _copy_first_S_row),
+        "row scrambler does not have full row rank",
+        id="json-private-v5-S-two-equal-rows",
+    ),
+    pytest.param(
         load_public_key,
         lambda: json_edit("desk12.public.json", _shorten_first_row),
         "expected 12 elements per row",
