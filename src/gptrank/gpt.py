@@ -39,6 +39,8 @@ from .fields import FieldCtx, field_modulus, get_field
 from .gabidulin import GabidulinCode
 from .linalg import (
     FixedMatrix,
+    base_product,
+    base_transform,
     column_rank_over_base,
     concat_cols,
     mat_add,
@@ -53,6 +55,7 @@ from .linalg import (
     transpose,
     vec_add,
     vec_mat_mul,
+    vec_sub,
     zeros_matrix,
 )
 
@@ -250,14 +253,40 @@ class GptPrivateKey:
     P_inv: list[list[int]]
 
 
+def _times_base(ctx, B, A):
+    """B A for A over F_q, as (A^T B^T)^T."""
+    return transpose(base_product(ctx, transpose(A), transpose(B)))
+
+
+def _split_inverse(ctx, X, F):
+    """[X | F]^{-1} for F over F_q, inverting over F_{q^N} only an x x x block.
+
+    With T F = [I; 0], T [X | F] = [[C1, I], [C2, 0]], whose inverse is
+    [[0, C2^{-1}], [I, -C1 C2^{-1}]]; x is X's width, the rows of C2.
+    Raises ValueError when [X | F] is singular: exactly when F's columns are
+    dependent or C2 is singular.
+    """
+    T = base_transform(ctx, F)
+    f = len(F[0])
+    if f == len(F):  # X has no columns
+        return T
+    TX = base_product(ctx, T, X)
+    Y = mat_mul(ctx, mat_inv(ctx, TX[f:]), T[f:])
+    if not f:
+        return Y
+    return Y + [vec_sub(ctx, t, cy) for t, cy in zip(T, mat_mul(ctx, TX[:f], Y))]
+
+
 def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
     """Column scrambler pair (P, P_inv) of the given size.
 
     With ``base_field`` both matrices lie over F_q.  Otherwise P_inv is
-    assembled from size - kept unconstrained extension-field columns (the
-    ones a decryptor throws away), s_ext extension-field columns, and
-    kept - s_ext base-field columns, with the kept block masked on the
-    right by a random invertible base-field matrix.
+    [X | F] diag(I, mask): X = [R | E] holds size - kept unconstrained
+    extension-field columns R (the ones a decryptor throws away) and s_ext
+    extension-field columns E, F holds kept - s_ext base-field columns, and
+    the random invertible base-field mask mixes the kept block [E | F].
+    P is diag(I, mask^{-1}) [X | F]^{-1}, whose only inverse over F_{q^N}
+    is that of an x x x block, x the width of X (see ``_split_inverse``).
     """
     if kept is None:
         kept = size
@@ -266,23 +295,24 @@ def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
     if base_field:
         if s_ext:
             raise ParameterError("a base-field scrambler has no extension-field columns")
-        # most square draws over F_2 are singular; a rank test rejects them faster than mat_inv
+        # most square draws over F_2 are singular; a rank test rejects them before any inverse
         P_inv = random_full_row_rank(ctx, size, size, rng, base_field=True)
-        return mat_inv(ctx, P_inv), P_inv
+        return base_transform(ctx, P_inv), P_inv
     if not 0 <= s_ext <= kept:
         raise ParameterError(f"s_ext must lie in [0, {kept}]")
     for _ in range(_MAX_DRAWS):
-        block = concat_cols(
-            random_matrix(ctx, size, s_ext, rng),
-            random_matrix(ctx, size, kept - s_ext, rng, base_field=True),
-        )
+        E = random_matrix(ctx, size, s_ext, rng)
+        F = random_matrix(ctx, size, kept - s_ext, rng, base_field=True)
         mask = random_full_row_rank(ctx, kept, kept, rng, base_field=True)
-        # with nothing discarded the first block has no columns and draws nothing
-        P_inv = concat_cols(random_matrix(ctx, size, size - kept, rng), mat_mul(ctx, block, mask))
+        # with nothing discarded R has no columns and draws nothing
+        R = random_matrix(ctx, size, size - kept, rng)
         try:
-            return mat_inv(ctx, P_inv), P_inv
-        except ValueError:  # a singular draw: the inversion is the invertibility test
+            W = _split_inverse(ctx, concat_cols(R, E), F)
+        except ValueError:  # a singular draw
             continue
+        d = size - kept
+        P = W[:d] + base_product(ctx, base_transform(ctx, mask), W[d:])
+        return P, concat_cols(R, _times_base(ctx, concat_cols(E, F), mask))
     raise ParameterError("failed to draw an invertible scrambler")
 
 
@@ -302,7 +332,7 @@ def _distortion_matrix(ctx, k, width, col_rank, ord_rank, rng):
         if column_rank_over_base(ctx, C) != col_rank or rank_ext(ctx, C) != ord_rank:
             continue
         A = random_full_row_rank(ctx, col_rank, width, rng, base_field=True)
-        return mat_mul(ctx, C, A)
+        return _times_base(ctx, C, A)
     raise ParameterError("failed to draw a distortion block with the requested ranks")
 
 

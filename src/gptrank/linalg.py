@@ -4,15 +4,18 @@ Vectors are lists of field elements (ints) and matrices are lists of row
 lists; every function takes the FieldCtx explicitly.  The rank of a vector
 over the base field is the number of its entries that are linearly
 independent over F_q -- the quantity the whole cryptosystem is built on.
-Every F_q question -- ranks, the relations among a vector's entries, and
-coordinates in an F_q-basis -- is answered here.  For q = 2 one bit-packed
-eliminator, _gf2_echelon, serves them all: an element's int is its F_2
-coordinate vector, a matrix column is its entries' bits laid end to end,
-and each row is reduced on its highest bit.  Tagging the entries with
-identity bits makes the same pass give the relations in the reduced form
+Every F_q question -- ranks, the relations among a vector's entries,
+coordinates in an F_q-basis, and the transform T with T F = [I; 0] of a
+matrix F over F_q (base_transform, F's inverse when F is square) -- is
+answered here.  For q = 2 one bit-packed eliminator, _gf2_echelon, serves
+them all: an element's int is its F_2 coordinate vector, a matrix column
+is its entries' bits laid end to end, and each row is reduced on its
+highest bit.  Tagging the entries (or rows) with identity bits makes the
+same pass give the relations, or the row operations, in the reduced form
 that _rref gives.  For odd q the coordinate matrix goes through the
 extension-field eliminator; its entries 0..q-1 are the prime subfield,
-which elimination never leaves.
+which elimination never leaves.  A product A M with A over F_q
+(base_product) is, at q = 2, one xor per row of M's lane-packed rows.
 
 Over F_{q^N} there is one elimination loop, _eliminate.  rank_ext runs it
 forward only: each pivot clears the rows below, and a pivot in the last
@@ -29,6 +32,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import reduce
 from itertools import compress
+from operator import xor
+
+from .fields import _pack_lanes, _unpack_lanes
 
 __all__ = [
     "FixedMatrix",
@@ -51,6 +57,8 @@ __all__ = [
     "base_relations",
     "base_coordinates",
     "base_combination",
+    "base_transform",
+    "base_product",
     "random_matrix",
     "random_full_row_rank",
     "independent_elements",
@@ -235,15 +243,24 @@ def solve_linear(ctx, A, b):
     return x
 
 
+def _transform(ctx, M, singular):
+    """E with E M = [I; 0], from the reduced form of [M | I] over F_{q^N}.
+
+    Raises ValueError(singular) when M's columns are dependent.
+    """
+    size, cols = len(M), len(M[0]) if M else 0
+    aug = [list(row) + [1 if i == j else 0 for j in range(size)] for i, row in enumerate(M)]
+    work, pivots = _rref(ctx, aug)
+    if pivots[:cols] != list(range(cols)):
+        raise ValueError(singular)
+    return [row[cols:] for row in work]
+
+
 def mat_inv(ctx, M):
     size = len(M)
     if any(len(row) != size for row in M):
         raise ValueError("matrix must be square")
-    aug = [list(row) + [1 if i == j else 0 for j in range(size)] for i, row in enumerate(M)]
-    work, pivots = _rref(ctx, aug)
-    if pivots != list(range(size)):
-        raise ValueError("matrix is singular")
-    return [row[size:] for row in work[:size]]
+    return _transform(ctx, M, "matrix is singular")
 
 
 # -- bit-packed elimination over F_2 ----------------------------------------
@@ -322,6 +339,52 @@ def base_coordinates(ctx, basis, elems):
         raise ValueError("an element lies outside the F_q-span of the basis")
     neg = ctx.neg
     return [[neg(a) for a in x[:n]] for x in relations]
+
+
+def base_transform(ctx, F):
+    """An invertible T over F_q with T F = [I; 0], for a matrix F over F_q.
+
+    For a square F, T is F^{-1}.  Raises ValueError when F's columns are
+    dependent over F_q.
+    """
+    if ctx.q != 2:
+        return _transform(ctx, F, "the columns are dependent over F_q")
+    # Row i is F's row i, column c at bit 8c (bytes(row)), above tag bit i.
+    # Each echelon row is a combination of F's rows that its tag bits name;
+    # one led by an F bit is a pivot, one led by a tag bit has F part 0.
+    size = len(F)
+    tags = (1 << size) - 1
+    basis = _gf2_echelon(
+        int.from_bytes(bytes(row), "little") << size | 1 << i for i, row in enumerate(F)
+    )
+    leads = sorted(p for p in basis if p >= size)
+    if len(leads) < len(F[0]):
+        raise ValueError("the columns are dependent over F_q")
+    # back-substitution, lowest pivot first, leaves pivot row c with F part e_c
+    top = []
+    for p in leads:
+        v = basis[p]
+        for lead, row in zip(leads, top):
+            if v >> lead & 1:
+                v ^= row
+        top.append(v)
+    rows = [v & tags for v in top] + [v for p, v in basis.items() if p < size]
+    return [[v >> j & 1 for j in range(size)] for v in rows]
+
+
+def base_product(ctx, A, M):
+    """The matrix A M, for A over F_q and M over F_{q^N}.
+
+    At q = 2 each row of the product is one xor of the lane-packed rows of
+    M that the row of A selects.
+    """
+    if len(A[0]) != len(M):
+        raise ValueError(f"dimension mismatch: {len(A[0])} cols vs {len(M)} rows")
+    if ctx.q != 2:
+        return mat_mul(ctx, A, M)
+    cols = len(M[0])
+    packed = list(map(_pack_lanes, M))
+    return [_unpack_lanes(reduce(xor, compress(packed, row), 0), cols) for row in A]
 
 
 def base_combination(ctx, w, A):

@@ -24,9 +24,12 @@ from gptrank.fields import FieldCtx, get_field
 from gptrank.keyfiles import load_private_key, load_public_key, save_private_key, save_public_key
 from gptrank.linalg import (
     column_rank_over_base,
+    concat_cols,
     identity_matrix,
     mat_inv,
     mat_mul,
+    random_full_row_rank,
+    random_matrix,
     rank_ext,
     rank_over_base,
     sample_error,
@@ -305,18 +308,19 @@ def test_one_keygen_draw_has_a_full_rank_public_key(seed, params):
 
 
 def test_singular_inverse_scrambler_draws_are_redrawn(monkeypatch):
-    # over 40 % of desk-12 draws of P^{-1} are singular; mat_inv rejects
-    # them, and build_scrambler draws again
+    # over 40 % of desk-12 draws of [X | F] are singular; _split_inverse
+    # rejects them, and build_scrambler draws again
     singular = []
 
-    def counting_inv(ctx, M):
+    def counting_inverse(ctx, X, F):
         try:
-            return mat_inv(ctx, M)
+            return split_inverse(ctx, X, F)
         except ValueError:
-            singular.append(M)
+            singular.append(concat_cols(X, F))
             raise
 
-    monkeypatch.setattr(gpt, "mat_inv", counting_inv)
+    split_inverse = gpt._split_inverse
+    monkeypatch.setattr(gpt, "_split_inverse", counting_inverse)
     ctx = get_field(2, 12)
     rng = random.Random(80)
     for _ in range(20):
@@ -331,6 +335,40 @@ def test_scrambler_pair_is_inverse():
     for kept, s_ext in ((12, 0), (12, 2), (10, 1)):
         P, P_inv = build_scrambler(ctx, 12, s_ext, rng, kept=kept)
         assert mat_mul(ctx, P, P_inv) == identity_matrix(12)
+
+
+def reference_scrambler(ctx, size, s_ext, rng, kept, base_field):
+    """The scrambler drawn as build_scrambler draws it, inverted whole by mat_inv."""
+    if base_field:
+        P_inv = random_full_row_rank(ctx, size, size, rng, base_field=True)
+        return mat_inv(ctx, P_inv), P_inv
+    while True:
+        block = concat_cols(
+            random_matrix(ctx, size, s_ext, rng),
+            random_matrix(ctx, size, kept - s_ext, rng, base_field=True),
+        )
+        mask = random_full_row_rank(ctx, kept, kept, rng, base_field=True)
+        P_inv = concat_cols(random_matrix(ctx, size, size - kept, rng), mat_mul(ctx, block, mask))
+        try:
+            return mat_inv(ctx, P_inv), P_inv
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("q,N", [(2, 12), (2, 28), (3, 5)])
+@pytest.mark.parametrize(
+    "kept, s_ext, base_field",
+    [(9, 0, False), (9, 1, False), (9, 9, False), (6, 0, False), (6, 2, False), (9, 0, True)],
+    ids=["kept=size,s_ext=0", "kept=size,s_ext=1", "kept=size,s_ext=kept", "kept<size,s_ext=0",
+         "kept<size,s_ext=2", "base_field"],
+)
+def test_factored_scrambler_inverse_is_the_whole_inverse(q, N, kept, s_ext, base_field):
+    # same draws as the reference, and P is the one inverse of P_inv
+    ctx = get_field(q, N)
+    for seed in range(4):
+        got = build_scrambler(ctx, 9, s_ext, random.Random(seed), kept=kept, base_field=base_field)
+        want = reference_scrambler(ctx, 9, s_ext, random.Random(seed), kept, base_field)
+        assert got == want
 
 
 def test_base_field_scrambler_is_base_field():

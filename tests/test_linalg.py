@@ -13,7 +13,9 @@ from gptrank.linalg import (
     _rref,
     base_combination,
     base_coordinates,
+    base_product,
     base_relations,
+    base_transform,
     column_rank_over_base,
     concat_cols,
     ext_nullspace,
@@ -363,6 +365,44 @@ def test_elimination_matches_textbook_gauss_jordan(q, N):
         mat_inv(ctx, singular)
 
 
+# the F_q transform and product: a table field, table-less q = 2 fields with
+# 28 and 64 bits per lane, and two odd characteristics
+BASE_FIELDS = [(2, 12), (2, 28), (2, 64), (3, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("q,N", BASE_FIELDS)
+def test_base_transform_and_product_match_the_extension_field_algebra(q, N):
+    ctx = get_field(q, N)
+    rng = random.Random(q * 1000 + N + 5)
+    # square: the inverse, equal to the textbook reduced form of [F | I]
+    for size in (1, 4, 9):
+        F = random_full_row_rank(ctx, size, size, rng, base_field=True)
+        work, _ = reference_rref(ctx, concat_cols(F, identity_matrix(size)))
+        T = base_transform(ctx, F)
+        assert T == mat_inv(ctx, F) == [row[size:] for row in work]
+    # rectangular: T invertible over F_q with T F = [I; 0], for every width
+    for width in (0, 1, 3, 8):
+        F = random_matrix(ctx, 9, width, rng, base_field=True)
+        while rank_ext(ctx, F) < width:
+            F = random_matrix(ctx, 9, width, rng, base_field=True)
+        T = base_transform(ctx, F)
+        assert all(a < q for row in T for a in row) and rank_ext(ctx, T) == 9
+        if width:
+            assert mat_mul(ctx, T, F) == [row[:width] for row in identity_matrix(9)]
+    # dependent columns: a repeated column, a zero column, more columns than
+    # rows, and a singular square
+    F = random_matrix(ctx, 9, 3, rng, base_field=True)
+    for bad in ([r + [r[0]] for r in F], [r + [0] for r in F], [[1, 0, 1], [0, 1, 1]],
+                [[1, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="^the columns are dependent over F_q$"):
+            base_transform(ctx, bad)
+    # the product by an F_q matrix equals the generic product
+    for rows, inner, cols in ((1, 1, 1), (5, 9, 4), (28, 28, 6), (9, 4, 1)):
+        A = random_matrix(ctx, rows, inner, rng, base_field=True)
+        M = random_matrix(ctx, inner, cols, rng)
+        assert base_product(ctx, A, M) == mat_mul(ctx, A, M)
+
+
 # -- samplers ------------------------------------------------
 
 
@@ -524,11 +564,13 @@ F = get_field(2, 8)
         (lambda: concat_cols([[1]], [[1], [2]]), "row-count mismatch"),
         (lambda: solve_linear(F, [[1, 0], [0, 1]], [1]), "dimension mismatch"),
         (lambda: mat_inv(F, [[1, 0, 0], [0, 1, 0]]), "matrix must be square"),
+        (lambda: base_product(F, [[1, 0]], [[1], [2], [3]]),
+         "dimension mismatch: 2 cols vs 3 rows"),
         (lambda: random_full_row_rank(F, 3, 2, random.Random(1)),
          "cannot have row rank 3 with only 2 columns"),
     ],
     ids=["vec_add", "vec_sub", "vec_mat_mul", "mat_mul", "mat_add rows", "mat_add cols",
-         "concat_cols", "solve_linear", "mat_inv", "random_full_row_rank"],
+         "concat_cols", "solve_linear", "mat_inv", "base_product", "random_full_row_rank"],
 )
 def test_shape_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
