@@ -8,11 +8,12 @@ polynomials and any two differ in rank at least n - k + 1.
 import random
 
 from gptrank import DecodeFailure, GabidulinCode, get_field, rank_over_base, sample_error
+from gptrank.linalg import independent_elements
 
 ctx = get_field(2, 12)
 rng = random.Random(21)
 
-code = GabidulinCode.random(ctx, n=12, k=6, rng=rng)
+code = GabidulinCode(ctx, independent_elements(ctx, 12, rng), k=6)
 print(code)
 print("corrects any error of rank at most t =", code.t)
 

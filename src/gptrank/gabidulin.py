@@ -30,7 +30,6 @@ from .linalg import (
     base_combination,
     base_coordinates,
     ext_nullspace,
-    independent_elements,
     mat_inv,
     rank_over_base,
     solve_linear,
@@ -79,10 +78,6 @@ class GabidulinCode:
         # per-column Frobenius powers of h, reused by every syndrome pass
         self._htab = FixedMatrix(transpose(self.H))
         self._info_inv = FixedMatrix(mat_inv(ctx, [row[:k] for row in self.G]))
-
-    @classmethod
-    def random(cls, ctx, n: int, k: int, rng) -> "GabidulinCode":
-        return cls(ctx, independent_elements(ctx, n, rng), k)
 
     def encode(self, m):
         if len(m) != self.k:

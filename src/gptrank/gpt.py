@@ -25,6 +25,10 @@ decryption still lands inside the decoding radius while the Frobenius no
 longer fixes P.  For the concatenation variants the mask mixes only the
 kept block: the discarded columns are unconstrained over the extension
 field and must not leak into the decoded coordinates.
+
+A private key is its file's (params, g, S, P, P^{-1}), which ``==`` compares;
+`GptPrivateKey` derives the code of g and a k x k map W with S W = [I | 0]
+once, so every variant decrypts alike: undo P, decode, multiply by W.
 """
 
 from __future__ import annotations
@@ -39,10 +43,12 @@ from .fields import FieldCtx, field_modulus, get_field
 from .gabidulin import GabidulinCode
 from .linalg import (
     FixedMatrix,
+    _transform,
     base_product,
     base_transform,
     column_rank_over_base,
     concat_cols,
+    independent_elements,
     mat_add,
     mat_inv,
     mat_mul,
@@ -51,7 +57,6 @@ from .linalg import (
     random_matrix,
     rank_over_base,
     sample_error,
-    solve_linear,
     transpose,
     vec_add,
     vec_mat_mul,
@@ -245,12 +250,26 @@ class GptPublicKey:
 
 @dataclass
 class GptPrivateKey:
+    """params, g, S, P and P_inv, as the key file stores them; ``==`` compares them.
+
+    Construction builds ``code`` from g (ParameterError for a bad g) and
+    ``unscramble`` = W from S: u W = [m | 0] exactly when u = m S, so W = S^{-1}
+    for a square S.  ValueError when S does not have full row rank.
+    """
+
     params: GptParams
-    code: GabidulinCode
+    g: list[int]
     S: list[list[int]]
-    S_inv: list[list[int]] | None
     P: list[list[int]]
     P_inv: list[list[int]]
+
+    def __post_init__(self):
+        ctx = self.params.field()
+        self.code = GabidulinCode(ctx, self.g, self.params.k)
+        self.P_inv = FixedMatrix(self.P_inv)
+        # T S^T = [I; 0] with T invertible, so S T^T = [I | 0]
+        T = _transform(ctx, transpose(self.S), "row scrambler does not have full row rank")
+        self.unscramble = FixedMatrix(transpose(T))
 
 
 def _times_base(ctx, B, A):
@@ -343,9 +362,8 @@ def keygen(params: GptParams, rng=None):
     ctx = params.field()
     n, k = params.n, params.k
     base = params.scrambler_mode == ScramblerMode.BASE_FIELD
-    code = GabidulinCode.random(ctx, n, k, rng)
+    g = independent_elements(ctx, n, rng)
     S = random_full_row_rank(ctx, params.pub_rows, k, rng)
-    S_inv = FixedMatrix(mat_inv(ctx, S)) if params.pub_rows == k else None
     # core = [X1 | G + X2]; a block of rank 0 is zero and draws nothing
     w, rx = params.kept_offset, params.x_ordinary_rank
     if params.variant == Variant.TWO_DISTORTION:
@@ -353,20 +371,17 @@ def keygen(params: GptParams, rng=None):
     else:
         X1 = _distortion_matrix(ctx, k, w, w, rx, rng)
     X2 = _distortion_matrix(ctx, k, n, params.overlay_rank, rx, rng)
-    core = concat_cols(X1, mat_add(ctx, code.G, X2))
     P, P_inv = build_scrambler(
         ctx, params.pub_cols, params.s_ext, rng, kept=n, base_field=base
     )
+    priv = GptPrivateKey(params, g, S, P, P_inv)
+    core = concat_cols(X1, mat_add(ctx, priv.code.G, X2))
     # one draw always has full row rank: S does, P is invertible and core has
     # rank k.  Variants 3-5 hold G; for variant 6, y (G + X2) = 0 with y != 0
     # would equate the codeword y G, of rank >= n - k + 1, with -y X2, of rank
     # <= t1 <= t (GptParams puts t1 in the decoding budget)
     G_pub = FixedMatrix(mat_mul(ctx, S, mat_mul(ctx, core, P)))
-    pub = GptPublicKey(params=params, matrix=G_pub)
-    priv = GptPrivateKey(
-        params=params, code=code, S=S, S_inv=S_inv, P=P, P_inv=FixedMatrix(P_inv)
-    )
-    return pub, priv
+    return GptPublicKey(params=params, matrix=G_pub), priv
 
 
 def _checked_field(params: GptParams, v, length: int, what: str) -> FieldCtx:
@@ -397,14 +412,11 @@ def decrypt(sk: GptPrivateKey, c):
     params = sk.params
     ctx = _checked_field(params, c, params.pub_cols, "ciphertext")
     inner = vec_mat_mul(ctx, c, sk.P_inv)
-    kept = inner[params.kept_offset :]
-    u, _ = sk.code.decode(kept)
-    if sk.S_inv is None:  # a rectangular S: solve for m
-        try:
-            return solve_linear(ctx, transpose(sk.S), u)
-        except ValueError:
-            raise DecodeFailure("decoded word is outside S's row space", "row_scrambler") from None
-    return vec_mat_mul(ctx, u, sk.S_inv)
+    u, _ = sk.code.decode(inner[params.kept_offset :])
+    m = vec_mat_mul(ctx, u, sk.unscramble)
+    if any(m[params.pub_rows :]):
+        raise DecodeFailure("decoded word is outside S's row space", "row_scrambler")
+    return m[: params.pub_rows]
 
 
 def lemma1_check(sk: GptPrivateKey, e) -> int:

@@ -14,9 +14,9 @@ their bin struct codes, and the vectors and matrices that follow.  One
 writer and one reader per encoding serve every kind.
 
 Loaders sniff the encoding, verify the checksum, type-check the header,
-and revalidate the algebra (parameter constraints, scrambler
-invertibility, element ranges) before handing back live objects.  Any
-mismatch raises FormatError.
+and revalidate the algebra (parameters, element ranges, what `GptPrivateKey`
+checks as it derives a private key's code and S map, and P P^{-1} = I)
+before handing back live objects.  Any mismatch raises FormatError.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from typing import Callable
 
 from .errors import FormatError, ParameterError
 from .fields import field_modulus, get_field
-from .gabidulin import GabidulinCode
 from .gpt import GptParams, GptPrivateKey, GptPublicKey
-from .linalg import FixedMatrix, identity_matrix, mat_inv, mat_mul, rank_ext
+from .linalg import FixedMatrix, identity_matrix, mat_mul
 
 __all__ = [
     "MAGIC",
@@ -148,23 +147,16 @@ def _params_context(values: dict) -> GptParams:
 
 
 def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
-    ctx = params.field()
-    P_inv = FixedMatrix(m["P_inv"])  # decryption reuses the kernel the check builds
-    if mat_mul(ctx, m["P"], P_inv) != identity_matrix(params.pub_cols):
-        raise FormatError("column scrambler pair is not mutually inverse")
     try:
-        code = GabidulinCode(ctx, m["g"][0], params.k)
+        priv = GptPrivateKey(params, m["g"][0], m["S"], m["P"], m["P_inv"])
     except ParameterError as exc:
         raise FormatError(f"invalid code vector: {exc}") from None
-    S_inv = None
-    if params.pub_rows == params.k:
-        try:
-            S_inv = FixedMatrix(mat_inv(ctx, m["S"]))
-        except ValueError:
-            raise FormatError("row scrambler is singular") from None
-    elif rank_ext(ctx, m["S"]) < params.pub_rows:
-        raise FormatError("row scrambler does not have full row rank")
-    return GptPrivateKey(params, code, m["S"], S_inv, m["P"], P_inv)
+    except ValueError as exc:  # S does not have full row rank
+        raise FormatError(str(exc)) from None
+    # decryption reuses the kernel the check builds on P_inv
+    if mat_mul(params.field(), priv.P, priv.P_inv) != identity_matrix(params.pub_cols):
+        raise FormatError("column scrambler pair is not mutually inverse")
+    return priv
 
 
 def _ciphertext_split(ct: CiphertextBundle):
@@ -196,7 +188,7 @@ _PRIVATE = _Record(
     dims=lambda p: {
         "g": (1, p.n), "S": (p.pub_rows, p.k), "P": (p.pub_cols,) * 2, "P_inv": (p.pub_cols,) * 2
     },
-    split=lambda sk: (sk.params, {"g": [sk.code.g], "S": sk.S, "P": sk.P, "P_inv": sk.P_inv}),
+    split=lambda sk: (sk.params, {"g": [sk.g], "S": sk.S, "P": sk.P, "P_inv": sk.P_inv}),
     build=_private_build,
 )
 

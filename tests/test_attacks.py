@@ -59,7 +59,7 @@ def test_stack_of_hidden_code_collapses_without_scrambling():
     # the pure code case: stacking G of a length-n code gives rank k + u
     ctx = get_field(2, 8)
     rng = random.Random(82)
-    code = GabidulinCode.random(ctx, 8, 3, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 8, rng), 3)
     for u in range(0, 5):
         stacked = extend_public_key(ctx, code.G, u)
         assert rank_ext(ctx, stacked) == min(3 + u, 8)
@@ -92,6 +92,20 @@ def test_stacked_rank_equals_rank_of_built_stack(q, N):
         for u in range(N + 2):
             built = rank_ext(ctx, extend_public_key(ctx, M, u))
             assert stacked_rank(ctx, M, u) == built, (name, u)
+
+
+@pytest.mark.parametrize(
+    "q, N, rows, cols", [(2, 28, 14, 28), (2, 28, 3, 31), (2, 12, 6, 12), (3, 6, 2, 6)]
+)
+def test_random_matrices_follow_the_stacked_rank_baseline(q, N, rows, cols):
+    # the baseline a public key's rank profile is read against: a random
+    # matrix's stack has full rank min((u + 1) rows, cols) at every depth
+    ctx = get_field(q, N)
+    rng = random.Random(1000 + rows)
+    for _ in range(3):
+        M = random_matrix(ctx, rows, cols, rng)
+        for u in range(1, N):
+            assert stacked_rank(ctx, M, u) == min((u + 1) * rows, cols), u
 
 
 def test_stacked_rank_refuses_negative_depth_before_any_work():
@@ -356,7 +370,7 @@ def test_reference_table_reasons_are_specific():
 def test_brute_force_decoder_guard():
     ctx = get_field(2, 12)
     rng = random.Random(87)
-    code = GabidulinCode.random(ctx, 12, 6, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 12, rng), 6)
     with pytest.raises(ParameterError):
         BruteForceDecoder(code)  # 2^72 codewords
 
@@ -364,7 +378,7 @@ def test_brute_force_decoder_guard():
 def test_brute_force_decoder_identity_on_codewords():
     ctx = get_field(2, 4)
     rng = random.Random(88)
-    code = GabidulinCode.random(ctx, 4, 2, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 4, rng), 2)
     oracle = BruteForceDecoder(code)
     m = [ctx.rand_elem(rng), ctx.rand_elem(rng)]
     c = code.encode(m)

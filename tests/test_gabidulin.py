@@ -9,6 +9,7 @@ from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.fields import get_field
 from gptrank.gabidulin import GabidulinCode, moore_matrix
 from gptrank.linalg import (
+    independent_elements,
     mat_mul,
     rank_over_base,
     sample_error,
@@ -44,7 +45,7 @@ def test_moore_matrix_rows_are_frobenius_powers():
 def test_generator_is_moore_of_g():
     ctx = get_field(2, 8)
     rng = random.Random(42)
-    code = GabidulinCode.random(ctx, 7, 3, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 7, rng), 3)
     assert code.G == moore_matrix(ctx, code.g, 3)
     assert rank_over_base(ctx, code.g) == 7
 
@@ -56,7 +57,7 @@ def test_parity_check_annihilates_generator():
         (3, 6, 4, 1), (5, 3, 3, 2), (2, 16, 16, 15), (2, 28, 28, 14),
     ):
         ctx = get_field(q, N)
-        code = GabidulinCode.random(ctx, n, k, rng)
+        code = GabidulinCode(ctx, independent_elements(ctx, n, rng), k)
         prod = mat_mul(ctx, code.G, transpose(code.H))
         assert all(v == 0 for row in prod for v in row)
         assert rank_over_base(ctx, code.h) == n
@@ -75,7 +76,7 @@ def test_rejects_dependent_evaluation_points():
 def test_encode_is_linear():
     ctx = get_field(2, 8)
     rng = random.Random(44)
-    code = GabidulinCode.random(ctx, 6, 2, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 6, rng), 2)
     m1 = [ctx.rand_elem(rng) for _ in range(2)]
     m2 = [ctx.rand_elem(rng) for _ in range(2)]
     s = [ctx.add(a, b) for a, b in zip(m1, m2)]
@@ -86,17 +87,17 @@ def test_minimum_distance_is_maximal():
     # rank distance d = n - k + 1, verified by enumerating the whole code
     rng = random.Random(45)
     ctx = get_field(2, 5)
-    code = GabidulinCode.random(ctx, 5, 2, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 5, rng), 2)
     assert BruteForceDecoder(code).min_distance() == 4
     ctx4 = get_field(2, 4)
-    code4 = GabidulinCode.random(ctx4, 4, 2, rng)
+    code4 = GabidulinCode(ctx4, independent_elements(ctx4, 4, rng), 2)
     assert BruteForceDecoder(code4).min_distance() == 3
 
 
 def test_decode_clean_word():
     ctx = get_field(2, 8)
     rng = random.Random(46)
-    code = GabidulinCode.random(ctx, 8, 3, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 8, rng), 3)
     m = [ctx.rand_elem(rng) for _ in range(3)]
     got_m, got_e = code.decode(code.encode(m))
     assert got_m == m
@@ -107,7 +108,7 @@ def test_decode_clean_word():
 def test_decode_roundtrip_all_ranks(q, N, n, k):
     ctx = get_field(q, N)
     rng = random.Random(100 * n + k)
-    code = GabidulinCode.random(ctx, n, k, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, n, rng), k)
     for r in range(code.t + 1):
         for _ in range(8):
             m = [ctx.rand_elem(rng) for _ in range(k)]
@@ -120,7 +121,7 @@ def test_decode_roundtrip_all_ranks(q, N, n, k):
 def test_decoder_agrees_with_exhaustive_search():
     ctx = get_field(2, 4)
     rng = random.Random(47)
-    code = GabidulinCode.random(ctx, 4, 2, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 4, rng), 2)
     oracle = BruteForceDecoder(code)
     for _ in range(60):
         y = [ctx.rand_elem(rng) for _ in range(4)]
@@ -139,7 +140,7 @@ def test_beyond_radius_never_silently_wrong(q, N, n, k):
     # rank t + 1 errors either fail loudly or return a self-consistent pair
     ctx = get_field(q, N)
     rng = random.Random(48)
-    code = GabidulinCode.random(ctx, n, k, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, n, rng), k)
     failures = 0
     for _ in range(30):
         m = [ctx.rand_elem(rng) for _ in range(k)]
@@ -162,7 +163,7 @@ def test_beyond_radius_never_silently_wrong(q, N, n, k):
 def test_decode_rejects_wrong_length():
     ctx = get_field(2, 8)
     rng = random.Random(49)
-    code = GabidulinCode.random(ctx, 6, 2, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 6, rng), 2)
     with pytest.raises(ParameterError):
         code.decode([0] * 5)
 
@@ -170,7 +171,7 @@ def test_decode_rejects_wrong_length():
 def test_syndromes_of_codeword_vanish():
     ctx = get_field(2, 8)
     rng = random.Random(50)
-    code = GabidulinCode.random(ctx, 7, 3, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 7, rng), 3)
     m = [ctx.rand_elem(rng) for _ in range(3)]
     assert all(s == 0 for s in code.syndromes(code.encode(m)))
 
@@ -180,7 +181,7 @@ def test_decode_failure_names_the_failed_stage(stage):
     # with n < N an x_i can leave span_Fq(h), so random words reach all three
     ctx = get_field(2, 8)
     rng = random.Random(51)
-    code = GabidulinCode.random(ctx, 6, 2, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 6, rng), 2)
     stages = set()
     for _ in range(100):
         try:
@@ -194,7 +195,7 @@ def test_full_length_codes_never_fail_at_locations():
     # with n = N the entries of h are an F_q-basis of the whole field
     ctx = get_field(2, 8)
     rng = random.Random(52)
-    code = GabidulinCode.random(ctx, 8, 2, rng)
+    code = GabidulinCode(ctx, independent_elements(ctx, 8, rng), 2)
     stages = set()
     for _ in range(100):
         try:
@@ -206,6 +207,7 @@ def test_full_length_codes_never_fail_at_locations():
 
 @pytest.mark.parametrize("length", [5, 7])
 def test_encode_refuses_a_message_of_the_wrong_length(length):
-    code = GabidulinCode.random(get_field(2, 12), 12, 6, random.Random(53))
+    ctx = get_field(2, 12)
+    code = GabidulinCode(ctx, independent_elements(ctx, 12, random.Random(53)), 6)
     with pytest.raises(ParameterError, match=f"^message length must be 6, got {length}$"):
         code.encode([1] * length)

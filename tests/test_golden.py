@@ -7,11 +7,12 @@ and the paper-28 public key (the only case with 4-byte elements).
 """
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
-from gptrank.gpt import decrypt
+from gptrank.gpt import GptPrivateKey, decrypt, keygen
 from gptrank.keyfiles import (
     load_ciphertext,
     load_private_key,
@@ -20,7 +21,14 @@ from gptrank.keyfiles import (
     save_private_key,
     save_public_key,
 )
-from gptrank.linalg import rank_over_base, vec_mat_mul, vec_sub
+from gptrank.linalg import (
+    identity_matrix,
+    mat_inv,
+    mat_mul,
+    rank_over_base,
+    vec_mat_mul,
+    vec_sub,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("bin", "hex", "json")
@@ -34,12 +42,12 @@ RECORDS = sorted({name.rsplit(".", 1)[0] for name in FILES})
 KEYED = sorted(record.split(".")[0] for record in RECORDS if record.endswith(".private"))
 
 
-def _content(kind, obj):
-    if kind == "public":
-        return obj.params, obj.matrix
-    if kind == "private":
-        return obj.params, obj.code.g, obj.S, obj.S_inv, obj.P, obj.P_inv
-    return obj
+def _generate():
+    """tests/golden/generate.py, the script that wrote the fixtures."""
+    spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate
 
 
 def test_fixture_set_is_complete():
@@ -52,10 +60,7 @@ def test_fixture_set_is_complete():
 def test_seeded_keygen_writes_the_committed_key_files(tmp_path):
     # generate.py rerun with today's code must draw the same keys and
     # ciphertexts as the code that wrote the fixtures
-    spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    generate.main(str(tmp_path))
+    _generate().main(str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == FILES
     assert len(FILES) == 60
     for name in FILES:
@@ -94,7 +99,30 @@ def test_resave_is_byte_identical(tmp_path, name):
 def test_encodings_load_to_equal_objects(record):
     kind = record.split(".")[1]
     load = KINDS[kind][0]
-    bin_obj, hex_obj, json_obj = (
-        _content(kind, load(GOLDEN / f"{record}.{fmt}")) for fmt in FORMATS
-    )
+    bin_obj, hex_obj, json_obj = (load(GOLDEN / f"{record}.{fmt}") for fmt in FORMATS)
     assert bin_obj == hex_obj == json_obj
+
+
+@pytest.mark.parametrize("key", KEYED)
+def test_private_keys_equal_their_seeded_keygen_and_differ_in_one_p_inv_entry(key):
+    make_params, seed, _ = _generate().CASES[key]
+    _, drawn = keygen(make_params(), random.Random(seed))
+    keys = [load_private_key(GOLDEN / f"{key}.private.{fmt}") for fmt in FORMATS]
+    assert keys[0] == keys[1] == keys[2] == drawn
+    P_inv = [list(row) for row in drawn.P_inv]
+    P_inv[-1][-1] = (P_inv[-1][-1] + 1) % drawn.params.field().size
+    changed = GptPrivateKey(drawn.params, drawn.g, drawn.S, drawn.P, P_inv)
+    assert changed != drawn and changed != keys[0]
+
+
+@pytest.mark.parametrize("key", KEYED)
+def test_the_row_scrambler_map_of_each_golden_key(key):
+    # square S: the map is S's inverse; rectangular S: S W = [I | 0]
+    priv = load_private_key(GOLDEN / f"{key}.private.bin")
+    ctx, k, rows = priv.params.field(), priv.params.k, priv.params.pub_rows
+    if rows == k:
+        assert priv.unscramble == mat_inv(ctx, priv.S)
+    else:
+        assert key == "v5"
+        SW = mat_mul(ctx, priv.S, priv.unscramble)
+        assert SW == [row + [0] * (k - rows) for row in identity_matrix(rows)]

@@ -10,6 +10,7 @@ from gptrank.attacks import distinguish_public_key, distinguisher_trials
 from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.gpt import (
     GptParams,
+    GptPrivateKey,
     ScramblerMode,
     Variant,
     build_scrambler,
@@ -586,6 +587,28 @@ def test_rectangular_message_is_shorter():
     m = rand_message(params, rng)
     assert len(m) == 5
     assert decrypt(priv, encrypt(pub, m, rng)) == m
+
+
+def test_odd_q_rectangular_row_scrambler_map():
+    # S W = [I | 0], and seeded round trips decrypt through W
+    params = GptParams(q=3, N=8, n=8, k=4, t1=1, t2=1, p=1, variant=5)
+    rng = random.Random(76)
+    pub, priv = keygen(params, rng)
+    ctx, k, rows = params.field(), params.k, params.pub_rows
+    assert mat_mul(ctx, priv.S, priv.unscramble) == [
+        row + [0] * (k - rows) for row in identity_matrix(rows)
+    ]
+    for _ in range(5):
+        m = rand_message(params, rng)
+        assert decrypt(priv, encrypt(pub, m, rng)) == m
+
+
+@pytest.mark.parametrize("params", [VARIANT_CASES[0], VARIANT_CASES[2]], ids=["square", "v5"])
+def test_a_rank_deficient_row_scrambler_is_refused(params):
+    _, priv = keygen(params, random.Random(77))
+    S = [priv.S[0]] + priv.S[:-1]  # the first row twice
+    with pytest.raises(ValueError, match="row scrambler does not have full row rank"):
+        GptPrivateKey(params, priv.g, S, priv.P, priv.P_inv)
 
 
 def test_garbage_ciphertext_fails_loudly():

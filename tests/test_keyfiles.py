@@ -70,7 +70,7 @@ def test_private_key_roundtrip(tmp_path, keypair, fmt):
     got = load_private_key(path)
     assert got.params == priv.params
     assert got.code.g == priv.code.g
-    assert got.S == priv.S and got.S_inv == priv.S_inv
+    assert got.S == priv.S and got.unscramble == priv.unscramble
     assert got.P == priv.P and got.P_inv == priv.P_inv
 
 
@@ -81,7 +81,7 @@ def test_rectangular_private_key_roundtrip(tmp_path, rect_keypair, fmt):
     save_private_key(path, priv, fmt)
     got = load_private_key(path)
     assert got.S == priv.S
-    assert got.S_inv is None
+    assert got.unscramble == priv.unscramble
     assert got.params.variant == priv.params.variant
 
 
@@ -165,9 +165,8 @@ def test_inconsistent_scrambler_pair_rejected(tmp_path, keypair):
     _, priv = keypair
     broken = GptPrivateKey(
         params=priv.params,
-        code=priv.code,
+        g=priv.g,
         S=priv.S,
-        S_inv=priv.S_inv,
         P=priv.P,
         P_inv=[list(row) for row in priv.P],  # P twice is not a pair
     )
@@ -339,7 +338,7 @@ REFUSED = [
     pytest.param(
         load_private_key,
         lambda: json_edit("desk12.private.json", _copy_first_S_row),
-        "row scrambler is singular",
+        "row scrambler does not have full row rank",
         id="json-private-S-two-equal-rows",
     ),
     pytest.param(
@@ -459,7 +458,7 @@ def test_fixed_matrices_save_the_bytes_of_plain_lists(tmp_path, keypair):
 def test_keygen_loading_and_the_attack_build_no_product_kernel(tmp_path):
     pub, priv = keygen(preset("desk-12"), random.Random(94))
     code = priv.code
-    fixed = (pub.matrix, priv.P_inv, priv.S_inv, code.G, code._htab, code._info_inv)
+    fixed = (pub.matrix, priv.P_inv, priv.unscramble, code.G, code._htab, code._info_inv)
     assert all(isinstance(M, FixedMatrix) and M.times is None for M in fixed)
     for fmt in FORMATS:
         save_public_key(tmp_path / "pub", pub, fmt)
