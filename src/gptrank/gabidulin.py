@@ -14,9 +14,12 @@ and let x_i = sum_j A_ij h_j.  The syndromes collapse to
 s_l = sum_i w_i x_i^(q^l); the minimal linearized polynomial annihilating
 the w_i satisfies a key equation modulo x^(q^(n-k)) that the linearized
 extended Euclidean algorithm solves.  Its kernel gives an F_q-basis of the
-span of the w_i, which stands in for w.  The first r syndromes, raised to
-q^(-l), give the r x r system s_l^(q^-l) = sum_i w_i^(q^-l) x_i over
-F_{q^N} (Gabidulin 1985), and the coordinates of each x_i in the F_q-basis
+span of the w_i, which stands in for w.  The first r syndromes give the
+system sum_i w_i^(q^-l) x_i = s_l^(q^-l), l < r, whose matrix is a Moore
+matrix in sigma^-1.  Gabidulin's recursion (1985) solves it in O(r^2)
+field operations: each stage applies sigma^-1 - c, with c chosen to kill
+the lead unknown, and leaves a system of the same shape one smaller, so
+back-substitution gives x.  The coordinates of each x_i in the F_q-basis
 h are the rows of A.  The message follows from the first k coordinates of
 y - e, and the result is checked against the whole received word before
 it is returned.
@@ -32,7 +35,6 @@ from .linalg import (
     ext_nullspace,
     mat_inv,
     rank_over_base,
-    solve_linear,
     transpose,
     vec_mat_mul,
     vec_sub,
@@ -94,16 +96,43 @@ class GabidulinCode:
         """A over F_q with e = E A, from the first r = len(E) syndromes.
 
         With x_i = sum_j A_ij h_j the syndromes read s_l = sum_i E_i x_i^[l],
-        so s_l^[-l] = sum_i E_i^[-l] x_i.  For l < r this is an r x r system
-        over F_{q^N}, nonsingular because the E_i are F_q-independent.  Row
-        i of A holds the coordinates of x_i in the F_q-basis h; raises
-        ValueError when some x_i lies outside span_Fq(h), which needs n < N.
+        so x solves sum_i sigma^-l(F_i) x_i = sigma^-l(b_l), l < r, for
+        F = E and b = s_0..s_(r-1) (Gabidulin 1985).  A stage keeps equation
+        0 and the inverse of its lead F_0.  With c = sigma^-1(F_0) / F_0,
+        equation l + 1 less sigma^-l(c) times equation l reads
+        sum_i sigma^-l(F'_i) x_i = sigma^-l(b'_l) for F' = sigma^-1(F[1:]) -
+        c F[1:] and b' = sigma^-1(b[1:]) - c b[:-1]: a system of the same
+        shape in x_1.., one smaller.  Back-substitution from the last stage
+        gives x.  Row i of A holds the coordinates of x_i in the F_q-basis
+        h; raises ValueError when some x_i lies outside span_Fq(h), which
+        needs n < N.
         """
+        # Every lead is nonzero.  After j stages F_i = A_j(E_i) for the
+        # F_q-linear map A_j = (sigma^-1 - c_(j-1)) ... (sigma^-1 - c_0).  For
+        # c = sigma^-1(u) / u with u != 0, sigma^-1(v) = c v iff
+        # sigma^-1(v / u) = v / u, that is v / u in F_q: the kernel of
+        # sigma^-1 - c is F_q u.  With u = F_j = A_j(E_j) this gives
+        # ker A_(j+1) = ker A_j + F_q E_j, so ker A_j = span_Fq(E_0..E_(j-1)).
+        # It does not hold E_j, as the E_i are F_q-independent: F_j != 0.
         ctx = self.ctx
-        frob = ctx.frobenius
-        r = len(E)
-        moore = [[frob(Ei, -l) for Ei in E] for l in range(r)]
-        x = solve_linear(ctx, moore, [frob(synd[l], -l) for l in range(r)])
+        frob, mul, sub, scale = ctx.frobenius, ctx.mul, ctx.sub, ctx.scale_row
+        F, b = E, synd[: len(E)]
+        stages = []
+        while True:
+            lead_inv = ctx.inv(F[0])
+            stages.append((F, b[0], lead_inv))
+            m = len(F) - 1
+            if not m:
+                break
+            # c F[1:] and c b[:-1] in one scale_row
+            cb = scale(F[1:] + b[:-1], mul(frob(F[0], -1), lead_inv))
+            F = [sub(frob(v, -1), w) for v, w in zip(F[1:], cb)]
+            b = [sub(frob(v, -1), w) for v, w in zip(b[1:], cb[m:])]
+        x = []
+        for F, b0, lead_inv in reversed(stages):
+            for v, xi in zip(F[1:], x):
+                b0 = sub(b0, mul(v, xi))
+            x.insert(0, mul(b0, lead_inv))
         return base_coordinates(ctx, self.h, x)
 
     def decode(self, y):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from brute_force import BruteForceDecoder
+from gptrank import gabidulin
 from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.fields import get_field
 from gptrank.gabidulin import GabidulinCode, moore_matrix
@@ -13,6 +14,7 @@ from gptrank.linalg import (
     mat_mul,
     rank_over_base,
     sample_error,
+    solve_linear,
     transpose,
     vec_add,
     vec_sub,
@@ -104,7 +106,20 @@ def test_decode_clean_word():
     assert got_e == [0] * 8
 
 
-@pytest.mark.parametrize("q,N,n,k", [(2, 8, 8, 3), (2, 12, 12, 6), (3, 5, 5, 1), (2, 10, 7, 3)])
+# GF(2^28) and GF(2^40) multiply without log tables, on 64- and 128-bit scale_row
+# lanes (n < N at N = 40), and GF(3^11) is an odd-q field without tables
+@pytest.mark.parametrize(
+    "q,N,n,k",
+    [
+        (2, 8, 8, 3),
+        (2, 12, 12, 6),
+        (3, 5, 5, 1),
+        (2, 10, 7, 3),
+        (2, 28, 28, 14),
+        (2, 40, 12, 6),
+        (3, 11, 11, 5),
+    ],
+)
 def test_decode_roundtrip_all_ranks(q, N, n, k):
     ctx = get_field(q, N)
     rng = random.Random(100 * n + k)
@@ -116,6 +131,24 @@ def test_decode_roundtrip_all_ranks(q, N, n, k):
             got_m, got_e = code.decode(vec_add(ctx, code.encode(m), e))
             assert got_m == m
             assert got_e == e
+
+
+# log tables, 64-bit lanes, 128-bit lanes, and two odd-q table fields
+@pytest.mark.parametrize("q,N", [(2, 12), (2, 28), (2, 40), (3, 5), (5, 3)])
+def test_location_recursion_matches_the_moore_system_solve(q, N, monkeypatch):
+    ctx = get_field(q, N)
+    rng = random.Random(q * N)
+    code = GabidulinCode(ctx, independent_elements(ctx, 2, rng), 1)
+    # x before its coordinates in h, which need not exist for random syndromes
+    monkeypatch.setattr(gabidulin, "base_coordinates", lambda ctx, basis, x: x)
+    frob = ctx.frobenius
+    for r in range(1, min(N, 10) + 1):
+        for _ in range(4):
+            E = independent_elements(ctx, r, rng)
+            synd = [ctx.rand_elem(rng) for _ in range(r)]
+            moore = [[frob(Ei, -l) for Ei in E] for l in range(r)]
+            want = solve_linear(ctx, moore, [frob(synd[l], -l) for l in range(r)])
+            assert code._solve_locations(E, synd) == want
 
 
 def test_decoder_agrees_with_exhaustive_search():
