@@ -33,6 +33,7 @@ from .attacks import (
     security_status,
 )
 from .errors import DecodeFailure, FormatError, ParameterError
+from .fields import _pack_bytes, _unpack_bytes
 from .gpt import (
     PRESET_NAMES,
     GptParams,
@@ -89,36 +90,29 @@ def bytes_per_element(params: GptParams) -> int:
 
 
 def message_to_blocks(params: GptParams, data: bytes) -> list[list[int]]:
-    """Chunk a byte string into zero-padded plaintext blocks."""
-    bpe = bytes_per_element(params)
-    per_block = bpe * params.pub_rows
-    blocks = []
-    for start in range(0, len(data), per_block):
-        chunk = data[start : start + per_block].ljust(per_block, b"\x00")
-        blocks.append(
-            [
-                int.from_bytes(chunk[i * bpe : (i + 1) * bpe], "big")
-                for i in range(params.pub_rows)
-            ]
-        )
-    return blocks
+    """Chunk a byte string into zero-padded plaintext blocks.
+
+    Each element is one big-endian bytes_per_element word, read by the
+    codec that key and ciphertext files use for their elements.
+    """
+    bpe, rows = bytes_per_element(params), params.pub_rows
+    flat = _unpack_bytes(data + bytes(-len(data) % (bpe * rows)), bpe)
+    return [flat[i : i + rows] for i in range(0, len(flat), rows)]
 
 
 def blocks_to_message(params: GptParams, blocks, msg_len: int) -> bytes:
-    """Reassemble decrypted blocks into the original byte string."""
+    """Reassemble decrypted blocks into the original byte string.
+
+    The inverse of `message_to_blocks`, written by the same element codec.
+    """
     bpe = bytes_per_element(params)
-    out = bytearray()
-    for block in blocks:  # decrypt returns blocks of exactly pub_rows entries
-        for v in block:
-            try:
-                out += int(v).to_bytes(bpe, "big")
-            except OverflowError:
-                raise DecodeFailure(
-                    "recovered element does not fit the message byte packing", "packing"
-                ) from None
+    flat = [v for block in blocks for v in block]  # decrypt gives pub_rows entries a block
+    if flat and not 0 <= min(flat) <= max(flat) < 1 << 8 * bpe:
+        raise DecodeFailure("recovered element does not fit the message byte packing", "packing")
+    out = _pack_bytes(flat, bpe)
     if msg_len > len(out):
         raise FormatError("declared message length exceeds the decrypted data")
-    return bytes(out[:msg_len])
+    return out[:msg_len]
 
 
 # -- parameter flags ------------------------------------------------

@@ -76,6 +76,33 @@ def _unpack_lanes(w: int, length: int) -> list[int]:
     return row if _LITTLE else row[::-1]
 
 
+def _pack_bytes(values, width: int) -> bytes:
+    """values as consecutive big-endian width-byte words, 1 <= width <= 8.
+
+    Each value must be below 256**width: the high bytes are dropped unread.
+    A value that is no int or does not fit 64 bits raises TypeError or
+    OverflowError, as array("Q") does.
+    """
+    lanes = array("Q", values)
+    if _LITTLE:
+        lanes.byteswap()
+    raw, out = lanes.tobytes(), bytearray(width * len(lanes))
+    for j in range(width):  # byte j of each word is byte 8 - width + j of its lane
+        out[j::width] = raw[8 - width + j :: 8]
+    return bytes(out)
+
+
+def _unpack_bytes(data: bytes, width: int) -> list[int]:
+    """The big-endian width-byte words of data, whose length they divide."""
+    raw = bytearray(8 * (len(data) // width))
+    for j in range(width):
+        raw[8 - width + j :: 8] = data[j::width]
+    lanes = array("Q", raw)
+    if _LITTLE:
+        lanes.byteswap()
+    return lanes.tolist()
+
+
 def _list_row(row: list[int], length: int) -> list[int]:
     return row
 
@@ -652,10 +679,6 @@ class FieldCtx:
     @property
     def element_hex_width(self) -> int:
         return ((self.size - 1).bit_length() + 3) // 4
-
-    def to_hex(self, a: int) -> str:
-        """Fixed-width hex of the packed coordinate vector, most significant first."""
-        return format(a, f"0{self.element_hex_width}x")
 
     # -- identity ------------------------------------------------------------
 

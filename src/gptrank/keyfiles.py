@@ -13,10 +13,20 @@ once each as a `_Record`: the header scalars in their written order with
 their bin struct codes, and the vectors and matrices that follow.  One
 writer and one reader per encoding serve every kind.
 
-Loaders sniff the encoding, verify the checksum, type-check the header,
-and revalidate the algebra (parameters, element ranges, what `GptPrivateKey`
-checks as it derives a private key's code and S map, and P P^{-1} = I)
-before handing back live objects.  Any mismatch raises FormatError.
+No element takes a Python call of its own.  Bin packs a record's elements
+into big-endian 64-bit lanes and keeps the low bytes of each lane by
+strided slices (`fields._pack_bytes`); it reads each matrix back in one
+`fields._unpack_bytes` call.  Hex and json write the last
+``element_hex_width`` digits of each lane's 16, and read a row by mapping
+``int(token, 16)`` over its tokens.
+
+Savers check every element once, before the file is opened: a value that
+is no element of F_{q^N} (negative, q^N or more, or not an int) raises
+ParameterError and leaves the target file as it was.  Loaders sniff
+the encoding, verify the checksum, type-check the header, and revalidate
+the algebra (parameters, element ranges, what `GptPrivateKey` checks as it
+derives a private key's code and S map, and P P^{-1} = I) before handing
+back live objects.  Any mismatch raises FormatError.
 """
 
 from __future__ import annotations
@@ -24,13 +34,15 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
 from .errors import FormatError, ParameterError
-from .fields import field_modulus, get_field
+from .fields import _pack_bytes, _unpack_bytes, field_modulus, get_field
 from .gpt import GptParams, GptPrivateKey, GptPublicKey
 from .linalg import FixedMatrix, identity_matrix, mat_mul
 
@@ -248,15 +260,32 @@ def _check_range(ctx, elems) -> None:
         raise FormatError("element value outside the field")
 
 
-def _hex_row(ctx, vec) -> str:
-    return " ".join(ctx.to_hex(v) for v in vec)
+def _hex_lines(rec: _Record, ctx, members: dict, flat) -> dict:
+    """Each member's rows as lines of space-separated fixed-width hex elements.
+
+    flat is every member's elements in order.  Their 8-byte big-endian lanes
+    give 16 hex digits each, of which the last element_hex_width are kept.
+    """
+    w = ctx.element_hex_width
+    digits = _pack_bytes(flat, 8).hex().encode()
+    cells = bytearray(b" ") * ((w + 1) * len(flat))
+    for j in range(w):  # each element's w digits, then a space
+        cells[j :: w + 1] = digits[16 - w + j :: 16]
+    text, pos, out = cells.decode(), 0, {}
+    for m in rec.members:
+        out[m.name] = lines = []
+        for row in members[m.name]:
+            end = pos + (w + 1) * len(row)
+            lines.append(text[pos : end - 1])
+            pos = end
+    return out
 
 
 def _parse_row(ctx, text, cols: int) -> list[int]:
     if not isinstance(text, str):
         raise FormatError(f"expected a line of hex elements, found {type(text).__name__}")
     try:
-        row = [int(tok, 16) for tok in text.split()]
+        row = list(map(int, text.split(), repeat(16)))
     except ValueError as exc:
         raise FormatError(f"bad element: {exc}") from None
     _check_range(ctx, row)
@@ -297,7 +326,7 @@ def _expect_kind(rec: _Record, found) -> None:
 # -- bin ------------------------------------------------
 
 
-def _bin_write(rec: _Record, values: dict, ctx, members: dict) -> bytes:
+def _bin_write(rec: _Record, values: dict, ctx, members: dict, flat) -> bytes:
     parts = [MAGIC, bytes([rec.kind])]
     for name, code in rec.header:
         value = values[name] if name in values else len(members[name])
@@ -306,9 +335,7 @@ def _bin_write(rec: _Record, values: dict, ctx, members: dict) -> bytes:
         else:
             to_bin = _BIN_FORMS[name][0] if name in _BIN_FORMS else int
             parts.append(struct.pack(">" + code, to_bin(value)))
-    w = _elem_width(ctx)
-    for m in rec.members:
-        parts += [int(v).to_bytes(w, "big") for row in members[m.name] for v in row]
+    parts.append(_pack_bytes(flat, _elem_width(ctx)))
     payload = b"".join(parts)
     return payload + hashlib.sha256(payload).digest()
 
@@ -344,7 +371,7 @@ def _bin_read(rec: _Record, data: bytes):
             end = pos + w * count
             if end > len(payload):
                 raise FormatError("truncated element data")
-            flat = [int.from_bytes(payload[i : i + w], "big") for i in range(pos, end, w)]
+            flat = _unpack_bytes(payload[pos:end], w)
             _check_range(ctx, flat)
             out[m.name] = [flat[i : i + cols] for i in range(0, count, cols)]
             pos = end
@@ -368,16 +395,17 @@ def _hex_value(text: str):
         return text
 
 
-def _hex_write(rec: _Record, values: dict, ctx, members: dict) -> bytes:
+def _hex_write(rec: _Record, values: dict, ctx, members: dict, flat) -> bytes:
     lines = ["gptrank: 1", f"kind: {rec.name}"]
     for name in rec.scalars:
         value = values[name]
         text = " ".join(map(str, value)) if name == "modulus" else str(value)
         lines.append(f"{name}: {'-' if value is None else text}")
+    texts = _hex_lines(rec, ctx, members, flat)
     for m in rec.members:
         if m.section:
             lines.append(f"{m.name}: ")
-        lines += [f"{m.row or m.name}: {_hex_row(ctx, row)}" for row in members[m.name]]
+        lines += [f"{m.row or m.name}: {text}" for text in texts[m.name]]
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return (body + f"checksum: {digest}\n").encode("utf-8")
@@ -424,12 +452,12 @@ def _hex_read(rec: _Record, data: bytes):
 # -- json ------------------------------------------------
 
 
-def _json_write(rec: _Record, values: dict, ctx, members: dict) -> bytes:
+def _json_write(rec: _Record, values: dict, ctx, members: dict, flat) -> bytes:
     doc = {"gptrank": 1, "kind": rec.name}
     doc.update({"params": values} if rec.nested else values)
+    texts = _hex_lines(rec, ctx, members, flat)
     for m in rec.members:
-        rows = [_hex_row(ctx, row) for row in members[m.name]]
-        doc[m.name] = rows if m.row else rows[0]
+        doc[m.name] = texts[m.name] if m.row else texts[m.name][0]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
@@ -467,7 +495,15 @@ def _save(path, rec: _Record, obj, fmt: str) -> None:
     if write is None:
         raise ParameterError(f"unknown file format {fmt!r} (choose bin, hex, or json)")
     context, members = rec.split(obj)
-    Path(path).write_bytes(write(rec, rec.values(context), context.field(), members))
+    ctx = context.field()
+    flat = [v for m in rec.members for row in members[m.name] for v in row]
+    try:  # a value the codec would truncate or cannot read back
+        lanes = array("Q", flat)
+    except (TypeError, OverflowError):
+        lanes = None
+    if lanes is None or max(lanes, default=0) >= ctx.size:
+        raise ParameterError(f"{rec.name} data holds a value outside F_{ctx.q}^{ctx.N}")
+    Path(path).write_bytes(write(rec, rec.values(context), ctx, members, lanes))
 
 
 def _load(path, rec: _Record):

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import per_element_codec
 from gptrank import attacks
-from gptrank.cli import blocks_to_message, main, message_to_blocks
+from gptrank.cli import blocks_to_message, bytes_per_element, main, message_to_blocks
 from gptrank.errors import DecodeFailure, ParameterError
-from gptrank.gpt import preset
+from gptrank.gpt import GptParams, preset
 from gptrank.keyfiles import CiphertextBundle, load_ciphertext, save_ciphertext
 
 
@@ -76,9 +77,26 @@ def test_chunking_needs_a_big_enough_field():
 
 def test_an_element_too_wide_for_the_packing_fails_at_that_stage():
     params = preset("desk-12")  # one byte per element
-    with pytest.raises(DecodeFailure) as info:
-        blocks_to_message(params, [[256, 0, 0, 0, 0, 0]], 6)
-    assert info.value.stage == "packing"
+    for bad in (256, -1):
+        with pytest.raises(DecodeFailure) as info:
+            blocks_to_message(params, [[bad, 0, 0, 0, 0, 0]], 6)
+        assert info.value.stage == "packing"
+
+
+@pytest.mark.parametrize("N", [12, 20, 28, 33, 41, 52, 60, 64])  # 1 to 8 bytes per element
+def test_chunkers_match_the_per_element_codec(N):
+    params = GptParams(N=N, n=6, k=2, t1=1)
+    bpe = bytes_per_element(params)
+    assert bpe == N // 8
+    rng = random.Random(N)
+    for size in (0, 1, 2 * bpe - 1, 2 * bpe, 11 * bpe + 3):
+        data = bytes([0xFF] * min(size, bpe)) + rng.randbytes(max(size - bpe, 0))
+        blocks = message_to_blocks(params, data)
+        assert blocks == per_element_codec.message_to_blocks(params, data)
+        assert blocks_to_message(params, blocks, size) == data
+        assert per_element_codec.blocks_to_message(params, blocks, size) == data
+    with pytest.raises(DecodeFailure, match="byte packing"):
+        blocks_to_message(params, [[1 << 8 * bpe, 0]], 1)
 
 
 # -- full flows ------------------------------------------------

@@ -401,16 +401,6 @@ def test_check_element_bounds():
         ctx.check_element("3")
 
 
-def test_hex_roundtrip():
-    ctx = get_field(2, 12)
-    rng = random.Random(5)
-    for _ in range(50):
-        a = ctx.rand_elem(rng)
-        s = ctx.to_hex(a)
-        assert len(s) == ctx.element_hex_width
-        assert ctx.check_element(int(s, 16)) == a
-
-
 def test_coeff_roundtrip():
     ctx = get_field(3, 5)
     rng = random.Random(6)

@@ -1,5 +1,6 @@
 """Serialization: lossless roundtrips, checksums, and cross-validation."""
 
+import copy
 import hashlib
 import json
 import random
@@ -8,11 +9,15 @@ from pathlib import Path
 
 import pytest
 
+import per_element_codec
 from gptrank.attacks import attack_public_key
 from gptrank.cli import main
 from gptrank.errors import FormatError, ParameterError
 from gptrank.gpt import GptParams, GptPrivateKey, decrypt, encrypt, keygen, preset
 from gptrank.keyfiles import (
+    _CIPHERTEXT,
+    _PRIVATE,
+    _PUBLIC,
     MAGIC,
     CiphertextBundle,
     load_ciphertext,
@@ -465,3 +470,76 @@ def test_keygen_loading_and_the_attack_build_no_product_kernel(tmp_path):
         loaded = load_public_key(tmp_path / "pub")
         attack_public_key(loaded)
         assert isinstance(loaded.matrix, FixedMatrix) and loaded.matrix.times is None
+
+
+# -- the bulk element codec ------------------------------------------------
+
+# element widths 1 to 8 bytes, with both parities of element_hex_width
+CODEC_FIELDS = [(2, 5), (3, 6), (2, 12), (2, 20), (2, 28), (2, 33), (2, 41), (2, 52), (3, 40), (2, 64)]
+
+
+@pytest.fixture(scope="module", params=CODEC_FIELDS, ids=lambda f: f"GF({f[0]}^{f[1]})")
+def codec_case(request):
+    """A key pair over the field, its public matrix holding 0 and q^N - 1, and ciphertexts."""
+    q, N = request.param
+    params = GptParams(q=q, N=N, n=min(N, 6), k=2, t1=1)
+    pub, priv = keygen(params, random.Random(N))
+    ctx, top, cols = params.field(), params.field().size - 1, params.pub_cols
+    matrix = [list(row) for row in pub.matrix]
+    matrix[0][:2], matrix[-1][-1] = [0, top], top
+    ct = make_ct(params, random.Random(N))
+    cts = [replace(ct, blocks=blocks) for blocks in ([], [[top] * cols], ct.blocks + [[0] * cols])]
+    return ctx, replace(pub, matrix=matrix), priv, cts
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bulk_codec_writes_the_per_element_bytes(tmp_path, codec_case, fmt):
+    # every record kind, including one-row vectors (g, a one-block ciphertext)
+    # and a ciphertext with no blocks, is byte-identical to the per-element
+    # writers and loads back equal
+    ctx, pub, priv, cts = codec_case
+    path = tmp_path / f"file.{fmt}"
+    cases = [(_PUBLIC, pub, save_public_key, load_public_key),
+             (_PRIVATE, priv, save_private_key, load_private_key)]  # fmt: skip
+    cases += [(_CIPHERTEXT, ct, save_ciphertext, load_ciphertext) for ct in cts]
+    for rec, obj, save, load in cases:
+        save(path, obj, fmt)
+        assert path.read_bytes() == per_element_codec.encode(rec, obj, fmt), rec.name
+        assert load(path) == obj, rec.name
+    if fmt == "hex":  # the last file: a fixed-width token per element, read back by int(tok, 16)
+        lines = path.read_text().splitlines()
+        tokens = [tok for ln in lines if ln.startswith("block: ") for tok in ln[7:].split()]
+        assert {len(tok) for tok in tokens} == {ctx.element_hex_width}
+        assert [int(tok, 16) for tok in tokens] == [v for block in cts[-1].blocks for v in block]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bulk_codec_refuses_elements_outside_the_field(tmp_path, codec_case, fmt):
+    # q^N needs the ninth byte of a lane at 8-byte widths and fits a
+    # narrower element's bytes elsewhere; neither may be truncated
+    ctx, _, _, cts = codec_case
+    path = tmp_path / f"ct.{fmt}"
+    path.write_bytes(b"untouched")
+    for bad in (-1, ctx.size, 1.0):
+        ct = replace(cts[1], blocks=[[bad] + cts[1].blocks[0][1:]])
+        with pytest.raises(ParameterError, match="outside F_"):
+            save_ciphertext(path, ct, fmt)
+        assert path.read_bytes() == b"untouched"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("bad", [-1, 1 << 12, 1.0], ids=["minus-1", "q^N", "float"])
+def test_writers_refuse_elements_outside_the_field(tmp_path, keypair, fmt, bad):
+    pub, priv = keypair
+    ct = make_ct(pub.params, random.Random(96))
+    bad_priv = copy.copy(priv)
+    bad_priv.S = [[bad] + list(row[1:]) for row in priv.S]
+    cases = [(save_public_key, replace(pub, matrix=[[bad] + list(pub.matrix[0][1:])])),
+             (save_private_key, bad_priv),
+             (save_ciphertext, replace(ct, blocks=[[bad] + ct.blocks[0][1:]]))]  # fmt: skip
+    path = tmp_path / f"out.{fmt}"
+    path.write_bytes(b"untouched")
+    for save, obj in cases:
+        with pytest.raises(ParameterError, match="holds a value outside F_2\\^12"):
+            save(path, obj, fmt)
+        assert path.read_bytes() == b"untouched"
