@@ -9,8 +9,10 @@ produces a tall matrix whose rank tells the two scrambler families apart.
 A base-field scrambler commutes with sigma, so consecutive images overlap
 in all but one Moore row of the hidden code and the stack collapses to
 about k + u rows (plus the width of any distortion blocks).  A scrambler
-with extension-field columns does not commute, and a healthy key reaches
-the full rank min((u + 1) * rows, cols).  A collapsed rank is the entry
+with extension-field columns does not commute, and at the default depth
+u = n - k - 1 a healthy key reaches the full rank min((u + 1) * rows, cols).
+Not at every depth: below u = n - k - s_ext it reads k + u + s_ext, short
+of the full rank that a random matrix gives.  A collapsed rank is the entry
 point for recovering the private code row space, so "distinguishable"
 here means structurally broken.
 
@@ -27,10 +29,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParameterError
-from .gpt import GptParams, GptPublicKey, keygen, preset, public_key_size_bits
+from .gpt import GptParams, GptPublicKey, keygen, preset
 from .linalg import _rref, mat_frobenius, rank_ext, vec_sub
 
 __all__ = [
@@ -112,27 +114,17 @@ def _leak_bound(params: GptParams, u: int, full: int) -> int:
     return min(core + params.kept_offset + params.overlay_rank, full)
 
 
-def default_stack_depth(params: GptParams) -> int:
-    return params.n - params.k - 1
-
-
 def _stack_depth(params: GptParams, u: int | None) -> int:
-    """u, or the default depth when u is None; ParameterError unless 1 <= u < N."""
+    """u, or the default depth n - k - 1 when u is None; ParameterError unless 1 <= u < N."""
     if u is None:
-        u = default_stack_depth(params)
+        u = params.n - params.k - 1
     if not 1 <= u < params.N:
         raise ParameterError(f"stack depth u must lie in [1, {params.N - 1}]")
     return u
 
 
 def distinguish_public_key(pub: GptPublicKey, u: int | None = None) -> DistinguisherResult:
-    """Measure the stacked rank of one public key and compare with full rank.
-
-    stacked_rank ranks [G; sigma(G); ...; sigma^u(G)] level by level: the
-    reduced echelon form of G gives its rank, and sigma(A) - A, for its
-    non-pivot block A, carries the rest one level shallower.  No level
-    builds or eliminates the (u + 1) * rows stack.
-    """
+    """Compare the public key's depth-u stacked rank (see stacked_rank) with full rank."""
     params = pub.params
     u = _stack_depth(params, u)
     observed = stacked_rank(params.field(), pub.matrix, u)
@@ -150,21 +142,12 @@ def distinguish_public_key(pub: GptPublicKey, u: int | None = None) -> Distingui
 class TrialSummary:
     """Distinguisher outcomes over several freshly generated keys."""
 
-    params: GptParams
     u: int
-    results: list[DistinguisherResult] = field(default_factory=list)
-
-    @property
-    def trials(self) -> int:
-        return len(self.results)
+    results: list[DistinguisherResult]
 
     @property
     def observed_ranks(self) -> tuple[int, ...]:
         return tuple(r.observed_rank for r in self.results)
-
-    @property
-    def distinguishable_count(self) -> int:
-        return sum(1 for r in self.results if r.distinguishable)
 
     @property
     def verdict(self) -> str:
@@ -185,7 +168,7 @@ def distinguisher_trials(
     for _ in range(trials):
         pub, _ = keygen(params, rng)
         results.append(distinguish_public_key(pub, u))
-    return TrialSummary(params=params, u=u, results=results)
+    return TrialSummary(u=u, results=results)
 
 
 # -- work-factor estimates ------------------------------------------------
@@ -242,7 +225,6 @@ class AttackReport:
     params: GptParams
     distinguisher: DistinguisherResult
     costs: dict[str, float]
-    key_size_bits: float
     status: str
     reason: str
 
@@ -256,7 +238,6 @@ def attack_public_key(pub: GptPublicKey, u: int | None = None) -> AttackReport:
         params=pub.params,
         distinguisher=result,
         costs=costs,
-        key_size_bits=public_key_size_bits(pub.params),
         status=status,
         reason=reason,
     )

@@ -61,7 +61,6 @@ from .linalg import (
     vec_add,
     vec_mat_mul,
     vec_sub,
-    zeros_matrix,
 )
 
 __all__ = [
@@ -296,7 +295,7 @@ def _split_inverse(ctx, X, F):
     return Y + [vec_sub(ctx, t, cy) for t, cy in zip(T, mat_mul(ctx, TX[:f], Y))]
 
 
-def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
+def build_scrambler(ctx, size, s_ext, rng, kept, base_field=False):
     """Column scrambler pair (P, P_inv) of the given size.
 
     With ``base_field`` both matrices lie over F_q.  Otherwise P_inv is
@@ -307,8 +306,6 @@ def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
     P is diag(I, mask^{-1}) [X | F]^{-1}, whose only inverse over F_{q^N}
     is that of an x x x block, x the width of X (see ``_split_inverse``).
     """
-    if kept is None:
-        kept = size
     if not 0 < kept <= size:
         raise ParameterError("kept block size out of range")
     if base_field:
@@ -338,7 +335,7 @@ def build_scrambler(ctx, size, s_ext, rng, kept=None, base_field=False):
 def _distortion_matrix(ctx, k, width, col_rank, ord_rank, rng):
     """k x width block of column rank col_rank over F_q and ordinary rank ord_rank."""
     if col_rank == 0:
-        return zeros_matrix(k, width)
+        return [[0] * width for _ in range(k)]
     for _ in range(_MAX_DRAWS):
         if ord_rank == col_rank:
             C = random_matrix(ctx, k, col_rank, rng)

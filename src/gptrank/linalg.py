@@ -46,7 +46,6 @@ __all__ = [
     "mat_inv",
     "transpose",
     "identity_matrix",
-    "zeros_matrix",
     "concat_cols",
     "mat_frobenius",
     "rank_ext",
@@ -128,10 +127,6 @@ def transpose(M):
 
 def identity_matrix(size):
     return [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-
-
-def zeros_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
 
 
 def concat_cols(A, B):

@@ -14,7 +14,6 @@ from gptrank.attacks import (
     TrialSummary,
     attack_cost_report,
     attack_public_key,
-    default_stack_depth,
     distinguish_public_key,
     distinguisher_trials,
     example_security_table,
@@ -25,7 +24,7 @@ from gptrank.attacks import (
 from gptrank.errors import ParameterError
 from gptrank.fields import get_field
 from gptrank.gabidulin import GabidulinCode, moore_matrix
-from gptrank.gpt import GptParams, encrypt, keygen, preset
+from gptrank.gpt import GptParams, encrypt, keygen, preset, public_key_size_bits
 from gptrank.keyfiles import load_public_key
 from gptrank.linalg import (
     independent_elements,
@@ -125,7 +124,7 @@ def test_distinguisher_separates_the_two_scrambler_families():
     assert s_base.verdict == "DISTINGUISHABLE"
     assert s_base.observed_ranks == (11, 11, 11, 11)
     first = s_base.results[0]
-    assert first.u == default_stack_depth(base) == 5
+    assert first.u == base.n - base.k - 1 == 5  # the default depth
     assert first.full_rank == 12
     assert first.leak_bound == 11
 
@@ -149,9 +148,8 @@ def test_trials_that_disagree_read_mixed():
         distinguish_public_key(keygen(GptParams(**DESK, t1=2, scrambler_mode=mode), rng)[0])
         for mode in ("base_field", "extension_field")
     ]
-    summary = TrialSummary(GptParams(**DESK, t1=2), 5, results)
-    assert [r.distinguishable for r in results] == [True, False]
-    assert summary.distinguishable_count == 1
+    summary = TrialSummary(5, results)
+    assert [r.distinguishable for r in summary.results] == [True, False]
     assert summary.verdict == "MIXED"
 
 
@@ -160,7 +158,7 @@ def test_trials_that_agree_read_their_common_verdict():
     for mode in ("base_field", "extension_field"):
         params = GptParams(**DESK, t1=2, scrambler_mode=mode)
         results = [distinguish_public_key(keygen(params, rng)[0]) for _ in range(3)]
-        summary = TrialSummary(params, 5, results)
+        summary = TrialSummary(5, results)
         assert {r.verdict for r in results} == {results[0].verdict}
         assert summary.verdict == results[0].verdict
 
@@ -242,6 +240,16 @@ def test_cost_report_frozen_values():
     assert costs["brute_force"] == pytest.approx(84.0, abs=1e-9)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the enumeration costs are priced at the radius t = 7, not at the "
+    "ciphertext's error rank 3, where basis enumeration costs about 2^49.2",
+)
+def test_paper28_basis_enumeration_is_below_the_threshold():
+    costs = attack_cost_report(preset("paper-28"))
+    assert costs["basis_enumeration"] < SECURITY_THRESHOLD_BITS
+
+
 def test_message_enumeration_breaks_a_one_row_public_key():
     # a 1 x 31 public key has only 2^28 messages, far cheaper than brute force
     params = GptParams(N=28, n=28, k=14, t1=3, t2=2, p=13, variant=5)
@@ -294,7 +302,7 @@ def test_attack_report_end_to_end():
     report = attack_public_key(pub)
     assert report.status == "insecure"
     assert report.distinguisher.distinguishable
-    assert report.key_size_bits == 864
+    assert public_key_size_bits(report.params) == 864
     pub2, _ = keygen(preset("desk-12"), rng)
     report2 = attack_public_key(pub2)
     assert not report2.distinguisher.distinguishable

@@ -375,7 +375,7 @@ def test_factored_scrambler_inverse_is_the_whole_inverse(q, N, kept, s_ext, base
 def test_base_field_scrambler_is_base_field():
     ctx = get_field(2, 12)
     rng = random.Random(62)
-    P, P_inv = build_scrambler(ctx, 12, 0, rng, base_field=True)
+    P, P_inv = build_scrambler(ctx, 12, 0, rng, kept=12, base_field=True)
     assert all(v < ctx.q for M in (P, P_inv) for row in M for v in row)
     assert mat_mul(ctx, P, P_inv) == identity_matrix(12)
 
@@ -385,7 +385,8 @@ def test_base_field_scrambler_is_base_field():
     [
         (dict(size=12, s_ext=0, kept=0), "kept block size out of range"),
         (dict(size=12, s_ext=0, kept=13), "kept block size out of range"),
-        (dict(size=12, s_ext=1, base_field=True), "a base-field scrambler has no extension-field"),
+        (dict(size=12, s_ext=1, kept=12, base_field=True),
+         "a base-field scrambler has no extension-field"),
         (dict(size=12, s_ext=5, kept=4), r"s_ext must lie in \[0, 4\]"),
     ],
     ids=["kept 0", "kept size + 1", "base field with s_ext", "s_ext over kept"],
@@ -429,7 +430,7 @@ def test_scrambled_error_rank_obeys_budget():
 def test_base_field_scrambler_preserves_rank_exactly():
     ctx = get_field(2, 12)
     rng = random.Random(64)
-    P, P_inv = build_scrambler(ctx, 12, 0, rng, base_field=True)
+    P, P_inv = build_scrambler(ctx, 12, 0, rng, kept=12, base_field=True)
     for r in (1, 2, 4):
         e = sample_error(ctx, 12, r, rng)
         assert rank_over_base(ctx, vec_mat_mul(ctx, e, P_inv)) == r
