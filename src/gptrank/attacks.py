@@ -28,11 +28,10 @@ attacks (log2 of the operation count).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .gpt import GptParams, GptPublicKey, keygen, preset
+from .gpt import GptParams, GptPublicKey, _default_rng, keygen, preset
 from .linalg import _rref, mat_frobenius, rank_ext, vec_sub
 
 __all__ = [
@@ -142,7 +141,6 @@ def distinguish_public_key(pub: GptPublicKey, u: int | None = None) -> Distingui
 class TrialSummary:
     """Distinguisher outcomes over several freshly generated keys."""
 
-    u: int
     results: list[DistinguisherResult]
 
     @property
@@ -162,13 +160,9 @@ def distinguisher_trials(
     if trials < 1:
         raise ParameterError("need at least one trial")
     u = _stack_depth(params, u)
-    if rng is None:
-        rng = random.SystemRandom()
-    results = []
-    for _ in range(trials):
-        pub, _ = keygen(params, rng)
-        results.append(distinguish_public_key(pub, u))
-    return TrialSummary(u=u, results=results)
+    rng = _default_rng(rng)
+    keys = (keygen(params, rng)[0] for _ in range(trials))
+    return TrialSummary([distinguish_public_key(pub, u) for pub in keys])
 
 
 # -- work-factor estimates ------------------------------------------------
@@ -222,7 +216,6 @@ def security_status(costs: dict[str, float], distinguishable: bool) -> tuple[str
 
 @dataclass
 class AttackReport:
-    params: GptParams
     distinguisher: DistinguisherResult
     costs: dict[str, float]
     status: str
@@ -235,7 +228,6 @@ def attack_public_key(pub: GptPublicKey, u: int | None = None) -> AttackReport:
     costs = attack_cost_report(pub.params)
     status, reason = security_status(costs, result.distinguishable)
     return AttackReport(
-        params=pub.params,
         distinguisher=result,
         costs=costs,
         status=status,

@@ -38,6 +38,7 @@ from .gpt import (
     PRESET_NAMES,
     GptParams,
     ScramblerMode,
+    _default_rng,
     decrypt,
     encrypt,
     keygen,
@@ -186,7 +187,7 @@ def _describe_params(params: GptParams) -> str:
 
 def _rng(seed):
     """Seeded Mersenne Twister for reproducible runs, the OS CSPRNG otherwise."""
-    return random.SystemRandom() if seed is None else random.Random(seed)
+    return _default_rng(None if seed is None else random.Random(seed))
 
 
 def _cmd_keygen(args) -> int:
@@ -265,7 +266,7 @@ def _simulation_report(params: GptParams, args) -> str:
         first = summary.results[0]
         ranks = " ".join(str(r) for r in summary.observed_ranks)
         lines.append(
-            f"  {pp.scrambler_mode.value:15s} u={summary.u}"
+            f"  {pp.scrambler_mode.value:15s} u={first.u}"
             f" observed ranks [{ranks}] full {first.full_rank}"
             f" base-field ceiling {first.leak_bound} -> {summary.verdict}"
         )
@@ -299,7 +300,7 @@ def _cmd_attack(args) -> int:
     pub = load_public_key(args.pub)
     report = attack_public_key(pub, u=args.u)
     res = report.distinguisher
-    print(_describe_params(report.params))
+    print(_describe_params(pub.params))
     print(f"extended-rank distinguisher (u={res.u}):")
     print(f"  observed stacked rank: {res.observed_rank}")
     print(f"  full rank of a healthy key: {res.full_rank}")

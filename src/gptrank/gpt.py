@@ -43,6 +43,7 @@ from .fields import FieldCtx, field_modulus, get_field
 from .gabidulin import GabidulinCode
 from .linalg import (
     FixedMatrix,
+    _split_inverse,
     _transform,
     base_product,
     base_transform,
@@ -50,17 +51,16 @@ from .linalg import (
     concat_cols,
     independent_elements,
     mat_add,
-    mat_inv,
     mat_mul,
     rank_ext,
     random_full_row_rank,
     random_matrix,
     rank_over_base,
     sample_error,
+    times_base,
     transpose,
     vec_add,
     vec_mat_mul,
-    vec_sub,
 )
 
 __all__ = [
@@ -80,6 +80,11 @@ __all__ = [
 ]
 
 _MAX_DRAWS = 200
+
+
+def _default_rng(rng):
+    """rng, or the OS CSPRNG when rng is None: every unseeded draw starts here."""
+    return random.SystemRandom() if rng is None else rng
 
 
 def _parse_member(cls, value, what: str):
@@ -271,30 +276,6 @@ class GptPrivateKey:
         self.unscramble = FixedMatrix(transpose(T))
 
 
-def _times_base(ctx, B, A):
-    """B A for A over F_q, as (A^T B^T)^T."""
-    return transpose(base_product(ctx, transpose(A), transpose(B)))
-
-
-def _split_inverse(ctx, X, F):
-    """[X | F]^{-1} for F over F_q, inverting over F_{q^N} only an x x x block.
-
-    With T F = [I; 0], T [X | F] = [[C1, I], [C2, 0]], whose inverse is
-    [[0, C2^{-1}], [I, -C1 C2^{-1}]]; x is X's width, the rows of C2.
-    Raises ValueError when [X | F] is singular: exactly when F's columns are
-    dependent or C2 is singular.
-    """
-    T = base_transform(ctx, F)
-    f = len(F[0])
-    if f == len(F):  # X has no columns
-        return T
-    TX = base_product(ctx, T, X)
-    Y = mat_mul(ctx, mat_inv(ctx, TX[f:]), T[f:])
-    if not f:
-        return Y
-    return Y + [vec_sub(ctx, t, cy) for t, cy in zip(T, mat_mul(ctx, TX[:f], Y))]
-
-
 def build_scrambler(ctx, size, s_ext, rng, kept, base_field=False):
     """Column scrambler pair (P, P_inv) of the given size.
 
@@ -328,7 +309,7 @@ def build_scrambler(ctx, size, s_ext, rng, kept, base_field=False):
             continue
         d = size - kept
         P = W[:d] + base_product(ctx, base_transform(ctx, mask), W[d:])
-        return P, concat_cols(R, _times_base(ctx, concat_cols(E, F), mask))
+        return P, concat_cols(R, times_base(ctx, concat_cols(E, F), mask))
     raise ParameterError("failed to draw an invertible scrambler")
 
 
@@ -348,14 +329,13 @@ def _distortion_matrix(ctx, k, width, col_rank, ord_rank, rng):
         if column_rank_over_base(ctx, C) != col_rank or rank_ext(ctx, C) != ord_rank:
             continue
         A = random_full_row_rank(ctx, col_rank, width, rng, base_field=True)
-        return _times_base(ctx, C, A)
+        return times_base(ctx, C, A)
     raise ParameterError("failed to draw a distortion block with the requested ranks")
 
 
 def keygen(params: GptParams, rng=None):
     """Fresh (public, private) key pair; without rng, draws from the OS CSPRNG."""
-    if rng is None:
-        rng = random.SystemRandom()
+    rng = _default_rng(rng)
     ctx = params.field()
     n, k = params.n, params.k
     base = params.scrambler_mode == ScramblerMode.BASE_FIELD
@@ -396,8 +376,7 @@ def encrypt(pk: GptPublicKey, m, rng=None):
 
     Without rng, the error is drawn from the OS CSPRNG.
     """
-    if rng is None:
-        rng = random.SystemRandom()
+    rng = _default_rng(rng)
     params = pk.params
     ctx = _checked_field(params, m, params.pub_rows, "plaintext")
     e = sample_error(ctx, params.pub_cols, params.error_rank, rng)

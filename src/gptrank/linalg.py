@@ -14,8 +14,10 @@ highest bit.  Tagging the entries (or rows) with identity bits makes the
 same pass give the relations, or the row operations, in the reduced form
 that _rref gives.  For odd q the coordinate matrix goes through the
 extension-field eliminator; its entries 0..q-1 are the prime subfield,
-which elimination never leaves.  A product A M with A over F_q
-(base_product) is, at q = 2, one xor per row of M's lane-packed rows.
+which elimination never leaves.  Products by a matrix A over F_q live
+here too: A M (base_product; at q = 2 one xor per row of M's lane-packed
+rows), M A (times_base) and w A (base_combination), as does [X | F]^{-1}
+for F over F_q (_split_inverse).
 
 Over F_{q^N} there is one elimination loop, _eliminate.  rank_ext runs it
 forward only: each pivot clears the rows below, and a pivot in the last
@@ -58,6 +60,7 @@ __all__ = [
     "base_combination",
     "base_transform",
     "base_product",
+    "times_base",
     "random_matrix",
     "random_full_row_rank",
     "independent_elements",
@@ -380,6 +383,30 @@ def base_product(ctx, A, M):
     cols = len(M[0])
     packed = list(map(_pack_lanes, M))
     return [_unpack_lanes(reduce(xor, compress(packed, row), 0), cols) for row in A]
+
+
+def times_base(ctx, M, A):
+    """The matrix M A, for M over F_{q^N} and A over F_q, as (A^T M^T)^T."""
+    return transpose(base_product(ctx, transpose(A), transpose(M)))
+
+
+def _split_inverse(ctx, X, F):
+    """[X | F]^{-1} for F over F_q, inverting over F_{q^N} only an x x x block.
+
+    With T F = [I; 0], T [X | F] = [[C1, I], [C2, 0]], whose inverse is
+    [[0, C2^{-1}], [I, -C1 C2^{-1}]]; x is X's width, the rows of C2.
+    Raises ValueError when [X | F] is singular: exactly when F's columns are
+    dependent or C2 is singular.
+    """
+    T = base_transform(ctx, F)
+    f = len(F[0])
+    if f == len(F):  # X has no columns
+        return T
+    TX = base_product(ctx, T, X)
+    Y = mat_mul(ctx, mat_inv(ctx, TX[f:]), T[f:])
+    if not f:
+        return Y
+    return Y + [vec_sub(ctx, t, cy) for t, cy in zip(T, mat_mul(ctx, TX[:f], Y))]
 
 
 def base_combination(ctx, w, A):

@@ -35,6 +35,7 @@ from gptrank.linalg import (
     vec_mat_mul,
     vec_sub,
 )
+from parameter_sweep import accepted_sweep_params
 
 DESK = dict(q=2, N=12, n=12, k=6)
 GOLDEN = Path(__file__).parent / "golden"
@@ -148,7 +149,7 @@ def test_trials_that_disagree_read_mixed():
         distinguish_public_key(keygen(GptParams(**DESK, t1=2, scrambler_mode=mode), rng)[0])
         for mode in ("base_field", "extension_field")
     ]
-    summary = TrialSummary(5, results)
+    summary = TrialSummary(results)
     assert [r.distinguishable for r in summary.results] == [True, False]
     assert summary.verdict == "MIXED"
 
@@ -158,7 +159,7 @@ def test_trials_that_agree_read_their_common_verdict():
     for mode in ("base_field", "extension_field"):
         params = GptParams(**DESK, t1=2, scrambler_mode=mode)
         results = [distinguish_public_key(keygen(params, rng)[0]) for _ in range(3)]
-        summary = TrialSummary(5, results)
+        summary = TrialSummary(results)
         assert {r.verdict for r in results} == {results[0].verdict}
         assert summary.verdict == results[0].verdict
 
@@ -206,6 +207,25 @@ def test_rank_profile_of_golden_public_keys(name):
     depths = range(1, pub.params.N)
     profile = [distinguish_public_key(pub, u).observed_rank for u in depths]
     assert profile == GOLDEN_PROFILES[name]
+
+
+def test_every_sweep_key_falls_below_the_random_baseline_by_depth_3():
+    # one key per accepted tuple of the parameter-rule sweep, the i-th seeded
+    # with Random(i): each stack is short of the random-matrix rank
+    # min((u + 1) rows, cols) at some u <= 3, yet a depth-u verdict read at
+    # the default depth n - k - 1 alone misses many of them
+    first_short = {}
+    not_distinguishable = 0
+    for i, params in enumerate(accepted_sweep_params(), start=1):
+        pub, _ = keygen(params, random.Random(i))
+        ctx, rows, cols = params.field(), params.pub_rows, params.pub_cols
+        baseline = {u: min((u + 1) * rows, cols) for u in (1, 2, 3)}
+        short = [u for u, full in baseline.items() if stacked_rank(ctx, pub.matrix, u) < full]
+        assert short, params
+        first_short[short[0]] = first_short.get(short[0], 0) + 1
+        not_distinguishable += not distinguish_public_key(pub).distinguishable
+    assert first_short == {1: 340, 2: 270, 3: 80}
+    assert not_distinguishable == 270
 
 
 @pytest.mark.parametrize(
@@ -302,7 +322,7 @@ def test_attack_report_end_to_end():
     report = attack_public_key(pub)
     assert report.status == "insecure"
     assert report.distinguisher.distinguishable
-    assert public_key_size_bits(report.params) == 864
+    assert public_key_size_bits(pub.params) == 864
     pub2, _ = keygen(preset("desk-12"), rng)
     report2 = attack_public_key(pub2)
     assert not report2.distinguisher.distinguishable

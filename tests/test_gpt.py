@@ -1,6 +1,5 @@
 """Key generation, encryption, decryption, and the scrambler rank budget."""
 
-import itertools
 import random
 
 import pytest
@@ -39,6 +38,7 @@ from gptrank.linalg import (
     vec_mat_mul,
     vec_sub,
 )
+from parameter_sweep import sweep_grid, sweep_params
 
 DESK = dict(q=2, N=12, n=12, k=6)
 
@@ -235,17 +235,10 @@ def test_x_ordinary_rank_bounds():
 def test_parameter_rules_sweep():
     # every combination of counts around the legal ranges, at desk-12 size:
     # only ParameterError may escape, and what is accepted fits the budget
-    grid = itertools.product(
-        range(3, 7), range(-1, 5), range(-1, 4), range(-1, 3), range(-1, 3),
-        ("base_field", "extension_field"), (None, -1, 0, 1, 2, 3), (None, 0, 1, 2, 3),
-    )  # fmt: skip
     accepted = 0
-    for v, t1, t2, p, m_cols, mode, s_ext, rx in grid:
+    for v, t1, t2, p, m_cols, mode, s_ext, rx in sweep_grid():
         try:
-            params = GptParams(
-                **DESK, variant=v, t1=t1, t2=t2, p=p, m_cols=m_cols,
-                scrambler_mode=mode, s_ext=s_ext, x_ordinary_rank=rx,
-            )  # fmt: skip
+            params = sweep_params(v, t1, t2, p, m_cols, mode, s_ext, rx)
         except ParameterError:
             continue
         accepted += 1

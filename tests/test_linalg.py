@@ -11,6 +11,7 @@ from gptrank.fields import get_field
 from gptrank.linalg import (
     FixedMatrix,
     _rref,
+    _split_inverse,
     base_combination,
     base_coordinates,
     base_product,
@@ -31,6 +32,7 @@ from gptrank.linalg import (
     sample_error,
     sample_error_decomposed,
     solve_linear,
+    times_base,
     transpose,
     vec_add,
     vec_mat_mul,
@@ -401,6 +403,24 @@ def test_base_transform_and_product_match_the_extension_field_algebra(q, N):
         A = random_matrix(ctx, rows, inner, rng, base_field=True)
         M = random_matrix(ctx, inner, cols, rng)
         assert base_product(ctx, A, M) == mat_mul(ctx, A, M)
+    # and so does the product on the right, M A
+    for rows, inner, cols in ((1, 1, 1), (4, 9, 5), (6, 28, 28), (1, 4, 9)):
+        M = random_matrix(ctx, rows, inner, rng)
+        A = random_matrix(ctx, inner, cols, rng, base_field=True)
+        assert times_base(ctx, M, A) == mat_mul(ctx, M, A)
+    # [X | F]^{-1} for F over F_q equals the generic inverse for every split
+    # of the columns, with none in X or none in F; both refuse a singular one
+    for width in (0, 1, 4, 8, 9):
+        X, F = [], []
+        while not X or rank_ext(ctx, concat_cols(X, F)) < 9:
+            X = random_matrix(ctx, 9, 9 - width, rng)
+            F = random_matrix(ctx, 9, width, rng, base_field=True)
+        assert _split_inverse(ctx, X, F) == mat_inv(ctx, concat_cols(X, F))
+        X[0], F[0] = [0] * (9 - width), [0] * width  # a zero row
+        with pytest.raises(ValueError):
+            mat_inv(ctx, concat_cols(X, F))
+        with pytest.raises(ValueError):
+            _split_inverse(ctx, X, F)
 
 
 # -- samplers ------------------------------------------------
