@@ -211,7 +211,6 @@ def _cmd_encrypt(args) -> int:
     ct = CiphertextBundle(
         q=params.q,
         N=params.N,
-        modulus=params.modulus,
         block_len=params.pub_cols,
         msg_len=len(data),
         blocks=[encrypt(pub, m, rng) for m in blocks],

@@ -4,8 +4,9 @@ Field elements are bare ints: the element c0 + c1*a + ... + c_{N-1}*a^(N-1),
 where a is the residue class of x modulo the field polynomial, is stored as
 sum(c_i * q**i).  For q = 2 an element is therefore exactly the bit pattern
 of its coefficient vector, 0 and 1 are the additive and multiplicative
-identities, and addition is xor.  A FieldCtx carries the modulus and
-implements all arithmetic; the ints themselves do not know their context,
+identities, and addition is xor.  F_{q^N} is unique up to isomorphism, so
+(q, N) names it: a FieldCtx carries the one modulus ``default_modulus(q,
+N)`` and implements all arithmetic; the ints do not know their context,
 so values from different contexts must never be mixed (higher layers check
 context equality at object boundaries such as codes and key files).
 """
@@ -258,33 +259,11 @@ def default_modulus(q: int, N: int) -> tuple[int, ...]:
     return next(c for c in monic if c[0] and is_irreducible(q, c))
 
 
-@cache
-def _supplied_irreducible(q: int, mod: tuple[int, ...]) -> bool:
-    return is_irreducible(q, mod)
-
-
-def field_modulus(q: int, N: int, modulus=None) -> tuple[int, ...]:
-    """The monic modulus, reduced mod q, that names F_{q^N}; None names the default.
-
-    Checks q and N first.  The default modulus is trusted from the search
-    that found it; any other is Rabin-tested once per process.
-    """
-    default = default_modulus(q, N)
-    if modulus is None or tuple(modulus) == default:
-        return default
-    mod = tuple(_monic(modulus, q))
-    if len(mod) - 1 != N:
-        raise ParameterError(f"modulus must have degree {N}, got degree {len(mod) - 1}")
-    if mod != default and not _supplied_irreducible(q, mod):
-        raise ParameterError(f"modulus {mod} is reducible over F_{q}")
-    return mod
-
-
 class FieldCtx:
     """Arithmetic context for F_{q^N}.
 
-    Construction takes its modulus from ``field_modulus``, which refuses
-    what ``_check_field`` refuses and a modulus not irreducible of degree N.
+    F_{q^N} is named by (q, N) alone: its modulus is ``default_modulus(q,
+    N)``, and construction refuses what ``_check_field`` refuses.
 
     For q = 2, ``add`` and ``sub`` are ``operator.xor`` and ``neg`` is
     ``operator.pos``; other primes add, subtract and negate digit by digit.
@@ -330,8 +309,8 @@ class FieldCtx:
     Frobenius tables, through a ``row_combiner`` kernel built on first use.
     """
 
-    def __init__(self, q: int = 2, N: int = 2, modulus=None):
-        mod = self.modulus = field_modulus(q, N, modulus)
+    def __init__(self, q: int = 2, N: int = 2):
+        mod = self.modulus = default_modulus(q, N)
         size = q**N
         self.q = q
         self.N = N
@@ -683,27 +662,21 @@ class FieldCtx:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldCtx)
-            and self.q == other.q
-            and self.N == other.N
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldCtx) and (self.q, self.N) == (other.q, other.N)
 
     def __hash__(self) -> int:
-        return hash((self.q, self.N, self.modulus))
+        return hash((self.q, self.N))
 
     def __repr__(self) -> str:
         return f"FieldCtx(q={self.q}, N={self.N}, modulus={self.modulus})"
 
 
-_FIELD_CACHE: dict[tuple[int, int, tuple[int, ...]], FieldCtx] = {}
+_FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
 
 
-def get_field(q: int = 2, N: int = 2, modulus=None) -> FieldCtx:
-    """Shared FieldCtx for F_{q^N}; every spelling of one modulus gives the same object."""
-    key = (q, N, field_modulus(q, N, modulus))
-    ctx = _FIELD_CACHE.get(key)
+def get_field(q: int = 2, N: int = 2) -> FieldCtx:
+    """Shared FieldCtx for F_{q^N}."""
+    ctx = _FIELD_CACHE.get((q, N))
     if ctx is None:
-        ctx = _FIELD_CACHE[key] = FieldCtx(*key)
+        ctx = _FIELD_CACHE[q, N] = FieldCtx(q, N)
     return ctx

@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DecodeFailure, ParameterError
-from .fields import FieldCtx, field_modulus, get_field
+from .fields import FieldCtx, _check_field, get_field
 from .gabidulin import GabidulinCode
 from .linalg import (
     FixedMatrix,
@@ -145,8 +145,7 @@ class GptParams:
     block of P^{-1}; it defaults to what the decodability budget
     s_ext + error_rank + overlay_rank <= t leaves.  ``x_ordinary_rank`` is
     the ordinary rank of the distortion block (defaults to min(t1, k)).
-    ``modulus`` is kept in the normal form of `fields.field_modulus`, so
-    every spelling of one field is equal.
+    (q, N) names the field, and is checked before anything else.
     """
 
     N: int
@@ -161,12 +160,11 @@ class GptParams:
     scrambler_mode: ScramblerMode = ScramblerMode.EXTENSION_FIELD
     s_ext: int | None = None
     x_ordinary_rank: int | None = None
-    modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        _check_field(self.q, self.N)
         object.__setattr__(self, "variant", Variant.parse(self.variant))
         object.__setattr__(self, "scrambler_mode", ScramblerMode.parse(self.scrambler_mode))
-        object.__setattr__(self, "modulus", field_modulus(self.q, self.N, self.modulus))
         if not 1 <= self.k < self.n <= self.N:
             raise ParameterError(f"need 1 <= k < n <= N, got k={self.k}, n={self.n}, N={self.N}")
         if self.n - self.k < 2:
@@ -237,7 +235,7 @@ class GptParams:
         return self.t1 if self.variant == Variant.TWO_DISTORTION else 0
 
     def field(self) -> FieldCtx:
-        return get_field(self.q, self.N, self.modulus)
+        return get_field(self.q, self.N)
 
     def describe_error_set(self) -> str:
         return (

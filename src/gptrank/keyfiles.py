@@ -26,7 +26,10 @@ ParameterError and leaves the target file as it was.  Loaders sniff
 the encoding, verify the checksum, type-check the header, and revalidate
 the algebra (parameters, element ranges, what `GptPrivateKey` checks as it
 derives a private key's code and S map, and P P^{-1} = I) before handing
-back live objects.  Any mismatch raises FormatError.
+back live objects.  (q, N) names the field: savers write its
+`fields.default_modulus`, and a loader, once q and N pass, accepts a stored
+modulus only if reducing it mod q and making it monic gives that default.
+Any mismatch raises FormatError.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import FormatError, ParameterError
-from .fields import _pack_bytes, _unpack_bytes, field_modulus, get_field
+from .fields import _check_field, _monic, _pack_bytes, _unpack_bytes, get_field
 from .gpt import GptParams, GptPrivateKey, GptPublicKey
 from .linalg import FixedMatrix, identity_matrix, mat_mul
 
@@ -63,26 +66,24 @@ MAGIC = b"GPTRANK1"
 
 @dataclass
 class CiphertextBundle:
-    """One encrypted message: field identity plus the padded blocks.
+    """One encrypted message: the field's (q, N) plus the padded blocks.
 
-    ``modulus`` is kept in the normal form of `fields.field_modulus`, and
-    ``block_len`` must be positive.
+    (q, N) is checked first, then that ``block_len`` is positive.
     """
 
     q: int
     N: int
-    modulus: tuple[int, ...]
     block_len: int
     msg_len: int
     blocks: list[list[int]]
 
     def __post_init__(self):
+        _check_field(self.q, self.N)
         if not self.block_len:
             raise ParameterError("ciphertext blocks must not be empty")
-        self.modulus = field_modulus(self.q, self.N, self.modulus)
 
     def field(self):
-        return get_field(self.q, self.N, self.modulus)
+        return get_field(self.q, self.N)
 
 
 # -- the schema ------------------------------------------------
@@ -107,9 +108,10 @@ class _Record:
     """One record kind.
 
     ``header`` lists (name, bin struct code) in written order.  ``modulus``
-    is a length-prefixed list; a member name stands for that matrix's row
-    count, which only bin stores.  The context is the object that carries
-    the field: GptParams, or a CiphertextBundle without blocks.
+    is a length-prefixed list that ``values`` leaves out: savers write the
+    context's ``field().modulus``.  A member name stands for that matrix's
+    row count, which only bin stores.  The context is the object that
+    carries the field: GptParams, or a CiphertextBundle without blocks.
     """
 
     kind: int
@@ -117,7 +119,7 @@ class _Record:
     header: tuple[tuple[str, str], ...]
     nested: bool  # json puts the header under "params"
     members: tuple[_Member, ...]
-    values: Callable  # context -> header values
+    values: Callable  # context -> header values but the modulus
     context: Callable  # checked header values -> context
     dims: Callable  # context -> {member: (rows or None for any, cols)}
     split: Callable  # object -> (context, {member: rows})
@@ -148,7 +150,8 @@ _BIN_FORMS = {
 
 
 def _params_values(params: GptParams) -> dict:
-    values = {name: getattr(params, _PARAM_ATTRS.get(name, name)) for name, _ in _KEY_HEADER}
+    names = (name for name, _ in _KEY_HEADER if name != "modulus")
+    values = {name: getattr(params, _PARAM_ATTRS.get(name, name)) for name in names}
     values["variant"] = int(params.variant)
     values["mode"] = params.scrambler_mode.value
     return values
@@ -209,7 +212,7 @@ _CIPHERTEXT = _Record(
     header=(("q", "I"), ("N", "H"), ("modulus", "I"),
             ("block_len", "I"), ("blocks", "I"), ("msg_len", "Q")),
     members=(_Member("blocks", row="block"),),
-    values=lambda ct: {name: getattr(ct, name) for name in _CIPHERTEXT.scalars},
+    values=lambda ct: {"q": ct.q, "N": ct.N, "block_len": ct.block_len, "msg_len": ct.msg_len},
     context=lambda values: CiphertextBundle(**values, blocks=[]),
     dims=lambda ct: {"blocks": (None, ct.block_len)},
     split=_ciphertext_split,
@@ -503,18 +506,22 @@ def _save(path, rec: _Record, obj, fmt: str) -> None:
         lanes = None
     if lanes is None or max(lanes, default=0) >= ctx.size:
         raise ParameterError(f"{rec.name} data holds a value outside F_{ctx.q}^{ctx.N}")
-    Path(path).write_bytes(write(rec, rec.values(context), ctx, members, lanes))
+    values = dict(rec.values(context), modulus=ctx.modulus)
+    Path(path).write_bytes(write(rec, values, ctx, members, lanes))
 
 
 def _load(path, rec: _Record):
     data = Path(path).read_bytes()
     raw, read_members = _READERS[sniff_format(data)](rec, data)
     values = _check_header(rec, raw)
+    modulus = values.pop("modulus")
     try:
         context = rec.context(values)
         ctx = context.field()
     except (ParameterError, ValueError) as exc:
         raise FormatError(f"file carries invalid parameters: {exc}") from None
+    if tuple(_monic(modulus, ctx.q)) != ctx.modulus:  # q is known prime here
+        raise FormatError(f"stored modulus is not the default {ctx.modulus} of F_{ctx.q}^{ctx.N}")
     return rec.build(context, read_members(ctx, rec.dims(context)))
 
 

@@ -46,7 +46,6 @@ def ciphertext(pub, rng) -> CiphertextBundle:
     return CiphertextBundle(
         q=params.q,
         N=params.N,
-        modulus=params.modulus,
         block_len=params.pub_cols,
         msg_len=5,
         blocks=blocks,

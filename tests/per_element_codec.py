@@ -63,10 +63,16 @@ def _json_file(rec, values, ctx, members) -> bytes:
 _FILES = {"bin": _bin_file, "hex": _hex_file, "json": _json_file}
 
 
-def encode(rec, obj, fmt: str) -> bytes:
-    """The file that saving obj (of record kind rec) in fmt writes."""
+def encode(rec, obj, fmt: str, **header) -> bytes:
+    """The file that saving obj (of record kind rec) in fmt writes.
+
+    Header values given by keyword replace the saved ones, the modulus
+    included, under a checksum that still holds.
+    """
     context, members = rec.split(obj)
-    return _FILES[fmt](rec, rec.values(context), context.field(), members)
+    ctx = context.field()
+    values = dict(rec.values(context), modulus=ctx.modulus) | header
+    return _FILES[fmt](rec, values, ctx, members)
 
 
 def message_to_blocks(params, data: bytes) -> list[list[int]]:

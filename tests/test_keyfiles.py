@@ -13,6 +13,7 @@ import per_element_codec
 from gptrank.attacks import attack_public_key
 from gptrank.cli import main
 from gptrank.errors import FormatError, ParameterError
+from gptrank.fields import is_irreducible
 from gptrank.gpt import GptParams, GptPrivateKey, decrypt, encrypt, keygen, preset
 from gptrank.keyfiles import (
     _CIPHERTEXT,
@@ -50,7 +51,6 @@ def make_ct(params, rng):
     return CiphertextBundle(
         q=params.q,
         N=params.N,
-        modulus=params.modulus,
         block_len=params.pub_cols,
         msg_len=17,
         blocks=[[ctx.rand_elem(rng) for _ in range(params.pub_cols)] for _ in range(2)],
@@ -99,12 +99,8 @@ def test_ciphertext_roundtrip(tmp_path, keypair, fmt):
     got = load_ciphertext(path)
     assert got.blocks == ct.blocks
     assert got.msg_len == 17
-    assert (got.q, got.N, got.modulus, got.block_len) == (
-        ct.q,
-        ct.N,
-        ct.modulus,
-        ct.block_len,
-    )
+    assert (got.q, got.N, got.block_len) == (ct.q, ct.N, ct.block_len)
+    assert got.field() is ct.field()
 
 
 def test_sniffing(tmp_path, keypair):
@@ -411,35 +407,102 @@ def test_unparsable_json_is_a_format_error(tmp_path, text):
     assert main(["attack", "--pub", str(path)]) == 4
 
 
-@pytest.mark.parametrize(
-    "spell", [lambda c: c + 2, lambda c: -c], ids=["coefficients-above-q", "negative-coefficients"]
-)
-def test_respelled_modulus_names_the_canonical_field(tmp_path, keypair, spell):
-    canonical = preset("desk-12")
-    params = preset("desk-12", modulus=[spell(c) for c in canonical.modulus])
-    assert params == canonical and params.field() is canonical.field()
-    pub, priv = keygen(params, random.Random(90))
-    assert pub.matrix == keypair[0].matrix
-    for fmt in FORMATS:
-        save_public_key(tmp_path / "pub", pub, fmt)
-        save_private_key(tmp_path / "priv", priv, fmt)
-        save_public_key(tmp_path / "canonical", keypair[0], fmt)
-        assert (tmp_path / "pub").read_bytes() == (tmp_path / "canonical").read_bytes()
-        assert load_public_key(tmp_path / "pub").params == canonical
-        assert load_private_key(tmp_path / "priv").params == canonical
+# -- the stored modulus: (q, N) names the field, and the file must spell its default ---------
+
+RECORDS = {
+    "public": (_PUBLIC, load_public_key, save_public_key),
+    "private": (_PRIVATE, load_private_key, save_private_key),
+    "ciphertext": (_CIPHERTEXT, load_ciphertext, save_ciphertext),
+}
+
+
+def rewritten(tmp_path, name, header):
+    """Golden file ``name`` rewritten under a valid checksum with header(its field) replaced."""
+    kind, fmt = name.split(".")[1:]
+    rec, load, _ = RECORDS[kind]
+    obj = load(GOLDEN / name)
+    path = tmp_path / name
+    path.write_bytes(per_element_codec.encode(rec, obj, fmt, **header(rec.split(obj)[0].field())))
+    return path
+
+
+# spellings of the default modulus, with the fixtures they apply to
+RESPELLINGS = {
+    "coefficients-above-q": (("desk12", "q3"), lambda ctx: [c + ctx.q for c in ctx.modulus]),
+    "coefficients-2q-above": (("desk12", "q3"), lambda ctx: [c + 2 * ctx.q for c in ctx.modulus]),
+    "scaled-by-2-not-monic": (("q3",), lambda ctx: [2 * c for c in ctx.modulus]),
+}
+
+
+def check_respelled(tmp_path, spelling, kind, fmt):
+    """A record storing a respelled default modulus loads and saves back to the golden bytes."""
+    fixtures, spell = RESPELLINGS[spelling]
+    _, load, save = RECORDS[kind]
+    for fixture in fixtures:
+        golden = GOLDEN / f"{fixture}.{kind}.{fmt}"
+        path = rewritten(tmp_path, golden.name, lambda ctx: {"modulus": spell(ctx)})
+        assert path.read_bytes() != golden.read_bytes()
+        got = load(path)
+        assert got == load(golden)
+        save(tmp_path / "resaved", got, fmt)
+        assert (tmp_path / "resaved").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("spelling", RESPELLINGS)
+def test_respelled_modulus_names_the_canonical_field(tmp_path, spelling):
+    for kind in ("public", "private"):
+        for fmt in FORMATS:
+            check_respelled(tmp_path, spelling, kind, fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize(
-    "spell", [lambda c: c + 2, lambda c: -c], ids=["coefficients-above-q", "negative-coefficients"]
-)
-def test_respelled_modulus_saves_the_canonical_ciphertext(tmp_path, spell, fmt):
-    canonical = make_ct(preset("desk-12"), random.Random(92))
-    ct = replace(canonical, modulus=[spell(c) for c in canonical.modulus])
-    save_ciphertext(tmp_path / "ct", ct, fmt)
-    save_ciphertext(tmp_path / "canonical", canonical, fmt)
-    assert (tmp_path / "ct").read_bytes() == (tmp_path / "canonical").read_bytes()
-    assert load_ciphertext(tmp_path / "ct") == canonical == ct
+@pytest.mark.parametrize("spelling", RESPELLINGS)
+def test_respelled_modulus_saves_the_canonical_ciphertext(tmp_path, spelling, fmt):
+    check_respelled(tmp_path, spelling, "ciphertext", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["hex", "json"])  # bin has no sign to flip
+@pytest.mark.parametrize("kind", RECORDS)
+def test_negative_modulus_coefficients_are_a_format_error(tmp_path, kind, fmt):
+    path = rewritten(
+        tmp_path, f"desk12.{kind}.{fmt}", lambda ctx: {"modulus": [c - ctx.q for c in ctx.modulus]}
+    )
+    with pytest.raises(FormatError, match="header field 'modulus' has an invalid value"):
+        RECORDS[kind][1](path)
+
+
+# polynomials of the field's degree other than its default modulus, constant term first
+OTHER_MODULI = {
+    "desk12": (2, {"irreducible": (1,) + (0,) * 8 + (1, 0, 0, 1),  # x^12 + x^9 + 1
+                   "reducible": (1,) + (0,) * 11 + (1,)}),  # x^12 + 1 = (x^3 + 1)^4
+    "q3": (3, {"irreducible": (2, 2, 0, 0, 0, 0, 1),  # x^6 + 2x + 2
+               "reducible": (1, 0, 0, 0, 0, 0, 1)}),  # x^6 + 1 = (x^2 + 1)^3
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("which", ["irreducible", "reducible"])
+@pytest.mark.parametrize("fixture", OTHER_MODULI)
+@pytest.mark.parametrize("kind", RECORDS)
+def test_non_default_modulus_is_a_format_error(tmp_path, kind, fixture, which):
+    q, moduli = OTHER_MODULI[fixture]
+    assert is_irreducible(q, moduli[which]) == (which == "irreducible")
+    for fmt in FORMATS:
+        name = f"{fixture}.{kind}.{fmt}"
+        path = rewritten(tmp_path, name, lambda ctx: {"modulus": moduli[which]})
+        with pytest.raises(FormatError, match="stored modulus is not the default"):
+            RECORDS[kind][1](path)
+    if kind == "public":
+        assert main(["attack", "--pub", str(path)]) == 4
+
+
+@pytest.mark.parametrize("header", [{"q": 0}, {"q": 4}, {"N": 1}], ids=["q=0", "q=4", "N=1"])
+@pytest.mark.parametrize("kind", RECORDS)
+def test_header_that_names_no_field_is_a_format_error(tmp_path, kind, header):
+    # q and N are checked before the stored modulus is reduced mod q
+    for fmt in FORMATS:
+        path = rewritten(tmp_path, f"desk12.{kind}.{fmt}", lambda ctx: header)
+        with pytest.raises(FormatError, match="file carries invalid parameters"):
+            RECORDS[kind][1](path)
 
 
 def test_fixed_matrices_save_the_bytes_of_plain_lists(tmp_path, keypair):
