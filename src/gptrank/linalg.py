@@ -12,12 +12,16 @@ them all: an element's int is its F_2 coordinate vector, a matrix column
 is its entries' bits laid end to end, and each row is reduced on its
 highest bit.  Tagging the entries (or rows) with identity bits makes the
 same pass give the relations, or the row operations, in the reduced form
-that _rref gives.  For odd q the coordinate matrix goes through the
-extension-field eliminator; its entries 0..q-1 are the prime subfield,
-which elimination never leaves.  Products by a matrix A over F_q live
-here too: A M (base_product; at q = 2 one xor per row of M's lane-packed
-rows), M A (times_base) and w A (base_combination), as does [X | F]^{-1}
-for F over F_q (_split_inverse).
+that _rref gives.  The answers stay ints: a relation c has c_j at bit j,
+so one among the images L(alpha^j) is itself a kernel element
+(_relation_elements), and coordinates are lane-packed, c_j at bit 64j, so
+w A is an xor of products w_i row_i (_span_combiner).  base_relations
+and base_coordinates turn them into 0/1 lists.  For odd q the coordinate
+matrix goes through the extension-field eliminator; its entries 0..q-1
+are the prime subfield, which elimination never leaves.  Products by a
+matrix A over F_q live here too: A M (base_product; at q = 2 one xor per
+row of M's lane-packed rows), M A (times_base) and w A
+(base_combination), as does [X | F]^{-1} for F over F_q (_split_inverse).
 
 Over F_{q^N} there is one elimination loop, _eliminate.  rank_ext runs it
 forward only: each pivot clears the rows below, and a pivot in the last
@@ -34,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import reduce
 from itertools import compress
-from operator import xor
+from operator import mul, xor
 
 from .fields import _pack_lanes, _unpack_lanes
 
@@ -262,16 +266,18 @@ def mat_inv(ctx, M):
 
 
 # -- bit-packed elimination over F_2 ----------------------------------------
-# Rows are ints; bit j of a row is the entry in column j.
+# Rows and relations are ints whose bit j is entry j; coordinates that
+# multiply a vector are lane-packed instead, entry j at bit 64j.
 
 
-def _gf2_echelon(rows):
+def _gf2_echelon(rows, basis=None):
     """Echelon basis of the row space of rows, as {leading bit: row}.
 
     Each row is reduced on its highest set bit; the dict keeps the order in
-    which the basis rows were found.
+    which the basis rows were found.  A given basis is extended in place.
     """
-    basis = {}
+    if basis is None:
+        basis = {}
     for v in rows:
         while v:
             p = v.bit_length() - 1
@@ -281,6 +287,42 @@ def _gf2_echelon(rows):
                 break
             v ^= other
     return basis
+
+
+def _gf2_relations(vec):
+    """base_relations at q = 2, relation c as the int with c_j at bit j."""
+    # Tag entry j with bit j below its coordinates.  Entry j whose
+    # coordinates eliminate to zero leaves the row led by tag bit j: its
+    # own bit plus tags of independent earlier entries, never another
+    # relation's lead.  Those rows, found in order of j, are the relations.
+    n = len(vec)
+    tagged = _gf2_echelon((a << n) | 1 << j for j, a in enumerate(vec))
+    return [x for p, x in tagged.items() if p < n]
+
+
+def _gf2_coordinate_reader(basis):
+    """x -> its coordinates in the F_2-independent basis, entry j at bit 64j.
+
+    Entry j sits above tag bit 64j, so reducing x << 64n by their echelon
+    leaves the tags of the entries that sum to x.  Raises ValueError for
+    an x outside span(basis), and when built on a dependent basis (an
+    echelon row led by a tag bit is a relation).
+    """
+    top = 64 * len(basis)
+    echelon = _gf2_echelon(a << top | 1 << 64 * j for j, a in enumerate(basis))
+    if min(echelon, default=top) < top:
+        raise ValueError("the basis is dependent over F_q")
+
+    def read(x):
+        v = x << top
+        while v >> top:
+            row = echelon.get(v.bit_length() - 1)
+            if row is None:
+                raise ValueError("an element lies outside the F_q-span of the basis")
+            v ^= row
+        return v
+
+    return read
 
 
 # -- linear algebra over the base field ----------------------------------------
@@ -313,13 +355,15 @@ def base_relations(ctx, vec):
     """
     if ctx.q != 2:
         return ext_nullspace(ctx, [list(row) for row in zip(*map(ctx.coeffs, vec))])
-    # Tag entry j with bit j below its coordinates.  Entry j whose
-    # coordinates eliminate to zero leaves the row led by tag bit j: its
-    # own bit plus tags of independent earlier entries, never another
-    # relation's lead.  Those rows, found in order of j, are the relations.
     n = len(vec)
-    tagged = _gf2_echelon((a << n) | 1 << j for j, a in enumerate(vec))
-    return [[x >> j & 1 for j in range(n)] for p, x in tagged.items() if p < n]
+    return [[x >> j & 1 for j in range(n)] for x in _gf2_relations(vec)]
+
+
+def _relation_elements(ctx, vec):
+    """base_relations(ctx, vec), len(vec) <= N, relation c as sum_j c_j alpha^j."""
+    if ctx.q == 2:  # the relation's int is that element
+        return _gf2_relations(vec)
+    return list(map(ctx.from_coeffs, base_relations(ctx, vec)))
 
 
 def base_coordinates(ctx, basis, elems):
@@ -330,6 +374,8 @@ def base_coordinates(ctx, basis, elems):
     lies outside span_Fq(basis) or the basis is dependent.
     """
     n = len(basis)
+    if ctx.q == 2:
+        return [_unpack_lanes(a, n) for a in map(_gf2_coordinate_reader(basis), elems)]
     relations = base_relations(ctx, list(basis) + list(elems))
     # only an independent basis spanning every element leaves exactly one
     # relation per element, each ending in that element's coefficient 1
@@ -337,6 +383,18 @@ def base_coordinates(ctx, basis, elems):
         raise ValueError("an element lies outside the F_q-span of the basis")
     neg = ctx.neg
     return [[neg(a) for a in x[:n]] for x in relations]
+
+
+def _span_combiner(ctx, basis):
+    """(w, x) -> w A, row i of A over F_q the coordinates of x_i in basis.
+
+    Raises ValueError as base_coordinates does.  At q = 2 row i stays
+    lane-packed, so w_i times it holds w_i in the lanes it selects.
+    """
+    if ctx.q != 2:
+        return lambda w, x: base_combination(ctx, w, base_coordinates(ctx, basis, x))
+    read, n = _gf2_coordinate_reader(basis), len(basis)
+    return lambda w, x: _unpack_lanes(reduce(xor, map(mul, w, map(read, x)), 0), n)
 
 
 def base_transform(ctx, F):
@@ -452,9 +510,14 @@ def independent_elements(ctx, count, rng):
     if count > ctx.N:
         raise ValueError(f"at most {ctx.N} independent elements exist, asked for {count}")
     out = []
+    echelon = {}  # at q = 2, one echelon of out kept from draw to draw
     while len(out) < count:
         cand = ctx.rand_nonzero(rng)
-        if rank_over_base(ctx, out + [cand]) == len(out) + 1:
+        if ctx.q == 2:
+            kept = len(_gf2_echelon((cand,), echelon)) > len(out)
+        else:
+            kept = rank_over_base(ctx, out + [cand]) == len(out) + 1
+        if kept:
             out.append(cand)
     return out
 

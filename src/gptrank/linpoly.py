@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import starmap, zip_longest
 
-from .linalg import base_relations
+from .linalg import _relation_elements
 
 __all__ = ["LinPoly", "lp_eea"]
 
@@ -109,8 +109,7 @@ class LinPoly:
         """Basis over F_q of {beta in F_{q^N} : L(beta) = 0}."""
         ctx = self.ctx
         # beta = sum_j c_j alpha^j is in the kernel iff c relates the images
-        images = ctx.power_basis_images(self.coeffs)
-        return [ctx.from_coeffs(c) for c in base_relations(ctx, images)]
+        return _relation_elements(ctx, ctx.power_basis_images(self.coeffs))
 
     def __eq__(self, other) -> bool:
         return (

@@ -80,6 +80,8 @@ def reference_matrices(ctx, rng):
         "more rows than columns": random_matrix(ctx, 6, 3, rng),
         # the stack of a Moore matrix grows by one row per level
         "moore": moore_matrix(ctx, independent_elements(ctx, min(ctx.N, 8), rng), 2),
+        # the first level's free block is one column, the next one's none
+        "one free column": random_matrix(ctx, 3, 4, rng),
     }
 
 

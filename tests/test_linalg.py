@@ -11,6 +11,7 @@ from gptrank.fields import get_field
 from gptrank.linalg import (
     FixedMatrix,
     _rref,
+    _span_combiner,
     _split_inverse,
     base_combination,
     base_coordinates,
@@ -188,6 +189,30 @@ def test_bit_packed_answers_equal_the_generic_path(N, n):
         expanded = [[v >> b & 1 for v in col for b in range(N)] for col in columns]
         assert column_rank_over_base(ctx, M) == rank_ext(ctx, expanded)
     assert outcomes == {"inside", "outside"}
+
+
+# n = N fills every lane of the packed rows at N = 64; n < N leaves room outside
+@pytest.mark.parametrize("q,N,n", [(2, 12, 12), (2, 28, 11), (2, 64, 64), (3, 5, 3)])
+def test_span_combiner_is_w_times_the_coordinates(q, N, n):
+    ctx = get_field(q, N)
+    rng = random.Random(1000 * q + N + n)
+    basis = independent_elements(ctx, n, rng)
+    combine = _span_combiner(ctx, basis)
+    for r in range(1, 5):
+        w = [ctx.rand_elem(rng) for _ in range(r)]
+        # x_i = sum_j M_ji basis_j, so the coordinates of x are M's columns
+        M = random_matrix(ctx, n, r, rng, base_field=True)
+        x = base_combination(ctx, basis, M)
+        assert base_coordinates(ctx, basis, x) == transpose(M)
+        assert combine(w, x) == base_combination(ctx, w, transpose(M))
+    if n < N:
+        outside = ctx.rand_nonzero(rng)
+        while rank_over_base(ctx, basis + [outside]) == n:
+            outside = ctx.rand_nonzero(rng)
+        with pytest.raises(ValueError):
+            combine([1, 1], [basis[0], outside])
+    with pytest.raises(ValueError):  # at q = 2 already when it is built
+        _span_combiner(ctx, basis + [basis[0]])([1], [basis[0]])
 
 
 @pytest.mark.parametrize("q,N", [(2, 12), (3, 5)])
@@ -468,6 +493,20 @@ def test_independent_elements():
     assert rank_over_base(ctx, elems) == 8
     with pytest.raises(ValueError):
         independent_elements(ctx, 9, rng)
+
+
+@pytest.mark.parametrize("N,count", [(8, 8), (28, 28), (64, 12)])
+def test_independent_elements_keeps_what_the_prefix_rank_test_keeps(N, count):
+    # the running F_2 echelon accepts and rejects the same draws, so seeded
+    # keys stay byte for byte
+    ctx = get_field(2, N)
+    rng = random.Random(N)
+    want = []
+    while len(want) < count:
+        cand = ctx.rand_nonzero(rng)
+        if rank_over_base(ctx, want + [cand]) == len(want) + 1:
+            want.append(cand)
+    assert independent_elements(ctx, count, random.Random(N)) == want
 
 
 def test_random_full_row_rank_square_and_rectangular():
