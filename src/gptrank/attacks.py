@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import ParameterError
 from .gpt import GptParams, GptPublicKey, _default_rng, keygen, preset
@@ -87,10 +86,7 @@ def stacked_rank(ctx, M, u: int) -> int:
         R = work[: len(pivots)]
         pivot_set = set(pivots)
         free = [c for c in range(len(M[0])) if c not in pivot_set]
-        if len(free) > 1:
-            A = list(map(itemgetter(*free), R))
-        else:  # itemgetter of one index returns the entry itself, and of none fails
-            A = [[row[c] for c in free] for row in R]
+        A = [[row[c] for c in free] for row in R]
         D = (vec_sub(ctx, sa, a) for sa, a in zip(mat_frobenius(ctx, A), A))
         M = [row for row in D if any(row)]
         u -= 1

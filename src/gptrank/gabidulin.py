@@ -106,9 +106,7 @@ class GabidulinCode:
         sum_i sigma^-l(F'_i) x_i = sigma^-l(b'_l) for F' = sigma^-1(F[1:]) -
         c F[1:] and b' = sigma^-1(b[1:]) - c b[:-1]: a system of the same
         shape in x_1.., one smaller.  Back-substitution from the last stage
-        gives x.  Row i of A holds the coordinates of x_i in the F_q-basis
-        h; raises ValueError when some x_i lies outside span_Fq(h), which
-        needs n < N.
+        gives x.
         """
         # Every lead is nonzero.  After j stages F_i = A_j(E_i) for the
         # F_q-linear map A_j = (sigma^-1 - c_(j-1)) ... (sigma^-1 - c_0).  For
