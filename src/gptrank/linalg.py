@@ -31,6 +31,11 @@ solves and inverses; its nonzero rows are a reduced basis of the row space
 never sees an entry directly: the field chooses its row format when it is
 built (ctx.pack_row, ctx.unpack_row), reads a column (ctx.column) and
 updates rows (ctx.submul_row) in that format.
+
+Random matrices over F_q draw their entries in bulk (_base_rows), from the
+very 32-bit words that one rng.randrange(q) per entry takes, so seeded
+output is unchanged; rng must provide getrandbits, as random.Random and
+random.SystemRandom do.
 """
 
 from __future__ import annotations
@@ -484,25 +489,71 @@ def base_combination(ctx, w, A):
 # -- random generation ---------------------------------------------------------
 
 
+_DRAW_TABLES = {}  # q -> (byte -> value, rejected bytes), the arguments of bytes.translate
+
+
+def _base_rows(rng, q, rows, cols):
+    """rows x cols uniform values in [0, q), as rows of bytes for q < 256.
+
+    They are the values that rows * cols calls of rng.randrange(q) return,
+    row by row, and the generator ends in the same state.  For q < 256,
+    randrange(q) keeps the top k = q.bit_length() bits of one 32-bit word
+    and draws again while they are >= q, and getrandbits(32 m) returns m
+    such words, the first lowest.  So each pass draws one word per value
+    still missing, keeps byte 4i + 3 of word i, and one translate maps the
+    kept bytes to values and deletes the rejects: the same words in the
+    same order, never one ahead.  Larger q keeps per-entry randrange.
+    """
+    count = rows * cols
+    if q < 256:
+        tables = _DRAW_TABLES.get(q)
+        if tables is None:
+            shift = 8 - q.bit_length()
+            tables = _DRAW_TABLES[q] = (
+                bytes(b >> shift for b in range(256)),
+                bytes(b for b in range(256) if b >> shift >= q),
+            )
+        vals = b""
+        while len(vals) < count:
+            missing = count - len(vals)
+            words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+            vals += words[3::4].translate(*tables)
+    else:
+        vals = [rng.randrange(q) for _ in range(count)]
+    return [vals[i * cols : (i + 1) * cols] for i in range(rows)]
+
+
 def random_matrix(ctx, rows, cols, rng, base_field=False):
-    bound = ctx.q if base_field else ctx.size
+    """Uniform rows x cols matrix over F_{q^N}, or over F_q with base_field.
+
+    F_q entries are drawn in bulk (_base_rows) from the words that per-entry
+    randrange(q) would take, so seeded output is the same; rng must provide
+    getrandbits, as random.Random and random.SystemRandom do.
+    """
+    if base_field:
+        return [list(row) for row in _base_rows(rng, ctx.q, rows, cols)]
+    bound = ctx.size
     return [[rng.randrange(bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def random_full_row_rank(ctx, rows, cols, rng, base_field=False):
+    """Uniform rows x cols matrix of row rank rows, by rejection.
+
+    Draws as random_matrix does.  At q = 2 each drawn row of bytes is read
+    as one int, whose bit 8j is entry j: an injective F_2-linear map, so
+    the rank is unchanged, and a rejected draw never becomes lists.
+    """
     if rows > cols:
         raise ValueError(f"cannot have row rank {rows} with only {cols} columns")
-    # an F_2 row read as the int of its bytes keeps its bit j at bit 8j: an
-    # injective F_2-linear map, so the rank is unchanged
-    bits = base_field and ctx.q == 2
     while True:
-        M = random_matrix(ctx, rows, cols, rng, base_field=base_field)
-        if bits:
-            rank = len(_gf2_echelon(int.from_bytes(bytes(row), "little") for row in M))
+        if base_field and ctx.q == 2:
+            drawn = _base_rows(rng, 2, rows, cols)
+            if len(_gf2_echelon(int.from_bytes(row, "little") for row in drawn)) == rows:
+                return [list(row) for row in drawn]
         else:
-            rank = rank_ext(ctx, M)
-        if rank == rows:
-            return M
+            M = random_matrix(ctx, rows, cols, rng, base_field=base_field)
+            if rank_ext(ctx, M) == rows:
+                return M
 
 
 def independent_elements(ctx, count, rng):

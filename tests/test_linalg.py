@@ -525,6 +525,47 @@ def test_random_full_row_rank_square_and_rectangular():
     assert all(v < ctx.q for row in Fb for v in row)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 251])
+def test_base_field_draws_take_the_per_entry_randrange_stream(q):
+    # seeded keys and ciphertexts stay byte for byte only if the bulk draw
+    # returns what one randrange(q) per entry returns and leaves the
+    # generator where those calls leave it
+    ctx = get_field(q, 2)
+    for seed in range(4):
+        for rows, cols in [(0, 5), (5, 0), (1, 1), (3, 28), (28, 28)]:
+            ref, rng = random.Random(seed), random.Random(seed)
+            want = [[ref.randrange(q) for _ in range(cols)] for _ in range(rows)]
+            assert random_matrix(ctx, rows, cols, rng, base_field=True) == want
+            assert rng.random() == ref.random()
+    # rejected full-row-rank draws consume the same words as accepted ones
+    shapes = [(1, 1), (3, 28), (28, 28)] if q == 2 else [(1, 1), (3, 8), (5, 5)]
+    rejected = 0
+    for seed in range(8):
+        for rows, cols in shapes:
+            ref, rng = random.Random(seed), random.Random(seed)
+            while True:
+                want = [[ref.randrange(q) for _ in range(cols)] for _ in range(rows)]
+                if rank_ext(ctx, want) == rows:
+                    break
+                rejected += 1
+            assert random_full_row_rank(ctx, rows, cols, rng, base_field=True) == want
+            assert rng.random() == ref.random()
+    # at q = 251 a 1 x 1 draw is singular once in 251, and larger shapes less often
+    assert rejected or q == 251
+
+
+def test_base_field_draws_from_the_os_csprng():
+    rng = random.SystemRandom()
+    for q in (2, 3, 251):
+        ctx = get_field(q, 2)
+        M = random_matrix(ctx, 28, 28, rng, base_field=True)
+        assert len(M) == 28 and all(len(row) == 28 for row in M)
+        assert all(0 <= v < q for row in M for v in row)
+        assert random_matrix(ctx, 3, 0, rng, base_field=True) == [[], [], []]
+    B = random_full_row_rank(get_field(2, 2), 28, 28, rng, base_field=True)
+    assert len(B) == 28 and all(len(row) == 28 and set(row) <= {0, 1} for row in B)
+
+
 def test_concat_and_shapes():
     ctx = get_field(2, 6)
     rng = random.Random(23)
