@@ -3,9 +3,11 @@
 A linearized polynomial L(x) = sum(a_i * x^(q^i)) induces an F_q-linear map
 on F_{q^N}.  Under addition and composition these polynomials form a
 non-commutative ring: composing A after B twists B's coefficients by the
-Frobenius, (A o B)_p = sum over i+j=p of a_i * b_j^(q^i).  Composition,
-right division, a Euclid algorithm that tracks only the cofactor the
-decoder uses, and kernel computation are all the Gabidulin decoder needs.
+Frobenius, (A o B)_p = sum over i+j=p of a_i * b_j^(q^i).  The Gabidulin
+decoder needs two things: ``lp_eea``, a Euclid algorithm that tracks only
+the cofactor the decoder uses, and ``kernel_basis``.  Addition, scaling,
+composition, evaluation and right division are public API; the tests check
+``lp_eea`` against them, and perfbench's tracer wraps them by name.
 
 Coefficients are stored lowest q-degree first with no trailing zeros; the
 zero polynomial has an empty coefficient tuple and q-degree -1.
@@ -88,22 +90,9 @@ class LinPoly:
         """Q, R with self = Q o divisor + R and qdeg(R) < qdeg(divisor)."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        ctx = self.ctx
-        dd = divisor.qdeg
-        sub = ctx.sub
-        frob = ctx.frobenius
-        # one inverse per division: sigma^s(d^-1) = sigma^s(d)^-1
-        dinv = ctx.inv(divisor.coeffs[-1])
         R = list(self.coeffs)
-        Q = [0] * (self.qdeg - dd + 1)
-        while len(R) - 1 >= dd:
-            s = len(R) - 1 - dd
-            c = Q[s] = ctx.mul(R[-1], frob(dinv, s))
-            term = ctx.scale_row([frob(dk, s) for dk in divisor.coeffs], c)
-            R[s:] = map(sub, R[s:], term)
-            while R and R[-1] == 0:
-                R.pop()
-        return LinPoly(ctx, Q), LinPoly(ctx, R)
+        Q = _divide(self.ctx, R, divisor.coeffs, (), [])
+        return LinPoly(self.ctx, Q), LinPoly(self.ctx, R)
 
     def kernel_basis(self) -> list[int]:
         """Basis over F_q of {beta in F_{q^N} : L(beta) = 0}."""
@@ -125,16 +114,52 @@ class LinPoly:
         return f"LinPoly({' + '.join(f'{a}*x^[{i}]' for i, a in enumerate(self.coeffs) if a) or 0})"
 
 
+def _divide(ctx, R, d, rider, acc) -> list[int]:
+    """Right-divide the list R by d in place, leaving the remainder; return Q.
+
+    Each quotient term c x^[s] also takes c * sigma^s(rider), shifted by s,
+    from the list acc, so acc ends as acc - Q o rider, trimmed.
+    """
+    sub, frob, mul = ctx.sub, ctx.frobenius, ctx.mul
+    dd, m = len(d) - 1, len(rider)
+    row = [*d, *rider]  # one scale_row per term serves R and acc
+    # one inverse per division: sigma^s(d^-1) = sigma^s(d)^-1
+    dinv = ctx.inv(d[-1])
+    Q = [0] * (len(R) - dd)
+    acc += [0] * (len(Q) + m - 1 - len(acc))
+    while len(R) > dd:
+        s = len(R) - 1 - dd
+        if s:
+            c = Q[s] = mul(R[-1], frob(dinv, s))
+            term = ctx.scale_row([frob(a, s) for a in row], c)
+        else:
+            c = Q[0] = mul(R[-1], dinv)
+            term = ctx.scale_row(row, c)
+        R[s:] = map(sub, R[s:], term)  # the first dd + 1 entries of term
+        acc[s : s + m] = map(sub, acc[s : s + m], term[dd + 1 :])
+        while R and R[-1] == 0:
+            R.pop()
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return Q
+
+
 def lp_eea(A: LinPoly, B: LinPoly, stop_degree: int) -> tuple[LinPoly, LinPoly]:
     """Extended Euclid on (A, B) under composition, stopped early.
 
     Returns (V, R) with R = U o A + V o B for some U and qdeg(R) <
     stop_degree, taking the first remainder in the Euclidean sequence that
     drops below stop_degree.  U itself is not tracked.  B must be nonzero.
+
+    Each step is one division loop that carries the cofactor: dividing
+    r0 by r1 leaves the remainder in r0 and takes Q o v1 from v0 term by
+    term, with one scale_row on sigma^s(r1) || sigma^s(v1) per quotient
+    term, so the quotient is never composed as a polynomial.
     """
-    r0, v0 = A, LinPoly.zero(A.ctx)
-    r1, v1 = B, LinPoly.identity(A.ctx)
-    while not r1.is_zero() and r1.qdeg >= stop_degree:
-        q, r2 = r0.right_divmod(r1)
-        r0, v0, r1, v1 = r1, v1, r2, v0.sub(q.compose(v1))
-    return v1, r1
+    ctx = A.ctx
+    r0, r1 = list(A.coeffs), list(B.coeffs)
+    v0, v1 = [], [1]
+    while r1 and len(r1) > stop_degree:
+        _divide(ctx, r0, r1, rider=v1, acc=v0)
+        r0, r1, v0, v1 = r1, r0, v1, v0
+    return LinPoly(ctx, v1), LinPoly(ctx, r1)

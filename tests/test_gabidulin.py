@@ -108,19 +108,19 @@ def test_decode_clean_word():
 # GF(2^28) and GF(2^40) multiply without log tables, on 64- and 128-bit scale_row
 # lanes (n < N at N = 40), and GF(3^11) is an odd-q field without tables.  At
 # N = n = 64 the kernel step eliminates 128-bit tagged rows and every lane is full.
-@pytest.mark.parametrize(
-    "q,N,n,k",
-    [
-        (2, 8, 8, 3),
-        (2, 12, 12, 6),
-        (3, 5, 5, 1),
-        (2, 10, 7, 3),
-        (2, 28, 28, 14),
-        (2, 40, 12, 6),
-        (3, 11, 11, 5),
-        (2, 64, 64, 58),
-    ],
-)
+DECODE_CASES = [
+    (2, 8, 8, 3),
+    (2, 12, 12, 6),
+    (3, 5, 5, 1),
+    (2, 10, 7, 3),
+    (2, 28, 28, 14),
+    (2, 40, 12, 6),
+    (3, 11, 11, 5),
+    (2, 64, 64, 58),
+]
+
+
+@pytest.mark.parametrize("q,N,n,k", DECODE_CASES)
 def test_decode_roundtrip_all_ranks(q, N, n, k):
     ctx = get_field(q, N)
     rng = random.Random(100 * n + k)

@@ -1,14 +1,17 @@
 """Linearized polynomial algebra: evaluation, composition, division, kernels."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptrank.fields import get_field
-from gptrank.linalg import base_relations, rank_over_base
+from gptrank.gabidulin import GabidulinCode
+from gptrank.linalg import base_relations, independent_elements, rank_over_base, sample_error
 from gptrank.linpoly import LinPoly, lp_eea
+from test_gabidulin import DECODE_CASES
 from test_linalg import PRODUCT_FIELDS
 
 ctx = get_field(2, 8)
@@ -122,17 +125,104 @@ def test_right_divmod_by_zero_raises():
         LinPoly.identity(ctx).right_divmod(LinPoly.zero(ctx))
 
 
-def test_eea_invariant_and_stop_degree():
-    rng = random.Random(36)
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def reference_eea(field, a, b, stop):
+    """lp_eea's (V, R) coefficient lists by the textbook step: divide r0 by
+    r1 term by term, compose the whole quotient with v1, subtract from v0."""
+    mul, sub, frob = field.mul, field.sub, field.frobenius
+
+    def divide(r, d):
+        r = list(r)
+        quot = [0] * max(len(r) - len(d) + 1, 0)
+        while len(r) >= len(d):
+            s = len(r) - len(d)
+            c = quot[s] = mul(r[-1], field.inv(frob(d[-1], s)))
+            for j, dj in enumerate(d):
+                r[s + j] = sub(r[s + j], mul(c, frob(dj, s)))
+            _trim(r)
+        return quot, r
+
+    def compose(x, y):
+        out = [0] * (len(x) + len(y) - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[i + j] = field.add(out[i + j], mul(xi, frob(yj, i)))
+        return _trim(out)
+
+    r0, r1, v0, v1 = list(a), list(b), [], [1]
+    while r1 and len(r1) - 1 >= stop:
+        quot, r2 = divide(r0, r1)
+        qv = compose(quot, v1) if quot and v1 else []
+        v2 = _trim([sub(x, y) for x, y in zip_longest(v0, qv, fillvalue=0)])
+        r0, r1, v0, v1 = r1, r2, v1, v2
+    return v1, r1
+
+
+def assert_eea_matches_reference(A, B, stop):
+    V, R = lp_eea(A, B, stop)
+    assert (list(V.coeffs), list(R.coeffs)) == reference_eea(A.ctx, A.coeffs, B.coeffs, stop)
+    return V, R
+
+
+def check_eea_invariant_and_stop_degree(field, rng):
     for _ in range(30):
-        A = rand_poly(rng, max_qdeg=6, allow_zero=False)
-        B = rand_poly(rng, max_qdeg=5, allow_zero=False)
+        A = rand_poly(rng, max_qdeg=6, allow_zero=False, field=field)
+        B = rand_poly(rng, max_qdeg=5, allow_zero=False, field=field)
         stop = rng.randint(0, 4)
-        V, R = lp_eea(A, B, stop)
+        V, R = assert_eea_matches_reference(A, B, stop)
         # the returned remainder satisfies the Bezout-style identity
         # R = U o A + V o B, so V o B - R is a right multiple of A
         assert V.compose(B).sub(R).right_divmod(A)[1].is_zero()
         assert R.qdeg < stop or B.qdeg < stop
+
+
+def test_eea_invariant_and_stop_degree():
+    check_eea_invariant_and_stop_degree(ctx, random.Random(36))
+
+
+@pytest.mark.parametrize("q,N", PRODUCT_FIELDS)
+def test_eea_invariant_and_stop_degree_in_every_product_field(q, N):
+    check_eea_invariant_and_stop_degree(get_field(q, N), random.Random(q * 1000 + N + 3))
+
+
+@pytest.mark.parametrize("q,N", PRODUCT_FIELDS)
+def test_eea_matches_the_reference_euclid_at_the_edges(q, N):
+    field = get_field(q, N)
+    rng = random.Random(q * 1000 + N + 4)
+
+    def poly(qdeg):
+        return LinPoly(field, [field.rand_elem(rng) for _ in range(qdeg)] + [field.rand_nonzero(rng)])
+
+    for _ in range(3):
+        # a first quotient of q-degree 5, then the remainders run down to 0
+        A, B = poly(7), poly(2)
+        assert A.right_divmod(B)[0].qdeg == 5
+        assert_eea_matches_reference(A, B, 0)
+        # qdeg B > qdeg A: the first quotient is 0 and the first step swaps
+        A, B = poly(2), poly(5)
+        assert A.right_divmod(B) == (LinPoly.zero(field), A)
+        assert_eea_matches_reference(A, B, 1)
+        # stop_degree above qdeg B: no step runs
+        assert lp_eea(A, B, 6) == (LinPoly.identity(field), B)
+
+
+@pytest.mark.parametrize("q,N,n,k", DECODE_CASES)
+def test_eea_matches_the_reference_euclid_on_decode_syndromes(q, N, n, k):
+    field = get_field(q, N)
+    rng = random.Random(100 * n + k + 1)
+    code = GabidulinCode(field, independent_elements(field, n, rng), k)
+    A = LinPoly.monomial(field, n - k)
+    # rank 0 has zero syndromes, which the decoder answers without the key equation
+    for r in range(1, code.t + 1):
+        for _ in range(2):
+            S = LinPoly(field, code.syndromes(sample_error(field, n, r, rng)))
+            V, _ = assert_eea_matches_reference(A, S, (n - k + 1) // 2)
+            assert len(V.kernel_basis()) == r
 
 
 def test_kernel_basis_spans_exact_kernel():
