@@ -151,10 +151,6 @@ def _param_overrides(args) -> dict:
 
 def _params_from_args(args) -> GptParams:
     over = _param_overrides(args)
-    # switching a preset to base_field must also drop its s_ext
-    mode = over.get("scrambler_mode")
-    if mode is not None and ScramblerMode.parse(mode) == ScramblerMode.BASE_FIELD:
-        over.setdefault("s_ext", 0)
     if args.preset:
         return preset(args.preset, **over)
     required = ("N", "n", "k", "t1")

@@ -60,10 +60,12 @@ class GabidulinCode:
             raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
         if n > ctx.N:
             raise ParameterError(f"code length {n} exceeds extension degree {ctx.N}")
+        # the rank test assumes field elements: at q = 2 a negative int never reduces
+        g = list(map(ctx.check_element, g))
         if rank_over_base(ctx, g) != n:
             raise ParameterError("code locators must be linearly independent over F_q")
         self.ctx = ctx
-        self.g = list(g)
+        self.g = g
         self.n = n
         self.k = k
         self.d = n - k + 1

@@ -412,11 +412,12 @@ def public_key_size_bits(params: GptParams) -> float:
     return round(bits, 6)
 
 
+# s_ext is left to GptParams, so it follows the decodability budget of the t1 in use
 _PRESETS = {
     # recommended hardened setting at length 28
-    "paper-28": dict(q=2, N=28, n=28, k=14, t1=3, s_ext=4),
+    "paper-28": dict(q=2, N=28, n=28, k=14, t1=3),
     # small setting for tests and demos
-    "desk-12": dict(q=2, N=12, n=12, k=6, t1=2, s_ext=1),
+    "desk-12": dict(q=2, N=12, n=12, k=6, t1=2),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))

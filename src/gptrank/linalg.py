@@ -7,21 +7,24 @@ independent over F_q -- the quantity the whole cryptosystem is built on.
 Every F_q question -- ranks, the relations among a vector's entries,
 coordinates in an F_q-basis, and the transform T with T F = [I; 0] of a
 matrix F over F_q (base_transform, F's inverse when F is square) -- is
-answered here.  For q = 2 one bit-packed eliminator, _gf2_echelon, serves
-them all: an element's int is its F_2 coordinate vector, a matrix column
-is its entries' bits laid end to end, and each row is reduced on its
-highest bit.  Tagging the entries (or rows) with identity bits makes the
-same pass give the relations, or the row operations, in the reduced form
-that _rref gives.  The answers stay ints: a relation c has c_j at bit j,
-so one among the images L(alpha^j) is itself a kernel element
-(_relation_elements), and coordinates are lane-packed, c_j at bit 64j, so
-w A is an xor of products w_i row_i (_span_combiner).  base_relations
-and base_coordinates turn them into 0/1 lists.  For odd q the coordinate
-matrix goes through the extension-field eliminator; its entries 0..q-1
-are the prime subfield, which elimination never leaves.  Products by a
-matrix A over F_q live here too: A M (base_product; at q = 2 one xor per
-row of M's lane-packed rows), M A (times_base) and w A
-(base_combination), as does [X | F]^{-1} for F over F_q (_split_inverse).
+answered here.  The generic path serves every q: the transposed F_q
+coordinate matrix goes through the extension-field eliminator, whose
+entries 0..q-1 are the prime subfield, which elimination never leaves.
+base_relations, base_coordinates and column_rank_over_base take only that
+path.  At q = 2 the queries the package runs per key or per ciphertext
+use an F_2 int core instead: rank_over_base, base_transform, the random
+draws and the decoder's _relation_elements and _span_combiner reduce with
+one bit-packed eliminator, _gf2_echelon.  There an element's int is its
+F_2 coordinate vector, and each row is reduced on its highest bit.
+Tagging the entries (or rows) with identity bits makes the same pass give
+the relations, or the row operations, in the reduced form that _rref
+gives.  The answers stay ints: a relation c has c_j at bit j, so one among
+the images L(alpha^j) is itself a kernel element (_relation_elements),
+and coordinates are lane-packed, c_j at bit 64j, so w A is an xor of
+products w_i row_i (_span_combiner).  Products by a matrix A over F_q live
+here too: A M (base_product; at q = 2 one xor per row of M's lane-packed
+rows), M A (times_base) and w A (base_combination), as does [X | F]^{-1}
+for F over F_q (_split_inverse).
 
 Over F_{q^N} there is one elimination loop, _eliminate.  rank_ext runs it
 forward only: each pivot clears the rows below, and a pivot in the last
@@ -294,17 +297,6 @@ def _gf2_echelon(rows, basis=None):
     return basis
 
 
-def _gf2_relations(vec):
-    """base_relations at q = 2, relation c as the int with c_j at bit j."""
-    # Tag entry j with bit j below its coordinates.  Entry j whose
-    # coordinates eliminate to zero leaves the row led by tag bit j: its
-    # own bit plus tags of independent earlier entries, never another
-    # relation's lead.  Those rows, found in order of j, are the relations.
-    n = len(vec)
-    tagged = _gf2_echelon((a << n) | 1 << j for j, a in enumerate(vec))
-    return [x for p, x in tagged.items() if p < n]
-
-
 def _gf2_coordinate_reader(basis):
     """x -> its coordinates in the F_2-independent basis, entry j at bit 64j.
 
@@ -343,11 +335,7 @@ def rank_over_base(ctx, vec):
 def column_rank_over_base(ctx, M):
     """Number of columns of M linearly independent over F_q."""
     # row j lists the F_q coordinates of every entry of column j; a matrix
-    # over F_q has the same rank over F_{q^N}.  For q = 2 the row is the
-    # entries' bits laid end to end.
-    if ctx.q == 2:
-        N = ctx.N
-        return len(_gf2_echelon(reduce(lambda acc, x: acc << N | x, col, 0) for col in zip(*M)))
+    # over F_q has the same rank over F_{q^N}
     return rank_ext(ctx, [[a for x in col for a in ctx.coeffs(x)] for col in zip(*M)])
 
 
@@ -358,17 +346,21 @@ def base_relations(ctx, vec):
     Relation i is the one whose last nonzero coefficient, a 1, sits at the
     i-th entry of vec that depends on the entries before it.
     """
-    if ctx.q != 2:
-        return ext_nullspace(ctx, [list(row) for row in zip(*map(ctx.coeffs, vec))])
-    n = len(vec)
-    return [[x >> j & 1 for j in range(n)] for x in _gf2_relations(vec)]
+    return ext_nullspace(ctx, [list(row) for row in zip(*map(ctx.coeffs, vec))])
 
 
 def _relation_elements(ctx, vec):
     """base_relations(ctx, vec), len(vec) <= N, relation c as sum_j c_j alpha^j."""
-    if ctx.q == 2:  # the relation's int is that element
-        return _gf2_relations(vec)
-    return list(map(ctx.from_coeffs, base_relations(ctx, vec)))
+    if ctx.q != 2:
+        return list(map(ctx.from_coeffs, base_relations(ctx, vec)))
+    # Tag entry j with bit j below its coordinates.  Entry j whose
+    # coordinates eliminate to zero leaves the row led by tag bit j: its
+    # own bit plus tags of independent earlier entries, never another
+    # relation's lead.  Those rows, found in order of j, are the relations,
+    # and each relation's int is its element.
+    n = len(vec)
+    tagged = _gf2_echelon((a << n) | 1 << j for j, a in enumerate(vec))
+    return [x for p, x in tagged.items() if p < n]
 
 
 def base_coordinates(ctx, basis, elems):
@@ -379,8 +371,6 @@ def base_coordinates(ctx, basis, elems):
     lies outside span_Fq(basis) or the basis is dependent.
     """
     n = len(basis)
-    if ctx.q == 2:
-        return [_unpack_lanes(a, n) for a in map(_gf2_coordinate_reader(basis), elems)]
     relations = base_relations(ctx, list(basis) + list(elems))
     # only an independent basis spanning every element leaves exactly one
     # relation per element, each ending in that element's coefficient 1

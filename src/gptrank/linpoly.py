@@ -34,15 +34,6 @@ class LinPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, ctx) -> "LinPoly":
-        return cls(ctx, ())
-
-    @classmethod
-    def identity(cls, ctx) -> "LinPoly":
-        """The composition identity x."""
-        return cls(ctx, (1,))
-
-    @classmethod
     def monomial(cls, ctx, i: int) -> "LinPoly":
         """x^(q^i)."""
         return cls(ctx, (0,) * i + (1,))

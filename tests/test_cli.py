@@ -238,6 +238,14 @@ def test_analyze_base_field_flagged_insecure(capsys):
     assert "distinguisher" in out
 
 
+def test_a_preset_with_another_t1_takes_the_budget_s_ext(capsys):
+    # paper-28 at t1 = 6 is a row of the paper's length-28 table
+    assert run("analyze", "--preset", "paper-28", "--t1", "6") == 0
+    assert "scrambler: extension_field (extension columns s_ext: 1)" in capsys.readouterr().out
+    assert run("analyze", "--preset", "paper-28", "--mode", "base_field") == 0
+    assert "scrambler: base_field (extension columns s_ext: 0)" in capsys.readouterr().out
+
+
 def test_analyze_flags_an_extension_field_key_without_extension_columns(capsys):
     # s_ext = 0 leaves P^-1's kept block over F_q, as a base-field scrambler does;
     # a seed-1 key with these flags reads DISTINGUISHABLE under attack

@@ -74,6 +74,12 @@ def test_rejects_dependent_evaluation_points():
         GabidulinCode(get_field(2, 4), [1, 2, 4, 8, 5], 2)  # n above N
 
 
+@pytest.mark.parametrize("bad", [-1, 1 << 12, "a"])
+def test_rejects_locators_outside_the_field(bad):
+    with pytest.raises(ParameterError, match="not an element of F_2\\^12$"):
+        GabidulinCode(get_field(2, 12), [1, 2, 4, bad], 2)
+
+
 def test_encode_is_linear():
     ctx = get_field(2, 8)
     rng = random.Random(44)

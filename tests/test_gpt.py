@@ -272,6 +272,13 @@ def test_presets():
         preset("desk-99")
 
 
+def test_presets_leave_s_ext_to_the_budget():
+    # paper-28 has t = 7: an extension-field key spends the rest on s_ext
+    for t1 in range(1, 8):
+        assert preset("paper-28", t1=t1).s_ext == 7 - t1
+    assert preset("paper-28", scrambler_mode="base_field").s_ext == 0
+
+
 def test_public_key_size():
     assert public_key_size_bits(preset("paper-28")) == 10976
     assert public_key_size_bits(preset("desk-12")) == 864
@@ -603,6 +610,15 @@ def test_a_rank_deficient_row_scrambler_is_refused(params):
     S = [priv.S[0]] + priv.S[:-1]  # the first row twice
     with pytest.raises(ValueError, match="row scrambler does not have full row rank"):
         GptPrivateKey(params, priv.g, S, priv.P, priv.P_inv)
+
+
+def test_locators_outside_the_field_are_refused():
+    # several negative locators once sent the F_2 rank test into an endless loop
+    params = VARIANT_CASES[0]
+    _, priv = keygen(params, random.Random(77))
+    for g in ([-1] + priv.g[1:], [-1, -2, -3] + priv.g[3:]):
+        with pytest.raises(ParameterError, match="not an element"):
+            GptPrivateKey(params, g, priv.S, priv.P, priv.P_inv)
 
 
 def test_garbage_ciphertext_fails_loudly():

@@ -7,9 +7,11 @@ from operator import xor
 
 import pytest
 
-from gptrank.fields import get_field
+from gptrank.fields import _unpack_lanes, get_field
 from gptrank.linalg import (
     FixedMatrix,
+    _gf2_coordinate_reader,
+    _relation_elements,
     _rref,
     _span_combiner,
     _split_inverse,
@@ -151,7 +153,7 @@ def span_draw(gens, rng):
 
 @pytest.mark.parametrize("N,n", [(12, 12), (28, 28), (28, 11)])
 def test_bit_packed_answers_equal_the_generic_path(N, n):
-    # q = 2 answers come from the bit-packed eliminator; the extension-field
+    # the F_2 int cores that package code runs at q = 2; the extension-field
     # routines on the 0/1 coordinate matrix must give exactly the same
     ctx = get_field(2, N)
     rng = random.Random(100 * N + n)
@@ -161,7 +163,8 @@ def test_bit_packed_answers_equal_the_generic_path(N, n):
         vec = [span_draw(gens, rng) if trial % 5 else ctx.rand_elem(rng) for _ in range(n)]
         C = bit_matrix(N, vec)
         assert rank_over_base(ctx, vec) == rank_ext(ctx, C)
-        assert base_relations(ctx, vec) == ext_nullspace(ctx, C)
+        # n <= N, so each relation is an element's coordinate list
+        assert _relation_elements(ctx, vec) == list(map(ctx.from_coeffs, ext_nullspace(ctx, C)))
 
         # coordinates: the _rref read-out of [basis | elems], or ValueError
         # exactly when the basis columns are not the pivot columns
@@ -169,13 +172,14 @@ def test_bit_packed_answers_equal_the_generic_path(N, n):
         elems = [span_draw(basis, rng) if trial % 4 else ctx.rand_elem(rng) for _ in range(3)]
         work, pivots = _rref(ctx, bit_matrix(N, basis + elems))
         k = len(basis)
+        read = _gf2_coordinate_reader(basis)
         if pivots == list(range(k)):
             expected = [[row[k + i] for row in work[:k]] for i in range(len(elems))]
-            assert base_coordinates(ctx, basis, elems) == expected
+            assert [_unpack_lanes(read(x), k) for x in elems] == expected
             outcomes.add("inside")
         else:
             with pytest.raises(ValueError):
-                base_coordinates(ctx, basis, elems)
+                list(map(read, elems))
             outcomes.add("outside")
 
         # column rank: the rank of the columns expanded to F_2 coordinates
@@ -525,7 +529,8 @@ def test_random_full_row_rank_square_and_rectangular():
     assert all(v < ctx.q for row in Fb for v in row)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 251])
+# 257 is above the byte-table range, where the draw keeps per-entry randrange
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 251, 257])
 def test_base_field_draws_take_the_per_entry_randrange_stream(q):
     # seeded keys and ciphertexts stay byte for byte only if the bulk draw
     # returns what one randrange(q) per entry returns and leaves the
@@ -550,13 +555,13 @@ def test_base_field_draws_take_the_per_entry_randrange_stream(q):
                 rejected += 1
             assert random_full_row_rank(ctx, rows, cols, rng, base_field=True) == want
             assert rng.random() == ref.random()
-    # at q = 251 a 1 x 1 draw is singular once in 251, and larger shapes less often
-    assert rejected or q == 251
+    # at q >= 251 a 1 x 1 draw is singular once in q, and larger shapes less often
+    assert rejected or q >= 251
 
 
 def test_base_field_draws_from_the_os_csprng():
     rng = random.SystemRandom()
-    for q in (2, 3, 251):
+    for q in (2, 3, 251, 257):
         ctx = get_field(q, 2)
         M = random_matrix(ctx, 28, 28, rng, base_field=True)
         assert len(M) == 28 and all(len(row) == 28 for row in M)

@@ -21,7 +21,7 @@ def rand_poly(rng, max_qdeg=4, allow_zero=True, field=ctx):
     d = rng.randint(0, max_qdeg)
     coeffs = [field.rand_elem(rng) for _ in range(d)] + [field.rand_nonzero(rng)]
     if allow_zero and rng.random() < 0.1:
-        return LinPoly.zero(field)
+        return LinPoly(field, ())
     return LinPoly(field, coeffs)
 
 
@@ -86,11 +86,11 @@ def test_monomial_is_frobenius_power():
     for _ in range(20):
         x = ctx.rand_elem(rng)
         assert M(x) == ctx.frobenius(x, 3)
-    assert LinPoly.identity(ctx)(5) == 5
+    assert LinPoly(ctx, (1,))(5) == 5
 
 
 def test_qdeg_and_trim():
-    assert LinPoly.zero(ctx).qdeg == -1
+    assert LinPoly(ctx, ()).qdeg == -1
     assert LinPoly(ctx, (0, 0, 0)).is_zero()
     assert LinPoly(ctx, (1, 0, 0)).qdeg == 0
     assert LinPoly(ctx, (0, 3)).qdeg == 1
@@ -122,7 +122,7 @@ def test_right_divmod_reconstructs_in_every_product_field(q, N):
 
 def test_right_divmod_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        LinPoly.identity(ctx).right_divmod(LinPoly.zero(ctx))
+        LinPoly(ctx, (1,)).right_divmod(LinPoly(ctx, ()))
 
 
 def _trim(p):
@@ -205,10 +205,10 @@ def test_eea_matches_the_reference_euclid_at_the_edges(q, N):
         assert_eea_matches_reference(A, B, 0)
         # qdeg B > qdeg A: the first quotient is 0 and the first step swaps
         A, B = poly(2), poly(5)
-        assert A.right_divmod(B) == (LinPoly.zero(field), A)
+        assert A.right_divmod(B) == (LinPoly(field, ()), A)
         assert_eea_matches_reference(A, B, 1)
         # stop_degree above qdeg B: no step runs
-        assert lp_eea(A, B, 6) == (LinPoly.identity(field), B)
+        assert lp_eea(A, B, 6) == (LinPoly(field, (1,)), B)
 
 
 @pytest.mark.parametrize("q,N,n,k", DECODE_CASES)
@@ -256,7 +256,7 @@ def test_kernel_basis_matches_per_basis_evaluation(q, N):
 
 
 def test_kernel_of_zero_poly_is_everything():
-    basis = LinPoly.zero(ctx).kernel_basis()
+    basis = LinPoly(ctx, ()).kernel_basis()
     assert len(basis) == ctx.N
 
 
@@ -274,4 +274,4 @@ def test_equal_polynomials_hash_alike_and_print_their_terms():
     A = LinPoly(ctx, [0, 3, 0, 1, 0])
     assert hash(A) == hash(LinPoly(ctx, (0, 3, 0, 1))) and len({A, LinPoly(ctx, [0, 3, 0, 1])}) == 1
     assert repr(A) == "LinPoly(3*x^[1] + 1*x^[3])"
-    assert repr(LinPoly.zero(ctx)) == "LinPoly(0)"
+    assert repr(LinPoly(ctx, ())) == "LinPoly(0)"
