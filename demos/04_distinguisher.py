@@ -13,7 +13,9 @@ base-field scrambling.
 The stack need not be built to be ranked: sigma fixes the identity block
 of the reduced echelon form, so the images beyond the first add only the
 rank of the shallower stack of the differences sigma(A) - A of its free
-block A, and stacked_rank repeats that on ever smaller blocks.
+block A, and stacked_rank repeats that on ever smaller blocks until one
+row v is left, whose stack is v's Moore matrix, of rank
+min(u + 1, rank of v over F_q).
 """
 
 import random

@@ -19,7 +19,8 @@ here means structurally broken.
 stacked_rank measures that rank without building the stack: a reduced
 echelon pass gives the rank of G, and the rest is the rank of a stack one
 level shallower on sigma(A) - A, A being the non-pivot block.  The blocks
-shrink at every level.
+shrink at every level, and a level of one row v needs no elimination: its
+depth-u stack is v's Moore matrix, of rank min(u + 1, rank_over_base(v)).
 
 The module also carries work-factor estimates for the generic decoding
 attacks (log2 of the operation count).
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .gpt import GptParams, GptPublicKey, _default_rng, keygen, preset
-from .linalg import _rref, mat_frobenius, rank_ext, vec_sub
+from .linalg import _rref, mat_frobenius, rank_ext, rank_over_base, vec_sub
 
 __all__ = [
     "extend_public_key",
@@ -81,6 +82,15 @@ def stacked_rank(ctx, M, u: int) -> int:
     # is trivial.
     total = 0
     while u and M:
+        if len(M) == 1:
+            # The stack of one row v is its Moore matrix.  Write v = w B, w
+            # of length r = rank_over_base(v) independent over F_q and B
+            # over F_q of full row rank.  sigma fixes B, so the stack is
+            # Moore(w) B, of the rank of Moore(w): min(u + 1, r), as a
+            # Moore matrix of r <= N independent elements has full rank.
+            total += min(u + 1, rank_over_base(ctx, M[0]))
+            M = []
+            break
         work, pivots = _rref(ctx, M)
         total += len(pivots)
         R = work[: len(pivots)]

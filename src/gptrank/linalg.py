@@ -33,7 +33,14 @@ solves and inverses; its nonzero rows are a reduced basis of the row space
 (the distinguisher's stacked_rank recurses on their free block).  The loop
 never sees an entry directly: the field chooses its row format when it is
 built (ctx.pack_row, ctx.unpack_row), reads a column (ctx.column) and
-updates rows (ctx.submul_row) in that format.
+updates rows (ctx.submul_row) in that format.  A pivot a != 1 costs
+products one of two ways.  Scaling its row by 1/a takes up to cols - c of
+them, c the pivot column; folding 1/a into the multipliers of the h rows
+it clears takes h, plus, in full mode, one more submul_row call that
+scales the row.  The loop folds when that is fewer, h + full < cols - c,
+except in full mode at odd q, where that kernel call multiplies and
+subtracts per entry.  The reduced echelon form is unique, so _rref's rows
+do not depend on the choice.
 
 Random matrices over F_q draw their entries in bulk (_base_rows), from the
 very 32-bit words that one rng.randrange(q) per entry takes, so seeded
@@ -170,7 +177,10 @@ def _eliminate(ctx, M, full):
     """
     cols = len(M[0]) if M else 0
     pack, unpack, column = ctx.pack_row, ctx.unpack_row, ctx.column
-    submul, mul, inv = ctx.submul_row, ctx.mul, ctx.inv
+    submul, mul, inv, neg = ctx.submul_row, ctx.mul, ctx.inv, ctx.neg
+    # a full pass scales a folded pivot row through its update kernel,
+    # which is cheap only at q = 2
+    may_fold = not full or ctx.q == 2
     work = list(map(pack, M))
     rows = len(work)
     pivots = []
@@ -190,13 +200,22 @@ def _eliminate(ctx, M, full):
         # column, has nothing to clear that the rank depends on
         if full or hits and c + 1 < cols:
             a = vals[p - lo]
-            if a != 1:
+            if a == 1:
+                fold = False
+            else:
+                # fold 1/a into the multipliers when that takes fewer
+                # products (module docstring); the row is zero left of c
                 piv_inv = inv(a)
-                work[r] = pack([mul(piv_inv, x) if x else 0 for x in unpack(work[r], cols)])
-            if hits:
-                upd = submul(work[r], c, len(hits))
+                fold = may_fold and len(hits) + full < cols - c
+                if not fold:
+                    work[r] = pack([mul(piv_inv, x) if x else 0 for x in unpack(work[r], cols)])
+            if hits or fold:
+                upd = submul(work[r], c, len(hits) + fold * full)
                 for i in hits:
-                    work[i] = upd(work[i], vals[i - lo])
+                    f = vals[i - lo]
+                    work[i] = upd(work[i], mul(f, piv_inv) if fold else f)
+                if fold and full:
+                    work[r] = upd(pack([0] * cols), neg(piv_inv))
         pivots.append(c)
         r += 1
         if r == rows:

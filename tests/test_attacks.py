@@ -29,6 +29,7 @@ from gptrank.keyfiles import load_public_key
 from gptrank.linalg import (
     independent_elements,
     mat_frobenius,
+    random_full_row_rank,
     random_matrix,
     rank_ext,
     rank_over_base,
@@ -82,7 +83,20 @@ def reference_matrices(ctx, rng):
         "moore": moore_matrix(ctx, independent_elements(ctx, min(ctx.N, 8), rng), 2),
         # the first level's free block is one column, the next one's none
         "one free column": random_matrix(ctx, 3, 4, rng),
+        # one row, or a level that reaches one: its stack is a Moore matrix
+        "row of base rank 2": [row_of_base_rank(ctx, 2, 6, rng)],
+        "row over F_q": random_matrix(ctx, 1, 8, rng, base_field=True),
+        "three multiples of one row": [
+            [ctx.mul(f, a) for a in full[0]] for f in (1, ctx.rand_nonzero(rng), ctx.size - 1)
+        ],
+        "row with zero entries": [[0, full[0][1], 0, 0, full[0][4], full[0][5], 0, 1]],
     }
+
+
+def row_of_base_rank(ctx, r, length, rng):
+    """w B: w of r elements independent over F_q, B over F_q of full row rank r."""
+    w = independent_elements(ctx, r, rng)
+    return vec_mat_mul(ctx, w, random_full_row_rank(ctx, r, length, rng, base_field=True))
 
 
 @pytest.mark.parametrize("q, N", [(2, 12), (2, 28), (2, 40), (3, 5), (5, 3)])
@@ -94,6 +108,18 @@ def test_stacked_rank_equals_rank_of_built_stack(q, N):
         for u in range(N + 2):
             built = rank_ext(ctx, extend_public_key(ctx, M, u))
             assert stacked_rank(ctx, M, u) == built, (name, u)
+
+
+@pytest.mark.parametrize("q, N", [(2, 12), (2, 28), (3, 5)])
+def test_stack_of_one_row_has_rank_min_of_depth_and_base_rank(q, N):
+    # stacked_rank's closed form for a one-row level, checked on built stacks
+    ctx = get_field(q, N)
+    rng = random.Random(300 + N)
+    for r in range(1, min(N, 6) + 1):
+        v = row_of_base_rank(ctx, r, 6, rng)
+        assert rank_over_base(ctx, v) == r
+        for u in range(N + 2):
+            assert rank_ext(ctx, extend_public_key(ctx, [v], u)) == min(u + 1, r), (r, u)
 
 
 @pytest.mark.parametrize(
