@@ -17,7 +17,6 @@ from .attacks import (
     distinguisher_trials,
     example_security_table,
     extend_public_key,
-    security_status,
     stacked_rank,
 )
 from .errors import DecodeFailure, FormatError, GptRankError, ParameterError
@@ -106,7 +105,6 @@ __all__ = [
     "save_ciphertext",
     "save_private_key",
     "save_public_key",
-    "security_status",
     "stacked_rank",
     "__version__",
 ]

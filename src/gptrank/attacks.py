@@ -23,7 +23,8 @@ shrink at every level, and a level of one row v needs no elimination: its
 depth-u stack is v's Moore matrix, of rank min(u + 1, rank_over_base(v)).
 
 The module also carries work-factor estimates for the generic decoding
-attacks (log2 of the operation count).
+attacks (log2 of the operation count), and attack_public_key, which reads
+the distinguisher and the estimates into the one status the package prints.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "distinguisher_trials",
     "attack_cost_report",
     "SECURITY_THRESHOLD_BITS",
-    "security_status",
     "AttackReport",
     "attack_public_key",
     "REFERENCE_WORK_EXPONENTS",
@@ -205,27 +205,6 @@ def attack_cost_report(params: GptParams) -> dict[str, float]:
 SECURITY_THRESHOLD_BITS = 64
 
 
-def security_status(costs: dict[str, float], distinguishable: bool) -> tuple[str, str]:
-    """Classify a key as secure/insecure from attack costs and the distinguisher."""
-    if distinguishable:
-        return (
-            "insecure",
-            "the extended-rank distinguisher separates this key from random, "
-            "exposing the private code row space",
-        )
-    name, exponent = min(costs.items(), key=lambda kv: kv[1])
-    if exponent < SECURITY_THRESHOLD_BITS:
-        return (
-            "insecure",
-            f"{name.replace('_', ' ')} costs about 2^{exponent:.1f}, "
-            f"below the 2^{SECURITY_THRESHOLD_BITS} threshold",
-        )
-    return (
-        "secure",
-        f"cheapest known attack ({name.replace('_', ' ')}) costs about 2^{exponent:.1f}",
-    )
-
-
 @dataclass
 class AttackReport:
     distinguisher: DistinguisherResult
@@ -235,16 +214,23 @@ class AttackReport:
 
 
 def attack_public_key(pub: GptPublicKey, u: int | None = None) -> AttackReport:
-    """Full passive analysis of one public key."""
+    """Full passive analysis of one public key: the one place that decides its status."""
     result = distinguish_public_key(pub, u)
     costs = attack_cost_report(pub.params)
-    status, reason = security_status(costs, result.distinguishable)
-    return AttackReport(
-        distinguisher=result,
-        costs=costs,
-        status=status,
-        reason=reason,
-    )
+    name, exponent = min(costs.items(), key=lambda kv: kv[1])
+    name = name.replace("_", " ")
+    if result.distinguishable:
+        status, reason = "insecure", (
+            "the extended-rank distinguisher separates this key from random, "
+            "exposing the private code row space"
+        )
+    elif exponent < SECURITY_THRESHOLD_BITS:
+        status, reason = "insecure", (
+            f"{name} costs about 2^{exponent:.1f}, below the 2^{SECURITY_THRESHOLD_BITS} threshold"
+        )
+    else:
+        status, reason = "secure", f"cheapest known attack ({name}) costs about 2^{exponent:.1f}"
+    return AttackReport(distinguisher=result, costs=costs, status=status, reason=reason)
 
 
 # -- reference security table ------------------------------------------------

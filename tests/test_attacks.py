@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from brute_force import BruteForceDecoder
+from gptrank import attacks
 from gptrank.attacks import (
     REFERENCE_WORK_EXPONENTS,
     SECURITY_THRESHOLD_BITS,
@@ -18,7 +19,6 @@ from gptrank.attacks import (
     distinguisher_trials,
     example_security_table,
     extend_public_key,
-    security_status,
     stacked_rank,
 )
 from gptrank.errors import ParameterError
@@ -304,7 +304,9 @@ def test_message_enumeration_breaks_a_one_row_public_key():
     costs = attack_cost_report(params)
     assert costs["message_enumeration"] == pytest.approx(28 + 3 * math.log2(31))
     assert costs["message_enumeration"] < costs["brute_force"] == 84
-    assert security_status(costs, False) == (
+    report = attack_public_key(keygen(params, random.Random(0))[0])
+    assert not report.distinguisher.distinguishable
+    assert (report.status, report.reason) == (
         "insecure",
         "message enumeration costs about 2^42.9, below the 2^64 threshold",
     )
@@ -332,16 +334,32 @@ def test_cost_report_scales_with_parameters():
         assert lo[key] < hi[key]
 
 
-def test_security_status_branches():
+def test_security_status_branches(monkeypatch):
+    # attack_public_key's status for a distinguishable and a healthy key
+    # under stand-in costs
+    rng = random.Random(86)
+    broken, _ = keygen(GptParams(**DESK, t1=2, scrambler_mode="base_field"), rng)
+    healthy, _ = keygen(preset("desk-12"), rng)
+
+    def status(pub, costs):
+        monkeypatch.setattr(attacks, "attack_cost_report", lambda params: costs)
+        report = attack_public_key(pub)
+        assert report.costs is costs
+        return report.status, report.reason
+
     costs = {"a": 80.0, "b": 100.0}
-    assert security_status(costs, True)[0] == "insecure"
-    assert security_status(costs, False)[0] == "secure"
-    assert security_status({"a": 30.0}, False)[0] == "insecure"
+    assert status(broken, costs) == (
+        "insecure",
+        "the extended-rank distinguisher separates this key from random, "
+        "exposing the private code row space",
+    )
+    assert status(healthy, costs) == ("secure", "cheapest known attack (a) costs about 2^80.0")
+    assert status(healthy, {"a": 30.0})[0] == "insecure"
     # one cost just above the threshold constant and one just below it
-    status, reason = security_status({"a": SECURITY_THRESHOLD_BITS + 0.5}, False)
-    assert status == "secure" and "2^64.5" in reason
-    status, reason = security_status({"a": SECURITY_THRESHOLD_BITS - 0.5}, False)
-    assert status == "insecure" and "2^63.5" in reason and "2^64 threshold" in reason
+    state, reason = status(healthy, {"a": SECURITY_THRESHOLD_BITS + 0.5})
+    assert state == "secure" and "2^64.5" in reason
+    state, reason = status(healthy, {"a": SECURITY_THRESHOLD_BITS - 0.5})
+    assert state == "insecure" and "2^63.5" in reason and "2^64 threshold" in reason
 
 
 def test_attack_report_end_to_end():

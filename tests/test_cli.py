@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import per_element_codec
-from gptrank import attacks
+from gptrank import attacks, cli
 from gptrank.cli import blocks_to_message, bytes_per_element, main, message_to_blocks
 from gptrank.errors import DecodeFailure, ParameterError
-from gptrank.gpt import GptParams, preset
+from gptrank.gpt import GptParams, keygen, preset
 from gptrank.keyfiles import CiphertextBundle, load_ciphertext, save_ciphertext
+from parameter_sweep import accepted_sweep_params
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -247,8 +248,8 @@ def test_a_preset_with_another_t1_takes_the_budget_s_ext(capsys):
 
 
 def test_analyze_flags_an_extension_field_key_without_extension_columns(capsys):
-    # s_ext = 0 leaves P^-1's kept block over F_q, as a base-field scrambler does;
-    # a seed-1 key with these flags reads DISTINGUISHABLE under attack
+    # s_ext = 0 leaves P^-1's kept block over F_q, as a base-field scrambler does,
+    # and the key that analyze draws reads DISTINGUISHABLE
     assert run("analyze", "--preset", "paper-28", "--t1", "7", "--sext", "0") == 0
     out = capsys.readouterr().out
     assert "scrambler: extension_field (extension columns s_ext: 0)" in out
@@ -298,14 +299,18 @@ def test_analyze_simulate_from_base_field_twins_an_extension_field_key(capsys):
 
 
 def test_analyze_simulate_refuses_depth_before_keygen(monkeypatch, capsys):
+    # neither a simulation key nor the key that analyze measures is drawn
     def no_keygen(*args):
         raise AssertionError("a key was drawn before the depth was checked")
 
     monkeypatch.setattr(attacks, "keygen", no_keygen)
+    monkeypatch.setattr(cli, "keygen", no_keygen)
     assert run("analyze", "--preset", "desk-12", "--simulate", "--u", "99") == 2
     captured = capsys.readouterr()
     assert "stack depth u must lie in [1, 11]" in captured.err
     assert captured.out == ""
+    assert run("analyze", "--preset", "desk-12", "--simulate", "--trials", "0") == 2
+    assert capsys.readouterr().err == "bad parameters: need at least one trial\n"
 
 
 def test_analyze_simulate_refuses_no_trials_before_printing(capsys):
@@ -317,6 +322,30 @@ def test_analyze_simulate_refuses_no_trials_before_printing(capsys):
 
 def test_analyze_without_work_is_an_error(capsys):
     assert run("analyze") == 2
+
+
+def sweep_flags(params):
+    """The command-line flags that give params back."""
+    argv = []
+    for flag, key, _, _ in cli._PARAM_FLAGS:
+        value = getattr(params, key)
+        if value is not None:
+            argv += [f"--{flag}", str(getattr(value, "value", value))]
+    return argv
+
+
+def test_analyze_prints_what_attack_prints_for_a_seeded_key(monkeypatch, capsys):
+    # analyze measures a key of its own, so on every accepted desk-12 sweep tuple
+    # its output is attack's on a seed-1 key less the distinguisher block
+    for params in dict.fromkeys(accepted_sweep_params()):
+        pub, _ = keygen(params, random.Random(1))
+        monkeypatch.setattr(cli, "load_public_key", lambda path: pub)
+        assert run("attack", "--pub", "seeded.key") == 0
+        attack = capsys.readouterr().out.splitlines()
+        assert run("analyze", *sweep_flags(params)) == 0
+        analyze = capsys.readouterr().out.splitlines()
+        head = attack.index("extended-rank distinguisher (u=5):")
+        assert analyze == attack[:head] + attack[head + 5 :], params
 
 
 def test_attack_reports_verdict(tmp_path, capsys):
