@@ -224,6 +224,12 @@ def attack_public_key(pub: GptPublicKey, u: int | None = None) -> AttackReport:
             "the extended-rank distinguisher separates this key from random, "
             "exposing the private code row space"
         )
+    elif pub.params.s_ext == 0:
+        # a parameter fact, kept while the default depth misses such keys
+        status, reason = "insecure", (
+            "no extension-field scrambler columns (s_ext = 0): P^-1's kept block "
+            "lies over F_q, which structural rank attacks strip"
+        )
     elif exponent < SECURITY_THRESHOLD_BITS:
         status, reason = "insecure", (
             f"{name} costs about 2^{exponent:.1f}, below the 2^{SECURITY_THRESHOLD_BITS} threshold"

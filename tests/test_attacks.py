@@ -335,10 +335,14 @@ def test_cost_report_scales_with_parameters():
 
 
 def test_security_status_branches(monkeypatch):
-    # attack_public_key's status for a distinguishable and a healthy key
+    # attack_public_key's status for a distinguishable key, a key without
+    # extension-field columns that the default depth misses, and a healthy key,
     # under stand-in costs
     rng = random.Random(86)
     broken, _ = keygen(GptParams(**DESK, t1=2, scrambler_mode="base_field"), rng)
+    saturated, _ = keygen(
+        GptParams(**DESK, t1=1, variant=6, t2=1, m_cols=1, scrambler_mode="base_field"), rng
+    )
     healthy, _ = keygen(preset("desk-12"), rng)
 
     def status(pub, costs):
@@ -352,6 +356,12 @@ def test_security_status_branches(monkeypatch):
         "insecure",
         "the extended-rank distinguisher separates this key from random, "
         "exposing the private code row space",
+    )
+    assert not attack_public_key(saturated).distinguisher.distinguishable
+    assert status(saturated, costs) == (
+        "insecure",
+        "no extension-field scrambler columns (s_ext = 0): P^-1's kept block "
+        "lies over F_q, which structural rank attacks strip",
     )
     assert status(healthy, costs) == ("secure", "cheapest known attack (a) costs about 2^80.0")
     assert status(healthy, {"a": 30.0})[0] == "insecure"

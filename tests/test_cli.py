@@ -256,6 +256,30 @@ def test_analyze_flags_an_extension_field_key_without_extension_columns(capsys):
     assert "status: insecure (the extended-rank distinguisher separates this key" in out
 
 
+@pytest.mark.parametrize("mode", ["base_field", "extension_field"])
+def test_a_key_without_extension_columns_is_insecure_where_the_default_depth_misses_it(
+    mode, tmp_path, capsys
+):
+    # its stack saturates by the default depth and brute force costs 2^84, so
+    # only the missing extension-field columns mark it insecure, in both commands
+    flags = ["--preset", "paper-28", "--variant", "6", "--t1", "3", "--t2", "1"]
+    flags += ["--mcols", "1", "--mode", mode, "--sext", "0"]
+    status = (
+        "status: insecure (no extension-field scrambler columns (s_ext = 0): "
+        "P^-1's kept block lies over F_q, which structural rank attacks strip)"
+    )
+    assert run("analyze", *flags) == 0
+    assert status in capsys.readouterr().out.splitlines()
+    pub, priv = tmp_path / "p", tmp_path / "s"
+    assert run("keygen", *flags, "--seed", "2", "--pub", str(pub), "--priv", str(priv)) == 0
+    capsys.readouterr()
+    assert run("attack", "--pub", str(pub)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "  verdict: NOT DISTINGUISHABLE" in out
+    assert f"  {'rank component brute force':32s} {84:10.2f}" in out
+    assert status in out
+
+
 def test_unseeded_commands_draw_from_the_os_csprng(tmp_path, monkeypatch):
     made = []
 
