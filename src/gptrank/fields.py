@@ -66,15 +66,23 @@ def _span_tables(images: list[int], width: int) -> list[list[int]]:
     return tabs
 
 
-def _pack_lanes(row) -> int:
-    """row as one int, entry c in bits 64c .. 64c + 63 (the lane-packed row format)."""
-    return int.from_bytes(array("Q", row if _LITTLE else row[::-1]), sys.byteorder)
+def _lane_codec(bits: int):
+    """The lane-packed row format with bits-bit lanes, as (pack, unpack).
 
+    pack(row) is row as one int, entry c in bits bits*c .. bits*c + bits - 1;
+    unpack(w, length) lists the first length lanes of such an int.
+    """
+    code = next(c for c in "ILQ" if array(c).itemsize * 8 == bits)
+    size, order = bits // 8, sys.byteorder
 
-def _unpack_lanes(w: int, length: int) -> list[int]:
-    """The first length lanes of a lane-packed row, as a list."""
-    row = memoryview(w.to_bytes(8 * length, sys.byteorder)).cast("Q").tolist()
-    return row if _LITTLE else row[::-1]
+    def pack(row) -> int:
+        return int.from_bytes(array(code, row if _LITTLE else row[::-1]), order)
+
+    def unpack(w: int, length: int) -> list[int]:
+        row = memoryview(w.to_bytes(size * length, order)).cast(code).tolist()
+        return row if _LITTLE else row[::-1]
+
+    return pack, unpack
 
 
 def _pack_bytes(values, width: int) -> bytes:
@@ -282,11 +290,13 @@ class FieldCtx:
     as one lookup per window (27 powers x 4 windows x 128 = 13,824 ints at
     N = 28).  Other primes sum the basis images digit by digit.
 
-    Elimination keeps its rows in a format chosen per field like ``mul``:
-    for q = 2 without tables one int per row, entry c in bits 64c to
-    64c + 63 (lane-packed), otherwise a list.  ``pack_row(row)`` and
-    ``unpack_row(w, length)`` convert, and ``column(rows, c, first)``
-    lists entry c of rows[first], rows[first + 1], ...
+    ``pack_lanes`` and ``unpack_lanes`` convert rows to and from one int,
+    entry c in lane c, ``lane_bits`` wide: 32 bits when every element fits
+    (N <= 32 at q = 2), else 64.  Elimination keeps its rows in a format
+    chosen per field like ``mul``: for q = 2 without tables that int,
+    otherwise a list.  ``pack_row(row)`` and ``unpack_row(w, length)``
+    convert, and ``column(rows, c, first)`` lists entry c of rows[first],
+    rows[first + 1], ...
     ``submul_row(prow, start, uses=1)`` returns ``upd(w, f)``, which
     returns w - f * prow over the columns >= start, for rows in that
     format (a list row is changed in place).  Table fields precompute the
@@ -338,10 +348,12 @@ class FieldCtx:
         if size <= _TABLE_LIMIT:
             self._build_tables()
             self.mul = self._mul_table
+        self.lane_bits = 32 if self.order.bit_length() <= 32 else 64  # fits an element
+        self.pack_lanes, self.unpack_lanes = _lane_codec(self.lane_bits)
         # the row format of elimination, and the row kernels that go with it:
         # one lane-packed int per row for q = 2 without tables, else a list
         if q == 2 and not self._log:
-            self.pack_row, self.unpack_row = _pack_lanes, _unpack_lanes
+            self.pack_row, self.unpack_row = self.pack_lanes, self.unpack_lanes
             self.column = self._lane_column
             self.submul_row = self._submul_lanes
             self.row_combiner = self._combine_packed
@@ -495,13 +507,13 @@ class FieldCtx:
         return upd
 
     def _lane_column(self, rows, c, first):
-        shift, mask = WORD_BITS * c, self.order  # 2^N - 1
+        shift, mask = self.lane_bits * c, self.order  # 2^N - 1
         return [w >> shift & mask for w in rows[first:]]
 
     def _shifted(self, p: int, lanes: int) -> list[int]:
         """x^i * row mod f for i < N, for a row lane-packed into p."""
         N = self.N
-        ones = _pack_lanes([1] * lanes)
+        ones = self.pack_lanes([1] * lanes)
         low = ones * ((1 << (N - 1)) - 1)
         fold = self._mod_int ^ (1 << N)  # x^N mod f
         out = [p]
@@ -512,8 +524,8 @@ class FieldCtx:
 
     def _submul_lanes(self, prow: int, start: int, uses: int = 1):
         # f * prow is the xor of the x^i * prow copies that f's bits select
-        prow = prow >> WORD_BITS * start << WORD_BITS * start
-        shifted = self._shifted(prow, -(-prow.bit_length() // WORD_BITS))
+        prow &= -1 << self.lane_bits * start  # the columns >= start
+        shifted = self._shifted(prow, -(-prow.bit_length() // self.lane_bits))
         if uses < _SPAN_USES:
             spread = _SPREAD
 
@@ -547,14 +559,14 @@ class FieldCtx:
 
     def _combine_packed(self, M):
         # bit i of lane r of v's packed int selects x^i * M[r] mod f
-        pad = [0] * (WORD_BITS - self.N)
-        cols = len(M[0])
-        copies = [c for row in M for c in self._shifted(_pack_lanes(row), cols) + pad]
+        pad = [0] * (self.lane_bits - self.N)
+        cols, pack, unpack = len(M[0]), self.pack_lanes, self.unpack_lanes
+        copies = [c for row in M for c in self._shifted(pack(row), cols) + pad]
         spread = _SPREAD
 
         def times(v):
-            bits = bin(_pack_lanes(v))[:1:-1].encode().translate(spread)
-            return _unpack_lanes(reduce(xor, compress(copies, bits), 0), cols)
+            bits = bin(pack(v))[:1:-1].encode().translate(spread)
+            return unpack(reduce(xor, compress(copies, bits), 0), cols)
 
         return times
 

@@ -20,11 +20,11 @@ Tagging the entries (or rows) with identity bits makes the same pass give
 the relations, or the row operations, in the reduced form that _rref
 gives.  The answers stay ints: a relation c has c_j at bit j, so one among
 the images L(alpha^j) is itself a kernel element (_relation_elements),
-and coordinates are lane-packed, c_j at bit 64j, so w A is an xor of
-products w_i row_i (_span_combiner).  Products by a matrix A over F_q live
-here too: A M (base_product; at q = 2 one xor per row of M's lane-packed
-rows), M A (times_base) and w A (base_combination), as does [X | F]^{-1}
-for F over F_q (_split_inverse).
+and coordinates are lane-packed (ctx.pack_lanes), c_j in lane j, so w A
+is an xor of products w_i row_i (_span_combiner).  Products by a matrix A
+over F_q live here too: A M (base_product; at q = 2 one xor per row of
+M's lane-packed rows), M A (times_base) and w A (base_combination), as
+does [X | F]^{-1} for F over F_q (_split_inverse).
 
 Over F_{q^N} there is one elimination loop, _eliminate.  rank_ext runs it
 forward only: each pivot clears the rows below, and a pivot in the last
@@ -35,12 +35,13 @@ never sees an entry directly: the field chooses its row format when it is
 built (ctx.pack_row, ctx.unpack_row), reads a column (ctx.column) and
 updates rows (ctx.submul_row) in that format.  A pivot a != 1 costs
 products one of two ways.  Scaling its row by 1/a takes up to cols - c of
-them, c the pivot column; folding 1/a into the multipliers of the h rows
-it clears takes h, plus, in full mode, one more submul_row call that
-scales the row.  The loop folds when that is fewer, h + full < cols - c,
-except in full mode at odd q, where that kernel call multiplies and
-subtracts per entry.  The reduced echelon form is unique, so _rref's rows
-do not depend on the choice.
+them, c the pivot column; ctx.scale_row does it, by the packed kernel at
+q = 2 without tables, but the rule still counts those products.  Folding
+1/a into the multipliers of the h rows it clears takes h, plus, in full
+mode, one more submul_row call that scales the row.  The loop folds when
+that is fewer, h + full < cols - c, except in full mode at odd q, where
+that kernel call multiplies and subtracts per entry.  The reduced echelon
+form is unique, so _rref's rows do not depend on the choice.
 
 Random matrices over F_q draw their entries in bulk (_base_rows), from the
 very 32-bit words that one rng.randrange(q) per entry takes, so seeded
@@ -54,8 +55,6 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import compress
 from operator import mul, xor
-
-from .fields import _pack_lanes, _unpack_lanes
 
 __all__ = [
     "FixedMatrix",
@@ -208,7 +207,7 @@ def _eliminate(ctx, M, full):
                 piv_inv = inv(a)
                 fold = may_fold and len(hits) + full < cols - c
                 if not fold:
-                    work[r] = pack([mul(piv_inv, x) if x else 0 for x in unpack(work[r], cols)])
+                    work[r] = pack(ctx.scale_row(unpack(work[r], cols), piv_inv))
             if hits or fold:
                 upd = submul(work[r], c, len(hits) + fold * full)
                 for i in hits:
@@ -294,7 +293,7 @@ def mat_inv(ctx, M):
 
 # -- bit-packed elimination over F_2 ----------------------------------------
 # Rows and relations are ints whose bit j is entry j; coordinates that
-# multiply a vector are lane-packed instead, entry j at bit 64j.
+# multiply a vector are lane-packed instead, entry j in lane j.
 
 
 def _gf2_echelon(rows, basis=None):
@@ -316,16 +315,17 @@ def _gf2_echelon(rows, basis=None):
     return basis
 
 
-def _gf2_coordinate_reader(basis):
-    """x -> its coordinates in the F_2-independent basis, entry j at bit 64j.
+def _gf2_coordinate_reader(ctx, basis):
+    """x -> its coordinates in the F_2-independent basis, entry j in lane j.
 
-    Entry j sits above tag bit 64j, so reducing x << 64n by their echelon
-    leaves the tags of the entries that sum to x.  Raises ValueError for
-    an x outside span(basis), and when built on a dependent basis (an
-    echelon row led by a tag bit is a relation).
+    Entry j sits above the tag bit that starts lane j, so reducing x << top
+    by their echelon leaves the tags of the entries that sum to x.  Raises
+    ValueError for an x outside span(basis), and when built on a dependent
+    basis (an echelon row led by a tag bit is a relation).
     """
-    top = 64 * len(basis)
-    echelon = _gf2_echelon(a << top | 1 << 64 * j for j, a in enumerate(basis))
+    bits = ctx.lane_bits
+    top = bits * len(basis)
+    echelon = _gf2_echelon(a << top | 1 << bits * j for j, a in enumerate(basis))
     if min(echelon, default=top) < top:
         raise ValueError("the basis is dependent over F_q")
 
@@ -407,8 +407,8 @@ def _span_combiner(ctx, basis):
     """
     if ctx.q != 2:
         return lambda w, x: base_combination(ctx, w, base_coordinates(ctx, basis, x))
-    read, n = _gf2_coordinate_reader(basis), len(basis)
-    return lambda w, x: _unpack_lanes(reduce(xor, map(mul, w, map(read, x)), 0), n)
+    read, unpack, n = _gf2_coordinate_reader(ctx, basis), ctx.unpack_lanes, len(basis)
+    return lambda w, x: unpack(reduce(xor, map(mul, w, map(read, x)), 0), n)
 
 
 def base_transform(ctx, F):
@@ -452,9 +452,9 @@ def base_product(ctx, A, M):
         raise ValueError(f"dimension mismatch: {len(A[0])} cols vs {len(M)} rows")
     if ctx.q != 2:
         return mat_mul(ctx, A, M)
-    cols = len(M[0])
-    packed = list(map(_pack_lanes, M))
-    return [_unpack_lanes(reduce(xor, compress(packed, row), 0), cols) for row in A]
+    cols, unpack = len(M[0]), ctx.unpack_lanes
+    packed = list(map(ctx.pack_lanes, M))
+    return [unpack(reduce(xor, compress(packed, row), 0), cols) for row in A]
 
 
 def times_base(ctx, M, A):

@@ -139,7 +139,8 @@ def test_table_and_clmul_agree_on_shared_field():
         assert small.mul(a, b) == small._clmul(a, b) == oracle_mul(small, a, b)
 
 
-@pytest.mark.parametrize("q,N", [(2, 12), (3, 5), (2, 28), (3, 11)])
+# lane-packed rows on both sides of the switch from 32-bit to 64-bit lanes
+@pytest.mark.parametrize("q,N", [(2, 12), (3, 5), (2, 28), (2, 32), (2, 33), (3, 11)])
 def test_submul_row_matches_elementwise_loop(q, N):
     ctx = get_field(q, N)
     rng = random.Random(100 * q + N)
@@ -157,6 +158,19 @@ def test_submul_row_matches_elementwise_loop(q, N):
         for uses in (1, 1000):
             upd = ctx.submul_row(ctx.pack_row(prow), start, uses)
             assert ctx.unpack_row(upd(ctx.pack_row(wrow), f), length) == expected
+
+
+@pytest.mark.parametrize("q,N,bits", [(2, 12, 32), (2, 32, 32), (2, 33, 64), (2, 64, 64),
+                                      (3, 20, 32), (3, 21, 64)])  # fmt: skip
+def test_lanes_are_as_wide_as_an_element_needs(q, N, bits):
+    ctx = get_field(q, N)
+    assert ctx.lane_bits == bits
+    top = ctx.size - 1
+    row = [top, 0, 1, top, top >> 1]
+    w = ctx.pack_lanes(row)
+    assert [w >> bits * c & (1 << bits) - 1 for c in range(5)] == row
+    assert ctx.unpack_lanes(w, 5) == row
+    assert ctx.unpack_lanes(w, 7) == row + [0, 0]
 
 
 def oracle_frobenius(ctx, a, i):

@@ -111,15 +111,17 @@ def test_decode_clean_word():
     assert got_e == [0] * 8
 
 
-# GF(2^28) and GF(2^40) multiply without log tables, on 64- and 128-bit scale_row
-# lanes (n < N at N = 40), and GF(3^11) is an odd-q field without tables.  At
-# N = n = 64 the kernel step eliminates 128-bit tagged rows and every lane is full.
+# GF(2^28), GF(2^32) and GF(2^40) multiply without log tables, on 32-bit row
+# lanes (N = n = 32 fills every one) and 64-bit row lanes, and on 64- and 128-bit
+# scale_row lanes (n < N at N = 40); GF(3^11) is an odd-q field without tables.
+# At N = n = 64 the kernel step eliminates 128-bit tagged rows and every lane is full.
 DECODE_CASES = [
     (2, 8, 8, 3),
     (2, 12, 12, 6),
     (3, 5, 5, 1),
     (2, 10, 7, 3),
     (2, 28, 28, 14),
+    (2, 32, 32, 16),
     (2, 40, 12, 6),
     (3, 11, 11, 5),
     (2, 64, 64, 58),
@@ -140,7 +142,8 @@ def test_decode_roundtrip_all_ranks(q, N, n, k):
             assert got_e == e
 
 
-# log tables, 64-bit lanes, 128-bit lanes, and two odd-q table fields
+# log tables, 32-bit row lanes (64-bit scale_row lanes), 64-bit row lanes
+# (128-bit scale_row lanes), and two odd-q table fields
 @pytest.mark.parametrize("q,N", [(2, 12), (2, 28), (2, 40), (3, 5), (5, 3)])
 def test_location_recursion_matches_the_moore_system_solve(q, N):
     ctx = get_field(q, N)

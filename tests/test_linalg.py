@@ -7,7 +7,7 @@ from operator import xor
 
 import pytest
 
-from gptrank.fields import _unpack_lanes, get_field
+from gptrank.fields import get_field
 from gptrank.linalg import (
     FixedMatrix,
     _gf2_coordinate_reader,
@@ -151,7 +151,7 @@ def span_draw(gens, rng):
     return reduce(xor, (g for g in gens if rng.random() < 0.5), 0)
 
 
-@pytest.mark.parametrize("N,n", [(12, 12), (28, 28), (28, 11)])
+@pytest.mark.parametrize("N,n", [(12, 12), (28, 28), (28, 11), (32, 32), (33, 33)])
 def test_bit_packed_answers_equal_the_generic_path(N, n):
     # the F_2 int cores that package code runs at q = 2; the extension-field
     # routines on the 0/1 coordinate matrix must give exactly the same
@@ -172,10 +172,10 @@ def test_bit_packed_answers_equal_the_generic_path(N, n):
         elems = [span_draw(basis, rng) if trial % 4 else ctx.rand_elem(rng) for _ in range(3)]
         work, pivots = _rref(ctx, bit_matrix(N, basis + elems))
         k = len(basis)
-        read = _gf2_coordinate_reader(basis)
+        read = _gf2_coordinate_reader(ctx, basis)
         if pivots == list(range(k)):
             expected = [[row[k + i] for row in work[:k]] for i in range(len(elems))]
-            assert [_unpack_lanes(read(x), k) for x in elems] == expected
+            assert [ctx.unpack_lanes(read(x), k) for x in elems] == expected
             outcomes.add("inside")
         else:
             with pytest.raises(ValueError):
@@ -195,8 +195,9 @@ def test_bit_packed_answers_equal_the_generic_path(N, n):
     assert outcomes == {"inside", "outside"}
 
 
-# n = N fills every lane of the packed rows at N = 64; n < N leaves room outside
-@pytest.mark.parametrize("q,N,n", [(2, 12, 12), (2, 28, 11), (2, 64, 64), (3, 5, 3)])
+# n = N fills every lane of the packed rows at N = 32 (32-bit lanes) and N = 64
+# (64-bit lanes); n < N leaves room outside
+@pytest.mark.parametrize("q,N,n", [(2, 12, 12), (2, 28, 11), (2, 32, 32), (2, 64, 64), (3, 5, 3)])
 def test_span_combiner_is_w_times_the_coordinates(q, N, n):
     ctx = get_field(q, N)
     rng = random.Random(1000 * q + N + n)
@@ -290,9 +291,9 @@ def test_ext_nullspace_annihilates():
 
 
 # the eliminator against a textbook Gauss-Jordan: a table field, table-less
-# q = 2 fields with 28, 40 and 64 bits per 64-bit lane (lane-packed rows),
-# and an odd characteristic
-ELIMINATION_FIELDS = [(2, 12), (2, 28), (2, 40), (2, 64), (3, 5)]
+# q = 2 fields with 28 and 32 bits per 32-bit lane and 33, 40 and 64 bits
+# per 64-bit lane (lane-packed rows), and an odd characteristic
+ELIMINATION_FIELDS = [(2, 12), (2, 28), (2, 32), (2, 33), (2, 40), (2, 64), (3, 5)]
 
 
 def reference_rref(ctx, M):
@@ -397,8 +398,9 @@ def test_elimination_matches_textbook_gauss_jordan(q, N):
 
 
 # the F_q transform and product: a table field, table-less q = 2 fields with
-# 28 and 64 bits per lane, and two odd characteristics
-BASE_FIELDS = [(2, 12), (2, 28), (2, 64), (3, 5), (5, 3)]
+# 28 and 32 bits per 32-bit lane and 33 and 64 bits per 64-bit lane, and two
+# odd characteristics
+BASE_FIELDS = [(2, 12), (2, 28), (2, 32), (2, 33), (2, 64), (3, 5), (5, 3)]
 
 
 @pytest.mark.parametrize("q,N", BASE_FIELDS)
@@ -592,9 +594,10 @@ def test_vec_sub_inverts_addition():
 
 # -- products ------------------------------------------------
 
-# a table field; table-less q = 2 fields on both sides of scale_row's switch
-# from 64-bit to 128-bit lanes (N = 32, 33), and N = 64, which fills every
-# 64-bit lane of row_combiner; and two odd characteristics
+# a table field; table-less q = 2 fields on both sides of the switch from
+# 32-bit to 64-bit row lanes and of scale_row's from 64-bit to 128-bit lanes
+# (N = 32, 33), and N = 64, which fills every 64-bit lane of row_combiner;
+# and two odd characteristics
 PRODUCT_FIELDS = [(2, 12), (2, 28), (2, 32), (2, 33), (2, 64), (3, 5), (5, 3)]
 
 
