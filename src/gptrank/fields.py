@@ -348,7 +348,7 @@ class FieldCtx:
         if size <= _TABLE_LIMIT:
             self._build_tables()
             self.mul = self._mul_table
-        self.lane_bits = 32 if self.order.bit_length() <= 32 else 64  # fits an element
+        self.lane_bits = 32 if self.order.bit_length() <= 32 else 64  # one element per lane
         self.pack_lanes, self.unpack_lanes = _lane_codec(self.lane_bits)
         # the row format of elimination, and the row kernels that go with it:
         # one lane-packed int per row for q = 2 without tables, else a list
