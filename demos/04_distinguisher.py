@@ -13,14 +13,15 @@ base-field scrambling.
 The stack need not be built to be ranked: sigma fixes the identity block
 of the reduced echelon form, so the images beyond the first add only the
 rank of the shallower stack of the differences sigma(A) - A of its free
-block A, and stacked_rank repeats that on ever smaller blocks until one
+block A, and rank_profile repeats that on ever smaller blocks until one
 row v is left, whose stack is v's Moore matrix, of rank
-min(u + 1, rank of v over F_q).
+min(u + 1, rank of v over F_q).  Each level's running total is the rank
+at the next depth, so one rank_profile call gives every depth 0..u.
 """
 
 import random
 
-from gptrank import GptParams, distinguisher_trials, keygen, stacked_rank
+from gptrank import GptParams, distinguisher_trials, keygen, rank_profile
 
 rng = random.Random(44)
 DESK = dict(q=2, N=12, n=12, k=6, t1=2)
@@ -32,8 +33,7 @@ hard = GptParams(**DESK, s_ext=1)
 pub, _ = keygen(base, rng)
 ctx = base.field()
 print("one base-field key, growing the stack:")
-for u in range(0, 6):
-    r = stacked_rank(ctx, pub.matrix, u)
+for u, r in enumerate(rank_profile(ctx, pub.matrix, 5)):
     full = min((u + 1) * base.k, base.n)
     marker = "  <- stuck at k + u" if r < full else ""
     print(f"  u = {u}: rank {r:2d} of {full}{marker}")

@@ -17,7 +17,7 @@ from .attacks import (
     distinguisher_trials,
     example_security_table,
     extend_public_key,
-    stacked_rank,
+    rank_profile,
 )
 from .errors import DecodeFailure, FormatError, GptRankError, ParameterError
 from .fields import FieldCtx, default_modulus, get_field, is_irreducible, is_prime
@@ -100,11 +100,11 @@ __all__ = [
     "public_key_size_bits",
     "rank_ext",
     "rank_over_base",
+    "rank_profile",
     "sample_error",
     "sample_error_decomposed",
     "save_ciphertext",
     "save_private_key",
     "save_public_key",
-    "stacked_rank",
     "__version__",
 ]

@@ -16,11 +16,12 @@ of the full rank that a random matrix gives.  A collapsed rank is the entry
 point for recovering the private code row space, so "distinguishable"
 here means structurally broken.
 
-stacked_rank measures that rank without building the stack: a reduced
-echelon pass gives the rank of G, and the rest is the rank of a stack one
-level shallower on sigma(A) - A, A being the non-pivot block.  The blocks
-shrink at every level, and a level of one row v needs no elimination: its
-depth-u stack is v's Moore matrix, of rank min(u + 1, rank_over_base(v)).
+rank_profile measures that rank at every depth 0..u in one pass, without
+building the stack: a reduced echelon pass gives the rank of G, and the
+rest is the rank of a stack one level shallower on sigma(A) - A, A being
+the non-pivot block.  The blocks shrink at every level, and a level of one
+row v needs no elimination: its depth-u stack is v's Moore matrix, of
+rank min(u + 1, rank_over_base(v)).
 
 The module also carries work-factor estimates for the generic decoding
 attacks (log2 of the operation count), and attack_public_key, which reads
@@ -38,7 +39,7 @@ from .linalg import _rref, mat_frobenius, rank_ext, rank_over_base, vec_sub
 
 __all__ = [
     "extend_public_key",
-    "stacked_rank",
+    "rank_profile",
     "DistinguisherResult",
     "distinguish_public_key",
     "TrialSummary",
@@ -66,8 +67,8 @@ def extend_public_key(ctx, matrix, u: int):
     return stacked
 
 
-def stacked_rank(ctx, M, u: int) -> int:
-    """rank_ext(ctx, extend_public_key(ctx, M, u)), without building the stack."""
+def rank_profile(ctx, M, u: int) -> list[int]:
+    """[rank_ext(ctx, extend_public_key(ctx, M, i)) for i = 0..u], without building a stack."""
     if u < 0:
         raise ParameterError("u must be non-negative")
     # R = the r nonzero rows of the reduced echelon form of M, A = its
@@ -78,9 +79,9 @@ def stacked_rank(ctx, M, u: int) -> int:
     # sigma^i(A) - A = sum_{j<i} sigma^j(D), a block-unitriangular
     # recombination of [D; ...; sigma^(u-1)(D)], so that rank is the rank
     # of the depth-(u - 1) stack of D's nonzero rows.  Each pass keeps
-    # total + rank(stack_u(M)) fixed; the return reads it where the stack
-    # is trivial.
-    total = 0
+    # total + rank(stack_u(M)) fixed and appends total + rank(M); the tail
+    # fills the rest where the stack is trivial: M at depth 0, or no rows.
+    profile, total = [], 0
     while u and M:
         if len(M) == 1:
             # The stack of one row v is its Moore matrix.  Write v = w B, w
@@ -88,11 +89,14 @@ def stacked_rank(ctx, M, u: int) -> int:
             # over F_q of full row rank.  sigma fixes B, so the stack is
             # Moore(w) B, of the rank of Moore(w): min(u + 1, r), as a
             # Moore matrix of r <= N independent elements has full rank.
-            total += min(u + 1, rank_over_base(ctx, M[0]))
-            M = []
+            r = rank_over_base(ctx, M[0])
+            profile += [total + min(i + 1, r) for i in range(u)]
+            total += min(u + 1, r)
+            M, u = [], 0
             break
         work, pivots = _rref(ctx, M)
         total += len(pivots)
+        profile.append(total)
         R = work[: len(pivots)]
         pivot_set = set(pivots)
         free = [c for c in range(len(M[0])) if c not in pivot_set]
@@ -100,7 +104,7 @@ def stacked_rank(ctx, M, u: int) -> int:
         D = (vec_sub(ctx, sa, a) for sa, a in zip(mat_frobenius(ctx, A), A))
         M = [row for row in D if any(row)]
         u -= 1
-    return total + rank_ext(ctx, extend_public_key(ctx, M, u))
+    return profile + [total + rank_ext(ctx, extend_public_key(ctx, M, u))] * (u + 1)
 
 
 @dataclass(frozen=True)
@@ -135,10 +139,10 @@ def _stack_depth(params: GptParams, u: int | None) -> int:
 
 
 def distinguish_public_key(pub: GptPublicKey, u: int | None = None) -> DistinguisherResult:
-    """Compare the public key's depth-u stacked rank (see stacked_rank) with full rank."""
+    """Compare the public key's depth-u stacked rank (see rank_profile) with full rank."""
     params = pub.params
     u = _stack_depth(params, u)
-    observed = stacked_rank(params.field(), pub.matrix, u)
+    observed = rank_profile(params.field(), pub.matrix, u)[u]
     full = min((u + 1) * params.pub_rows, params.pub_cols)
     return DistinguisherResult(
         u=u,

@@ -297,18 +297,17 @@ class FieldCtx:
     otherwise a list.  ``pack_row(row)`` and ``unpack_row(w, length)``
     convert, and ``column(rows, c, first)`` lists entry c of rows[first],
     rows[first + 1], ...
-    ``submul_row(prow, start, uses=1)`` returns ``upd(w, f)``, which
-    returns w - f * prow over the columns >= start, for rows in that
-    format (a list row is changed in place).  Table fields precompute the
-    logs of the pivot row's nonzero entries, and odd q loops per element
-    over ``mul``.  Lane-packed rows xor the copies x^i * prow mod f that
-    f's bits select; when the update is to be used at least ``_SPAN_USES``
-    times, it builds xor-span tables of those copies once and looks f up
-    4 bits at a time.  ``row_combiner(M)`` returns ``times(v) = v M``,
-    built once for a matrix that many vectors multiply: one ``submul_row``
-    update per row of M, except that q = 2 without tables xors, in one
-    pass, the lane-packed copies of all of M's rows that the bits of all
-    of v select.
+    ``submul_row(prow, uses=1)`` returns ``upd(w, f)``, which returns
+    w - f * prow for rows in that format (a list row is changed in place).
+    Table fields precompute the logs of the pivot row's nonzero entries,
+    and odd q loops per element over ``mul``.  Lane-packed rows xor the
+    copies x^i * prow mod f that f's bits select; when the update is to be
+    used at least ``_SPAN_USES`` times, it builds xor-span tables of those
+    copies once and looks f up 4 bits at a time.  ``row_combiner(M)``
+    returns ``times(v) = v M``, built once for a matrix that many vectors
+    multiply: one ``submul_row`` update per row of M, except that q = 2
+    without tables xors, in one pass, the lane-packed copies of all of M's
+    rows that the bits of all of v select.
 
     ``scale_row(row, f)`` returns f * row, chosen per field like ``mul``:
     q = 2 without tables packs row into lanes of 64 bits (N <= 32) or 128
@@ -341,6 +340,8 @@ class FieldCtx:
         # power_basis_images' kernel; not a cached_property, whose write to
         # __dict__ slows every later attribute load on the field (CPython 3.11)
         self._moore_times = None
+        self.lane_bits = 32 if self.order.bit_length() <= 32 else 64  # one element per lane
+        self.pack_lanes, self.unpack_lanes = _lane_codec(self.lane_bits)
         if q == 2:
             self._clmul = self.mul = self._make_clmul()
         else:
@@ -348,8 +349,6 @@ class FieldCtx:
         if size <= _TABLE_LIMIT:
             self._build_tables()
             self.mul = self._mul_table
-        self.lane_bits = 32 if self.order.bit_length() <= 32 else 64  # one element per lane
-        self.pack_lanes, self.unpack_lanes = _lane_codec(self.lane_bits)
         # the row format of elimination, and the row kernels that go with it:
         # one lane-packed int per row for q = 2 without tables, else a list
         if q == 2 and not self._log:
@@ -394,14 +393,8 @@ class FieldCtx:
         N = self.N
         mask = (1 << N) - 1
         width = 2 * N  # bytes: a product has at most 2N - 1 columns
-        powers = []  # x^(N+i) mod f for i < N - 1, the high half's bits
-        v = 1 << (N - 1)
-        for _ in range(N - 1):
-            v <<= 1
-            if v >> N:
-                v ^= self._mod_int
-            powers.append(v)
-        tabs = _span_tables(powers, _WINDOW)
+        # x^(N+i) mod f for i < N - 1, the images of the high half's bits
+        tabs = _span_tables(self._shifted(1 << (N - 1))[1:], _WINDOW)
         spread, parity, from_bytes = _SPREAD, _PARITY, int.from_bytes
         window = _WINDOW
         wmask = (1 << window) - 1
@@ -481,10 +474,10 @@ class FieldCtx:
 
     # -- row formats and row updates -------------------------------------------
 
-    def _submul_table(self, prow, start, uses=1):
+    def _submul_table(self, prow, uses=1):
         # q = 2 only: subtraction is xor
         log, exp = self._log, self._exp
-        pairs = [(j, log[prow[j]]) for j in range(start, len(prow)) if prow[j]]
+        pairs = [(j, log[b]) for j, b in enumerate(prow) if b]
 
         def upd(wrow, f):
             if f:
@@ -495,9 +488,9 @@ class FieldCtx:
 
         return upd
 
-    def _submul_generic(self, prow, start, uses=1):
+    def _submul_generic(self, prow, uses=1):
         mul, sub = self.mul, self.sub
-        pairs = [(j, prow[j]) for j in range(start, len(prow)) if prow[j]]
+        pairs = [(j, b) for j, b in enumerate(prow) if b]
 
         def upd(wrow, f):
             for j, b in pairs:
@@ -510,10 +503,10 @@ class FieldCtx:
         shift, mask = self.lane_bits * c, self.order  # 2^N - 1
         return [w >> shift & mask for w in rows[first:]]
 
-    def _shifted(self, p: int, lanes: int) -> list[int]:
+    def _shifted(self, p: int) -> list[int]:
         """x^i * row mod f for i < N, for a row lane-packed into p."""
         N = self.N
-        ones = self.pack_lanes([1] * lanes)
+        ones = self.pack_lanes([1] * -(-p.bit_length() // self.lane_bits))
         low = ones * ((1 << (N - 1)) - 1)
         fold = self._mod_int ^ (1 << N)  # x^N mod f
         out = [p]
@@ -522,10 +515,9 @@ class FieldCtx:
             out.append(p)
         return out
 
-    def _submul_lanes(self, prow: int, start: int, uses: int = 1):
+    def _submul_lanes(self, prow: int, uses: int = 1):
         # f * prow is the xor of the x^i * prow copies that f's bits select
-        prow &= -1 << self.lane_bits * start  # the columns >= start
-        shifted = self._shifted(prow, -(-prow.bit_length() // self.lane_bits))
+        shifted = self._shifted(prow)
         if uses < _SPAN_USES:
             spread = _SPREAD
 
@@ -546,7 +538,7 @@ class FieldCtx:
 
     def _combine_rows(self, M):
         cols, neg = len(M[0]), self.neg
-        updates = [self.submul_row(row, 0) for row in M]
+        updates = [self.submul_row(row) for row in M]
 
         def times(v):
             out = [0] * cols
@@ -561,7 +553,7 @@ class FieldCtx:
         # bit i of lane r of v's packed int selects x^i * M[r] mod f
         pad = [0] * (self.lane_bits - self.N)
         cols, pack, unpack = len(M[0]), self.pack_lanes, self.unpack_lanes
-        copies = [c for row in M for c in self._shifted(pack(row), cols) + pad]
+        copies = [c for row in M for c in self._shifted(pack(row)) + pad]
         spread = _SPREAD
 
         def times(v):

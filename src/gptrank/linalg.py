@@ -30,7 +30,7 @@ Over F_{q^N} there is one elimination loop, _eliminate.  rank_ext runs it
 forward only: each pivot clears the rows below, and a pivot in the last
 column clears nothing.  _rref runs it fully reduced, for null spaces,
 solves and inverses; its nonzero rows are a reduced basis of the row space
-(the distinguisher's stacked_rank recurses on their free block).  The loop
+(the distinguisher's rank_profile recurses on their free block).  The loop
 never sees an entry directly: the field chooses its row format when it is
 built (ctx.pack_row, ctx.unpack_row), reads a column (ctx.column) and
 updates rows (ctx.submul_row) in that format.  A pivot a != 1 costs
@@ -209,7 +209,7 @@ def _eliminate(ctx, M, full):
                 if not fold:
                     work[r] = pack(ctx.scale_row(unpack(work[r], cols), piv_inv))
             if hits or fold:
-                upd = submul(work[r], c, len(hits) + fold * full)
+                upd = submul(work[r], len(hits) + fold * full)
                 for i in hits:
                     f = vals[i - lo]
                     work[i] = upd(work[i], mul(f, piv_inv) if fold else f)

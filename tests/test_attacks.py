@@ -19,7 +19,7 @@ from gptrank.attacks import (
     distinguisher_trials,
     example_security_table,
     extend_public_key,
-    stacked_rank,
+    rank_profile,
 )
 from gptrank.errors import ParameterError
 from gptrank.fields import get_field
@@ -100,19 +100,18 @@ def row_of_base_rank(ctx, r, length, rng):
 
 
 @pytest.mark.parametrize("q, N", [(2, 12), (2, 28), (2, 40), (3, 5), (5, 3)])
-def test_stacked_rank_equals_rank_of_built_stack(q, N):
+def test_rank_profile_equals_rank_of_built_stack(q, N):
     ctx = get_field(q, N)
     rng = random.Random(89 + N)
     for name, M in reference_matrices(ctx, rng).items():
         # u = N and beyond: sigma^N is the identity, so the stack repeats
-        for u in range(N + 2):
-            built = rank_ext(ctx, extend_public_key(ctx, M, u))
-            assert stacked_rank(ctx, M, u) == built, (name, u)
+        built = [rank_ext(ctx, extend_public_key(ctx, M, u)) for u in range(N + 2)]
+        assert rank_profile(ctx, M, N + 1) == built, name
 
 
 @pytest.mark.parametrize("q, N", [(2, 12), (2, 28), (3, 5)])
 def test_stack_of_one_row_has_rank_min_of_depth_and_base_rank(q, N):
-    # stacked_rank's closed form for a one-row level, checked on built stacks
+    # rank_profile's closed form for a one-row level, checked on built stacks
     ctx = get_field(q, N)
     rng = random.Random(300 + N)
     for r in range(1, min(N, 6) + 1):
@@ -125,21 +124,20 @@ def test_stack_of_one_row_has_rank_min_of_depth_and_base_rank(q, N):
 @pytest.mark.parametrize(
     "q, N, rows, cols", [(2, 28, 14, 28), (2, 28, 3, 31), (2, 12, 6, 12), (3, 6, 2, 6)]
 )
-def test_random_matrices_follow_the_stacked_rank_baseline(q, N, rows, cols):
+def test_random_matrices_follow_the_rank_profile_baseline(q, N, rows, cols):
     # the baseline a public key's rank profile is read against: a random
     # matrix's stack has full rank min((u + 1) rows, cols) at every depth
     ctx = get_field(q, N)
     rng = random.Random(1000 + rows)
+    baseline = [min((u + 1) * rows, cols) for u in range(N)]
     for _ in range(3):
-        M = random_matrix(ctx, rows, cols, rng)
-        for u in range(1, N):
-            assert stacked_rank(ctx, M, u) == min((u + 1) * rows, cols), u
+        assert rank_profile(ctx, random_matrix(ctx, rows, cols, rng), N - 1) == baseline
 
 
-def test_stacked_rank_refuses_negative_depth_before_any_work():
+def test_rank_profile_refuses_negative_depth_before_any_work():
     unusable = object()  # any field operation or row access on it raises
     with pytest.raises(ParameterError):
-        stacked_rank(unusable, unusable, -1)
+        rank_profile(unusable, unusable, -1)
 
 
 def test_distinguisher_separates_the_two_scrambler_families():
@@ -217,7 +215,7 @@ def test_distinguisher_trials_checks_depth_before_drawing_a_key():
 
 
 # every depth 1..N-1, pinned from rank_ext(extend_public_key(G_pub, u)) on
-# the raw public matrix, before the distinguisher ranked it by stacked_rank
+# the raw public matrix, before the distinguisher ranked it by rank_profile
 GOLDEN_PROFILES = {
     "basefield": [7, 8, 9, 10, 11] + [12] * 6,
     "desk12": [8, 9, 10, 11] + [12] * 7,
@@ -232,9 +230,8 @@ GOLDEN_PROFILES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
 def test_rank_profile_of_golden_public_keys(name):
     pub = load_public_key(GOLDEN / f"{name}.public.bin")
-    depths = range(1, pub.params.N)
-    profile = [distinguish_public_key(pub, u).observed_rank for u in depths]
-    assert profile == GOLDEN_PROFILES[name]
+    ctx, N = pub.params.field(), pub.params.N
+    assert rank_profile(ctx, pub.matrix, N - 1)[1:] == GOLDEN_PROFILES[name]
 
 
 def test_every_sweep_key_falls_below_the_random_baseline_by_depth_3():
@@ -247,8 +244,8 @@ def test_every_sweep_key_falls_below_the_random_baseline_by_depth_3():
     for i, params in enumerate(accepted_sweep_params(), start=1):
         pub, _ = keygen(params, random.Random(i))
         ctx, rows, cols = params.field(), params.pub_rows, params.pub_cols
-        baseline = {u: min((u + 1) * rows, cols) for u in (1, 2, 3)}
-        short = [u for u, full in baseline.items() if stacked_rank(ctx, pub.matrix, u) < full]
+        profile = rank_profile(ctx, pub.matrix, 3)
+        short = [u for u in (1, 2, 3) if profile[u] < min((u + 1) * rows, cols)]
         assert short, params
         first_short[short[0]] = first_short.get(short[0], 0) + 1
         not_distinguishable += not distinguish_public_key(pub).distinguishable
@@ -358,6 +355,12 @@ def test_security_status_branches(monkeypatch):
         "exposing the private code row space",
     )
     assert not attack_public_key(saturated).distinguisher.distinguishable
+    # its profile is short of the random baseline at u = 1..4 and full only
+    # at the default u = 5, so a verdict read from the profile would catch it
+    params = saturated.params
+    baseline = [min((u + 1) * params.pub_rows, params.pub_cols) for u in range(1, 6)]
+    assert baseline == [12, 13, 13, 13, 13]
+    assert rank_profile(params.field(), saturated.matrix, 5)[1:] == [9, 10, 11, 12, 13]
     assert status(saturated, costs) == (
         "insecure",
         "no extension-field scrambler columns (s_ext = 0): P^-1's kept block "

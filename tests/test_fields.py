@@ -146,17 +146,20 @@ def test_submul_row_matches_elementwise_loop(q, N):
     rng = random.Random(100 * q + N)
     for trial in range(40):
         length = 1 + trial % 9
+        # a pivot row as elimination passes it: zero left of its pivot column
         start = trial % length
-        prow = [ctx.rand_elem(rng) if rng.random() < 0.8 else 0 for _ in range(length)]
+        prow = [0] * start + [
+            ctx.rand_elem(rng) if rng.random() < 0.8 else 0 for _ in range(length - start)
+        ]
         wrow = [ctx.rand_elem(rng) for _ in range(length)]
         f = ctx.rand_elem(rng) if trial % 10 else 0
-        expected = list(wrow)
+        expected = list(wrow)  # its first start entries unchanged
         for j in range(start, length):
             expected[j] = ctx.sub(expected[j], ctx.mul(f, prow[j]))
         # rows in the field's own format; an update used many times may
         # take another path (window tables on lane-packed rows)
         for uses in (1, 1000):
-            upd = ctx.submul_row(ctx.pack_row(prow), start, uses)
+            upd = ctx.submul_row(ctx.pack_row(prow), uses)
             assert ctx.unpack_row(upd(ctx.pack_row(wrow), f), length) == expected
 
 
