@@ -20,11 +20,12 @@ matrix in sigma^-1.  Gabidulin's recursion (1985) solves it in O(r^2)
 field operations: each stage applies sigma^-1 - c, with c chosen to kill
 the lead unknown, and leaves a system of the same shape one smaller, so
 back-substitution gives x.  The coordinates of each x_i in the F_q-basis
-h are the rows of A, and one linalg step, built with the code, takes x
-through them to e = E A.  The message is m = c[:k] G_info^-1 for
+h are the rows of A, and one linalg step, the h-coordinate reader, takes
+x through them to e = E A.  The message is m = c[:k] G_info^-1 for
 c = y - e, so m G agrees with c on the first k places by construction,
 and c is a codeword exactly when m G[:, k:] = c[k:]: the check before
-returning multiplies by those n - k columns only.
+returning multiplies by those n - k columns only.  A code builds
+G_info^-1 and the reader on its first decode, as only decoding reads them.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ class GabidulinCode:
         self.H = moore_matrix(ctx, self.h, n - k)
         # per-column Frobenius powers of h, reused by every syndrome pass
         self._htab = FixedMatrix(transpose(self.H))
-        self._info_inv = FixedMatrix(mat_inv(ctx, [row[:k] for row in self.G]))
         self._tail = FixedMatrix([row[k:] for row in self.G])
-        self._span_error = _span_combiner(ctx, self.h)
+        # decode-only; not a cached_property, for the reason FieldCtx.__init__ gives
+        self._info_inv = self._span_error = None
 
     def encode(self, m):
         if len(m) != self.k:
@@ -94,8 +95,13 @@ class GabidulinCode:
     def syndromes(self, y):
         return vec_mat_mul(self.ctx, y, self._htab)
 
-    def _solve_message(self, c):
-        return vec_mat_mul(self.ctx, c[: self.k], self._info_inv)
+    def _decoding_tables(self):
+        """(G_info^-1, the combiner (w, x) -> w A of `_span_combiner` on h), built once."""
+        if self._info_inv is None:  # set last, so a table is never half built
+            ctx, k = self.ctx, self.k
+            self._span_error = _span_combiner(ctx, self.h)
+            self._info_inv = FixedMatrix(mat_inv(ctx, [row[:k] for row in self.G]))
+        return self._info_inv, self._span_error
 
     def _solve_locations(self, E, synd):
         """The x_i = sum_j A_ij h_j of e = E A, from the first r = len(E) syndromes.
@@ -148,9 +154,10 @@ class GabidulinCode:
         n, k, t = self.n, self.k, self.t
         if len(y) != n:
             raise ParameterError(f"received word length must be {n}, got {len(y)}")
+        info_inv, span_error = self._decoding_tables()
         synd = self.syndromes(y)
         if not any(synd):
-            return self._solve_message(y), [0] * n
+            return vec_mat_mul(ctx, y[:k], info_inv), [0] * n
         S = LinPoly(ctx, synd)
         A = LinPoly.monomial(ctx, n - k)
         # V != 0 with qdeg V <= n - k - stop_degree = t: for S != 0, qdeg V is
@@ -161,7 +168,7 @@ class GabidulinCode:
             raise DecodeFailure("error span dimension outside the decoding radius", "span")
         # an x_i outside span_Fq(h), which needs n < N, fails here
         try:
-            e = self._span_error(E, self._solve_locations(E, synd))
+            e = span_error(E, self._solve_locations(E, synd))
         except ValueError:
             raise DecodeFailure("error locations contradict the syndromes", "locations") from None
         # cannot fire: e's entries lie in the F_q-span of the len(E) <= t elements of E.
@@ -169,7 +176,7 @@ class GabidulinCode:
         if rank_over_base(ctx, e) > t:
             raise DecodeFailure("reconstructed error exceeds the decoding radius", "radius")
         c = vec_sub(ctx, y, e)
-        m = self._solve_message(c)
+        m = vec_mat_mul(ctx, c[:k], info_inv)
         # m G agrees with c on the first k places by the choice of m
         if vec_mat_mul(ctx, m, self._tail) != c[k:]:
             raise DecodeFailure("reconstructed word is not a codeword", "codeword")

@@ -256,7 +256,8 @@ class GptPrivateKey:
 
     Construction builds ``code`` from g (ParameterError for a bad g) and
     ``unscramble`` = W from S: u W = [m | 0] exactly when u = m S, so W = S^{-1}
-    for a square S.  ValueError when S does not have full row rank.
+    for a square S.  ValueError when S does not have full row rank.  The
+    code's decoding tables wait for the first decrypt or `load_private_key`.
     """
 
     params: GptParams

@@ -29,7 +29,9 @@ derives a private key's code and S map, and P P^{-1} = I) before handing
 back live objects.  (q, N) names the field: savers write its
 `fields.default_modulus`, and a loader, once q and N pass, accepts a stored
 modulus only if reducing it mod q and making it monic gives that default.
-Any mismatch raises FormatError.
+Any mismatch raises FormatError.  A loaded private key is ready to
+decrypt: the loader builds the code's decoding tables, which a key fresh
+from `keygen` builds on its first decrypt.
 """
 
 from __future__ import annotations
@@ -171,6 +173,7 @@ def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
     # decryption reuses the kernel the check builds on P_inv
     if mat_mul(params.field(), priv.P, priv.P_inv) != identity_matrix(params.pub_cols):
         raise FormatError("column scrambler pair is not mutually inverse")
+    priv.code._decoding_tables()  # a loaded key is ready to decrypt
     return priv
 
 

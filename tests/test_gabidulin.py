@@ -5,11 +5,13 @@ import random
 import pytest
 
 from brute_force import BruteForceDecoder
+from gptrank import gabidulin
 from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.fields import get_field
 from gptrank.gabidulin import GabidulinCode, moore_matrix
 from gptrank.linalg import (
     independent_elements,
+    mat_inv,
     mat_mul,
     rank_over_base,
     sample_error,
@@ -252,3 +254,24 @@ def test_encode_refuses_a_message_of_the_wrong_length(length):
     code = GabidulinCode(ctx, independent_elements(ctx, 12, random.Random(53)), 6)
     with pytest.raises(ParameterError, match=f"^message length must be 6, got {length}$"):
         code.encode([1] * length)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_a_code_builds_its_decoding_tables_once_on_first_decode(monkeypatch, n):
+    # n < N and n = N; the constructor leaves G_info^-1 and the h-coordinate reader unbuilt
+    ctx = get_field(2, 12)
+    rng = random.Random(54 + n)
+    k = 4
+    code = GabidulinCode(ctx, independent_elements(ctx, n, rng), k)
+    assert code._info_inv is code._span_error is None
+    builds = []
+    for name in ("mat_inv", "_span_combiner"):
+        build = getattr(gabidulin, name)
+        counted = lambda *args, name=name, build=build: builds.append(name) or build(*args)
+        monkeypatch.setattr(gabidulin, name, counted)
+    for r in (2, 0, 1, code.t):
+        m = [ctx.rand_elem(rng) for _ in range(k)]
+        e = sample_error(ctx, n, r, rng)
+        assert code.decode(vec_add(ctx, code.encode(m), e)) == (m, e)
+    assert sorted(builds) == ["_span_combiner", "mat_inv"]
+    assert code._info_inv == mat_inv(ctx, [row[:k] for row in code.G])

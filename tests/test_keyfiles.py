@@ -12,7 +12,7 @@ import pytest
 import per_element_codec
 from gptrank.attacks import attack_public_key
 from gptrank.cli import main
-from gptrank.errors import FormatError, ParameterError
+from gptrank.errors import DecodeFailure, FormatError, ParameterError
 from gptrank.fields import is_irreducible
 from gptrank.gpt import GptParams, GptPrivateKey, decrypt, encrypt, keygen, preset
 from gptrank.keyfiles import (
@@ -29,7 +29,7 @@ from gptrank.keyfiles import (
     save_public_key,
     sniff_format,
 )
-from gptrank.linalg import FixedMatrix
+from gptrank.linalg import FixedMatrix, vec_mat_mul
 
 FORMATS = ("bin", "hex", "json")
 GOLDEN = Path(__file__).parent / "golden"
@@ -526,13 +526,52 @@ def test_fixed_matrices_save_the_bytes_of_plain_lists(tmp_path, keypair):
 def test_keygen_loading_and_the_attack_build_no_product_kernel(tmp_path):
     pub, priv = keygen(preset("desk-12"), random.Random(94))
     code = priv.code
-    fixed = (pub.matrix, priv.P_inv, priv.unscramble, code.G, code._htab, code._info_inv)
+    info_inv, _ = code._decoding_tables()
+    fixed = (pub.matrix, priv.P_inv, priv.unscramble, code.G, code._htab, info_inv)
     assert all(isinstance(M, FixedMatrix) and M.times is None for M in fixed)
     for fmt in FORMATS:
         save_public_key(tmp_path / "pub", pub, fmt)
         loaded = load_public_key(tmp_path / "pub")
         attack_public_key(loaded)
         assert isinstance(loaded.matrix, FixedMatrix) and loaded.matrix.times is None
+
+
+TWIN_CASES = {
+    "desk12": (lambda: preset("desk-12"), 95),
+    "paper28": (lambda: preset("paper-28"), 96),
+    "q3": (lambda: GptParams(q=3, N=6, n=6, k=2, t1=1, s_ext=1), 97),
+    "v5": (lambda: GptParams(q=2, N=12, n=12, k=6, t1=1, t2=2, s_ext=1, variant=5, p=1), 98),
+}
+
+
+def decrypt_outcome(sk, c):
+    try:
+        return decrypt(sk, c)
+    except DecodeFailure as exc:
+        return exc.stage
+
+
+@pytest.mark.parametrize("name", TWIN_CASES)
+def test_a_keygen_key_and_its_loaded_twin_decrypt_alike(tmp_path, name):
+    # keygen leaves the decoding tables to the first decrypt; the loader builds them
+    make_params, seed = TWIN_CASES[name]
+    params = make_params()
+    rng = random.Random(seed)
+    pub, priv = keygen(params, rng)
+    save_private_key(tmp_path / "priv", priv)
+    twin = load_private_key(tmp_path / "priv")
+    assert priv.code._info_inv is priv.code._span_error is None
+    assert twin.code._info_inv is not None and twin.code._span_error is not None
+    ctx, rows, cols = params.field(), params.pub_rows, params.pub_cols
+    m = [ctx.rand_elem(rng) for _ in range(rows)]
+    # the fresh key's first decode sees no syndrome; then honest ciphertexts and random words
+    cts = [vec_mat_mul(ctx, m, pub.matrix)]
+    cts += [encrypt(pub, [ctx.rand_elem(rng) for _ in range(rows)], rng) for _ in range(4)]
+    cts += [[ctx.rand_elem(rng) for _ in range(cols)] for _ in range(4)]
+    outcomes = [decrypt_outcome(priv, c) for c in cts]
+    assert outcomes[0] == m and all(isinstance(out, list) for out in outcomes[:5])
+    assert outcomes == [decrypt_outcome(twin, c) for c in cts]
+    assert priv.code._info_inv == twin.code._info_inv
 
 
 # -- the bulk element codec ------------------------------------------------
