@@ -5,10 +5,9 @@ Subcommands:
 * ``keygen``: draw a key pair and write the two key files.
 * ``encrypt`` / ``decrypt``: transport a byte string through the scheme,
   chunking it into plaintext blocks of whole bytes per field element.
-* ``analyze``: print parameter health, key size, the reference security
-  table, the cost estimates and status that ``attack`` prints for one
-  fixed-seed key of the parameters, and optionally a fresh-key
-  distinguisher simulation contrasting the two scrambler families.
+* ``analyze``: print the reference security table, ``attack``'s report on
+  one fixed-seed key of the parameters, and optionally fresh-key
+  distinguisher trials contrasting the two scrambler families.
 * ``attack``: run the extended-rank distinguisher against a public key
   file and report the security verdict.
 
@@ -230,7 +229,15 @@ def _cmd_decrypt(args) -> int:
     return EXIT_OK
 
 
-def _print_report(report) -> None:
+def _print_report(params: GptParams, report) -> None:
+    """An AttackReport in full: the parameters, the distinguisher, the costs and the status."""
+    res = report.distinguisher
+    print(_describe_params(params))
+    print(f"extended-rank distinguisher (u={res.u}):")
+    print(f"  observed stacked rank: {res.observed_rank}")
+    print(f"  full rank of a healthy key: {res.full_rank}")
+    print(f"  ceiling for a base-field scrambler: {res.leak_bound}")
+    print(f"  verdict: {res.verdict}")
     print("attack cost estimates (log2 operations):")
     for key, label in _COST_LABELS.items():
         print(f"  {label:32s} {report.costs[key]:10.2f}")
@@ -272,18 +279,17 @@ def _cmd_analyze(args) -> int:
     params = _params_from_args(args) if args.preset or _param_overrides(args) else None
     if params is None and not args.table:
         raise ParameterError("nothing to analyze: give parameters, --preset, or --table")
-    # the trials run first, so a refused --trials or --u prints nothing and
-    # draws no key; a fixed seed makes the status depend on params alone
+    # nothing prints before the report exists, so a refused --u or --trials
+    # prints nothing; --simulate's trials check both before any key is drawn.
+    # A fixed seed makes the report depend on params and --u alone
     simulation = _simulation_report(params, args) if params and args.simulate else None
-    report = attack_public_key(keygen(params, random.Random(0))[0]) if params else None
+    report = attack_public_key(keygen(params, random.Random(0))[0], args.u) if params else None
     if args.table:
         _print_table()
-    if params is None:
-        return EXIT_OK
-    if args.table:
-        print()
-    print(_describe_params(params))
-    _print_report(report)
+        if params:
+            print()
+    if params:
+        _print_report(params, report)
     if simulation:
         print(simulation)
     return EXIT_OK
@@ -291,15 +297,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_attack(args) -> int:
     pub = load_public_key(args.pub)
-    report = attack_public_key(pub, u=args.u)
-    res = report.distinguisher
-    print(_describe_params(pub.params))
-    print(f"extended-rank distinguisher (u={res.u}):")
-    print(f"  observed stacked rank: {res.observed_rank}")
-    print(f"  full rank of a healthy key: {res.full_rank}")
-    print(f"  ceiling for a base-field scrambler: {res.leak_bound}")
-    print(f"  verdict: {res.verdict}")
-    _print_report(report)
+    _print_report(pub.params, attack_public_key(pub, args.u))
     return EXIT_OK
 
 
@@ -336,12 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--out", required=True, help="plaintext output path")
     dec.set_defaults(func=_cmd_decrypt)
 
-    an = subs.add_parser("analyze", help="parameter health, costs, reference table")
+    an = subs.add_parser("analyze", help="attack's report on a fixed-seed key, reference table")
     _add_param_flags(an)
     an.add_argument("--table", action="store_true", help="print the reference security table")
     an.add_argument("--simulate", action="store_true", help="run fresh-key distinguisher trials")
     an.add_argument("--trials", type=int, default=8, help="keys per mode for --simulate")
-    an.add_argument("--u", type=int, help="stack depth for --simulate")
+    an.add_argument("--u", type=int, help="stack depth of the report and --simulate")
     an.add_argument("--seed", type=int, help="deterministic --simulate keys (default: OS CSPRNG)")
     an.set_defaults(func=_cmd_analyze)
 

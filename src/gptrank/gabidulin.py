@@ -164,8 +164,8 @@ class GabidulinCode:
         # n - k less the q-degree of the last remainder not below stop_degree
         V, _ = lp_eea(A, S, stop_degree=(n - k + 1) // 2)
         E = V.kernel_basis()
-        if not 0 < len(E) <= t:
-            raise DecodeFailure("error span dimension outside the decoding radius", "span")
+        if not E:  # len(E) <= qdeg V <= t, so only an empty span fails
+            raise DecodeFailure("the key equation gives an empty error span", "span")
         # an x_i outside span_Fq(h), which needs n < N, fails here
         try:
             e = span_error(E, self._solve_locations(E, synd))

@@ -320,14 +320,13 @@ def _gf2_coordinate_reader(ctx, basis):
 
     Entry j sits above the tag bit that starts lane j, so reducing x << top
     by their echelon leaves the tags of the entries that sum to x.  Raises
-    ValueError for an x outside span(basis), and when built on a dependent
-    basis (an echelon row led by a tag bit is a relation).
+    ValueError for an x outside span(basis).  The one caller's basis, a
+    code's parity vector h, is independent: sigma fixes a relation a != 0
+    over F_q, so h a^T = 0 gives H a^T = 0, a codeword a of rank 1 < d.
     """
     bits = ctx.lane_bits
     top = bits * len(basis)
     echelon = _gf2_echelon(a << top | 1 << bits * j for j, a in enumerate(basis))
-    if min(echelon, default=top) < top:
-        raise ValueError("the basis is dependent over F_q")
 
     def read(x):
         v = x << top
@@ -402,8 +401,9 @@ def base_coordinates(ctx, basis, elems):
 def _span_combiner(ctx, basis):
     """(w, x) -> w A, row i of A over F_q the coordinates of x_i in basis.
 
-    Raises ValueError as base_coordinates does.  At q = 2 row i stays
-    lane-packed, so w_i times it holds w_i in the lanes it selects.
+    basis is independent over F_q, and an x_i outside its span raises
+    ValueError.  At q = 2 row i stays lane-packed, so w_i times it holds
+    w_i in the lanes it selects.
     """
     if ctx.q != 2:
         return lambda w, x: base_combination(ctx, w, base_coordinates(ctx, basis, x))

@@ -331,10 +331,19 @@ def test_analyze_simulate_refuses_depth_before_keygen(monkeypatch, capsys):
     monkeypatch.setattr(cli, "keygen", no_keygen)
     assert run("analyze", "--preset", "desk-12", "--simulate", "--u", "99") == 2
     captured = capsys.readouterr()
-    assert "stack depth u must lie in [1, 11]" in captured.err
+    assert captured.err == "bad parameters: stack depth u must lie in [1, 11]\n"
     assert captured.out == ""
     assert run("analyze", "--preset", "desk-12", "--simulate", "--trials", "0") == 2
     assert capsys.readouterr().err == "bad parameters: need at least one trial\n"
+
+
+@pytest.mark.parametrize("u", ["0", "12"])
+def test_analyze_refuses_a_depth_before_printing(u, capsys):
+    # without --simulate the measured key is drawn, but nothing prints
+    assert run("analyze", "--table", "--preset", "desk-12", "--u", u) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "bad parameters: stack depth u must lie in [1, 11]\n"
+    assert captured.out == ""
 
 
 def test_analyze_simulate_refuses_no_trials_before_printing(capsys):
@@ -358,18 +367,31 @@ def sweep_flags(params):
     return argv
 
 
+def assert_analyze_prints_what_attack_prints(monkeypatch, capsys, params, *depth):
+    """analyze's output on params is attack's on the seed-0 key of params."""
+    pub, _ = keygen(params, random.Random(0))
+    monkeypatch.setattr(cli, "load_public_key", lambda path: pub)
+    assert run("attack", "--pub", "seeded.key", *depth) == 0
+    attack = capsys.readouterr().out
+    assert run("analyze", *sweep_flags(params), *depth) == 0
+    assert capsys.readouterr().out == attack, params
+
+
 def test_analyze_prints_what_attack_prints_for_a_seeded_key(monkeypatch, capsys):
-    # analyze measures a key of its own, so on every accepted desk-12 sweep tuple
-    # its output is attack's on a seed-1 key less the distinguisher block
     for params in dict.fromkeys(accepted_sweep_params()):
-        pub, _ = keygen(params, random.Random(1))
-        monkeypatch.setattr(cli, "load_public_key", lambda path: pub)
-        assert run("attack", "--pub", "seeded.key") == 0
-        attack = capsys.readouterr().out.splitlines()
-        assert run("analyze", *sweep_flags(params)) == 0
-        analyze = capsys.readouterr().out.splitlines()
-        head = attack.index("extended-rank distinguisher (u=5):")
-        assert analyze == attack[:head] + attack[head + 5 :], params
+        assert_analyze_prints_what_attack_prints(monkeypatch, capsys, params)
+
+
+@pytest.mark.parametrize("name", ["desk-12", "paper-28"])
+def test_analyze_reports_at_the_depth_it_is_given(name, monkeypatch, capsys):
+    params = preset(name)
+    assert_analyze_prints_what_attack_prints(monkeypatch, capsys, params, "--u", "2")
+    # --simulate's trials run at the report's depth
+    assert run("analyze", "--preset", name, "--u", "2", "--simulate", "--trials", "1",
+               "--seed", "0") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "extended-rank distinguisher (u=2):" in lines
+    assert all(" u=2 observed ranks " in line for line in lines[-2:])
 
 
 def test_attack_reports_verdict(tmp_path, capsys):

@@ -10,6 +10,8 @@ from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.fields import get_field
 from gptrank.gabidulin import GabidulinCode, moore_matrix
 from gptrank.linalg import (
+    _span_combiner,
+    identity_matrix,
     independent_elements,
     mat_inv,
     mat_mul,
@@ -64,6 +66,19 @@ def test_parity_check_annihilates_generator():
         prod = mat_mul(ctx, code.G, transpose(code.H))
         assert all(v == 0 for row in prod for v in row)
         assert rank_over_base(ctx, code.h) == n
+
+
+@pytest.mark.parametrize("q, N, n", [(2, 12, 12), (2, 12, 7), (3, 6, 6), (3, 6, 4)])
+def test_parity_vector_is_independent_over_the_base_field(q, N, n):
+    # the decoder's coordinate reader takes h as a basis and checks nothing:
+    # an F_q-relation a among the h_j would make a a codeword of rank 1 < d
+    ctx = get_field(q, N)
+    rng = random.Random(60)
+    for k in range(1, n):
+        code = GabidulinCode(ctx, independent_elements(ctx, n, rng), k)
+        assert rank_over_base(ctx, code.h) == n
+        combine = _span_combiner(ctx, code.h)
+        assert [combine([1], [hj]) for hj in code.h] == identity_matrix(n)
 
 
 def test_rejects_dependent_evaluation_points():
