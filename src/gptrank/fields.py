@@ -120,8 +120,16 @@ def _list_column(rows, c, first):
     return [row[c] for row in rows[first:]]
 
 
+def _check_counts(**counts) -> None:
+    """Refuse any count that is not a plain int; a bool is not one."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ParameterError(f"{name} must be an int, got {value!r:.40}")
+
+
 def _check_field(q: int, N: int) -> None:
-    """Refuse (q, N) unless N >= 2, q**N fits in a word and q is prime."""
+    """Refuse (q, N) unless both are ints, N >= 2, q**N fits in a word and q is prime."""
+    _check_counts(q=q, N=N)
     if N < 2:
         raise ParameterError(f"extension degree N must be >= 2, got {N}")
     # before the primality test, whose trial division a huge q would stall

@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DecodeFailure, ParameterError
-from .fields import FieldCtx, _check_field, get_field
+from .fields import FieldCtx, _check_counts, _check_field, get_field
 from .gabidulin import GabidulinCode
 from .linalg import (
     FixedMatrix,
@@ -145,7 +145,8 @@ class GptParams:
     block of P^{-1}; it defaults to what the decodability budget
     s_ext + error_rank + overlay_rank <= t leaves.  ``x_ordinary_rank`` is
     the ordinary rank of the distortion block (defaults to min(t1, k)).
-    (q, N) names the field, and is checked before anything else.
+    (q, N) names the field, and is checked before anything else; every
+    count must be a plain int.
     """
 
     N: int
@@ -163,6 +164,9 @@ class GptParams:
 
     def __post_init__(self):
         _check_field(self.q, self.N)
+        _check_counts(n=self.n, k=self.k, t1=self.t1, t2=self.t2, p=self.p, m_cols=self.m_cols)
+        given = {"s_ext": self.s_ext, "x_ordinary_rank": self.x_ordinary_rank}
+        _check_counts(**{name: value for name, value in given.items() if value is not None})
         object.__setattr__(self, "variant", Variant.parse(self.variant))
         object.__setattr__(self, "scrambler_mode", ScramblerMode.parse(self.scrambler_mode))
         if not 1 <= self.k < self.n <= self.N:
@@ -246,8 +250,14 @@ class GptParams:
 
 @dataclass
 class GptPublicKey:
+    """params and G_pub, kept as a FixedMatrix however the key is built."""
+
     params: GptParams
     matrix: list[list[int]]
+
+    def __post_init__(self):
+        if not isinstance(self.matrix, FixedMatrix):
+            self.matrix = FixedMatrix(self.matrix)
 
 
 @dataclass
@@ -356,7 +366,7 @@ def keygen(params: GptParams, rng=None):
     # rank k.  Variants 3-5 hold G; for variant 6, y (G + X2) = 0 with y != 0
     # would equate the codeword y G, of rank >= n - k + 1, with -y X2, of rank
     # <= t1 <= t (GptParams puts t1 in the decoding budget)
-    G_pub = FixedMatrix(mat_mul(ctx, S, mat_mul(ctx, core, P)))
+    G_pub = mat_mul(ctx, S, mat_mul(ctx, core, P))
     return GptPublicKey(params=params, matrix=G_pub), priv
 
 

@@ -47,9 +47,9 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import FormatError, ParameterError
-from .fields import _check_field, _monic, _pack_bytes, _unpack_bytes, get_field
+from .fields import _check_counts, _check_field, _monic, _pack_bytes, _unpack_bytes, get_field
 from .gpt import GptParams, GptPrivateKey, GptPublicKey
-from .linalg import FixedMatrix, identity_matrix, mat_mul
+from .linalg import identity_matrix, mat_mul
 
 __all__ = [
     "MAGIC",
@@ -70,7 +70,8 @@ MAGIC = b"GPTRANK1"
 class CiphertextBundle:
     """One encrypted message: the field's (q, N) plus the padded blocks.
 
-    (q, N) is checked first, then that ``block_len`` is positive.
+    (q, N) is checked first, then that ``block_len`` and ``msg_len`` are ints
+    and ``block_len`` is positive.
     """
 
     q: int
@@ -81,6 +82,7 @@ class CiphertextBundle:
 
     def __post_init__(self):
         _check_field(self.q, self.N)
+        _check_counts(block_len=self.block_len, msg_len=self.msg_len)
         if not self.block_len:
             raise ParameterError("ciphertext blocks must not be empty")
 
@@ -190,7 +192,7 @@ _PUBLIC = _Record(
     context=_params_context,
     dims=lambda p: {"matrix": (p.pub_rows, p.pub_cols)},
     split=lambda pub: (pub.params, {"matrix": pub.matrix}),
-    build=lambda params, m: GptPublicKey(params=params, matrix=FixedMatrix(m["matrix"])),
+    build=lambda params, m: GptPublicKey(params=params, matrix=m["matrix"]),
 )
 
 _PRIVATE = _Record(

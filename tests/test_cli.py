@@ -20,6 +20,7 @@ from parameter_sweep import accepted_sweep_params
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*argv):
@@ -117,6 +118,59 @@ def test_keygen_encrypt_decrypt_flow(tmp_path, fmt):
                "--format", fmt, "--seed", "6") == 0
     assert run("decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(out)) == 0
     assert out.read_bytes() == msg.read_bytes()
+
+
+# Every command in every encoding on desk-12; paper-28 (the packed, table-less
+# product kernel); a full-length N = 32 code (every 32-bit row lane filled);
+# N = 33 (the first field whose rows pack into 64-bit lanes); N = 40 (128-bit
+# lanes in the decoder's scalar-times-row kernel); N = 20 and N = 64 (3- and
+# 8-byte elements: an odd width and whole lanes in the bulk element codec); a
+# full-length N = 64 code (the widest F_2 rows in the decoder); a variant 5 and
+# a variant 6 key; a base-field scrambler (the F_2 inverse), with --sext 0 and
+# with the s_ext that GptParams gives it; q = 3 (the odd-q scrambler inverse);
+# and paper-28 at t1 = 5, a row of the paper's length-28 table whose s_ext
+# follows the budget.
+PARAMETER_SETS = {
+    "desk-12": "--preset desk-12",
+    "paper-28": "--preset paper-28",
+    "N32-full-length": "--bigN 32 --n 32 --k 16 --t1 3",
+    "N33": "--bigN 33 --n 12 --k 6 --t1 2",
+    "N40": "--bigN 40 --n 12 --k 6 --t1 2",
+    "N20": "--bigN 20 --n 12 --k 6 --t1 2",
+    "N64": "--bigN 64 --n 12 --k 6 --t1 2",
+    "N64-full-length": "--bigN 64 --n 64 --k 32 --t1 4",
+    "variant-5": "--variant 5 --bigN 12 --n 12 --k 6 --t1 1 --t2 2 --p 1 --sext 1",
+    "variant-6": "--variant 6 --bigN 14 --n 14 --k 6 --t1 2 --t2 1 --mcols 2 --sext 1 --xrank 1",
+    "base-field-sext-0": "--preset desk-12 --mode base_field --sext 0",
+    "base-field": "--preset desk-12 --mode base_field",
+    "q3": "--q 3 --bigN 6 --n 6 --k 2 --t1 1 --sext 1",
+    "paper-28-t1-5": "--preset paper-28 --t1 5",
+}
+
+
+@pytest.mark.parametrize("flags", PARAMETER_SETS.values(), ids=PARAMETER_SETS)
+def test_every_command_runs_on_the_parameter_set_in_every_format(flags, tmp_path, capsys):
+    # analyze prints a verdict and a status; attack on every key generated
+    # prints a verdict and analyze's status; each key round-trips a file
+    message = SRC / "gptrank" / "errors.py"
+    assert run("analyze", *flags.split()) == 0
+    analyzed = capsys.readouterr().out.splitlines()
+    status = [line for line in analyzed if line.startswith("status: ")]
+    assert len(status) == 1 and any(line.startswith("  verdict: ") for line in analyzed)
+    for fmt in ("bin", "hex", "json"):
+        pub, priv = tmp_path / f"pub.{fmt}", tmp_path / f"priv.{fmt}"
+        ct, out = tmp_path / f"ct.{fmt}", tmp_path / f"out.{fmt}"
+        assert run("keygen", *flags.split(), "--seed", "9", "--format", fmt,
+                   "--pub", str(pub), "--priv", str(priv)) == 0  # fmt: skip
+        capsys.readouterr()
+        assert run("attack", "--pub", str(pub)) == 0
+        attacked = capsys.readouterr().out.splitlines()
+        assert [line for line in attacked if line.startswith("status: ")] == status, fmt
+        assert any(line.startswith("  verdict: ") for line in attacked), fmt
+        assert run("encrypt", "--pub", str(pub), "--in", str(message), "--out", str(ct),
+                   "--format", fmt, "--seed", "9") == 0  # fmt: skip
+        assert run("decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(out)) == 0
+        assert out.read_bytes() == message.read_bytes(), fmt
 
 
 def test_empty_message(tmp_path):
@@ -448,6 +502,11 @@ def test_exit_code_bad_usage():
     assert run("no-such-command") == 2
 
 
+def test_help_exits_0(capsys):
+    assert run("--help") == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 def test_exit_code_decode_failure(tmp_path):
     pub, priv = tmp_path / "p", tmp_path / "s"
     msg, ct = tmp_path / "m", tmp_path / "c"
@@ -531,11 +590,33 @@ def test_ciphertext_with_a_respelled_modulus_decrypts(tmp_path):
     assert out.read_bytes() == msg.read_bytes()
 
 
-def test_malformed_public_key_exits_4_without_traceback(tmp_path):
-    pub, priv = tmp_path / "p", tmp_path / "s"
-    run("keygen", "--preset", "desk-12", "--pub", str(pub), "--priv", str(priv),
-        "--format", "json", "--seed", "21")
-    rechecksum_json(pub, lambda d: d["params"].update(q="2"))
+def golden_json_with_params(**changes):
+    """A writer of the golden desk-12 json public key with changed, re-checksummed params."""
+
+    def write(path):
+        path.write_bytes((GOLDEN / "desk12.public.json").read_bytes())
+        rechecksum_json(path, lambda d: d["params"].update(changes))
+
+    return write
+
+
+MALFORMED_PUBLIC_KEYS = {
+    "string-q": golden_json_with_params(q="2"),
+    "truncated-bin": lambda path: path.write_bytes(
+        (GOLDEN / "desk12.public.bin").read_bytes()[:100]
+    ),
+    "deeply-nested-json": lambda path: path.write_text(
+        '{"a": ' + "[" * 200000 + "]" * 200000 + "}"
+    ),
+    # x^12 + x^9 + 1 is irreducible over F_2 but not desk-12's x^12 + x^3 + 1
+    "other-modulus": golden_json_with_params(modulus=[1] + [0] * 8 + [1, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("write", MALFORMED_PUBLIC_KEYS.values(), ids=MALFORMED_PUBLIC_KEYS)
+def test_malformed_public_key_exits_4_without_traceback(write, tmp_path):
+    pub = tmp_path / "p"
+    write(pub)
     proc = run_process("attack", "--pub", str(pub))
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr

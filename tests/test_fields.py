@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptrank import fields
-from gptrank.fields import FieldCtx, default_modulus, get_field, is_irreducible, is_prime
+from gptrank.errors import ParameterError
+from gptrank.fields import (
+    FieldCtx,
+    _check_field,
+    default_modulus,
+    get_field,
+    is_irreducible,
+    is_prime,
+)
 from gptrank.gpt import GptParams
 
 
@@ -301,6 +309,16 @@ def test_frobenius_is_additive_and_multiplicative(a, b):
 
 
 # -- construction and validation ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "q, N",
+    [(2.0, 12), (True, 12), ("2", 12), (2, 12.0), (2, True)],
+    ids=["float-q", "bool-q", "str-q", "float-N", "bool-N"],
+)
+def test_q_and_N_must_be_plain_ints(q, N):
+    with pytest.raises(ParameterError, match="must be an int"):
+        _check_field(q, N)
 
 
 def test_is_prime():

@@ -1,4 +1,4 @@
-"""Format compatibility: committed key and ciphertext files load and re-save unchanged.
+"""Committed key and ciphertext files load, re-save unchanged and keep their attack verdicts.
 
 The fixtures under tests/golden/ were written by tests/golden/generate.py
 with fixed seeds.  They cover every record kind in every encoding for the
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from gptrank.cli import main
 from gptrank.gpt import GptPrivateKey, decrypt, keygen
 from gptrank.keyfiles import (
     load_ciphertext,
@@ -84,6 +85,28 @@ def test_golden_ciphertexts_decrypt_and_carry_exact_rank_errors(key):
             assert rank_over_base(ctx, e) == params.error_rank, (fmt, m)
         plaintexts.append(messages)
     assert plaintexts[0] == plaintexts[1] == plaintexts[2]
+
+
+# each public key's stacked rank at the default depth, and the verdict it gives:
+# only the base-field scrambler falls to the distinguisher
+VERDICTS = {
+    "basefield": (11, "DISTINGUISHABLE"),
+    "desk12": (12, "NOT DISTINGUISHABLE"),
+    "paper28": (28, "NOT DISTINGUISHABLE"),
+    "q3": (6, "NOT DISTINGUISHABLE"),
+    "v4": (14, "NOT DISTINGUISHABLE"),
+    "v5": (13, "NOT DISTINGUISHABLE"),
+    "v6": (16, "NOT DISTINGUISHABLE"),
+}
+
+
+@pytest.mark.parametrize("key", VERDICTS)
+def test_attack_on_each_golden_key_prints_its_rank_and_verdict(key, capsys):
+    rank, verdict = VERDICTS[key]
+    assert main(["attack", "--pub", str(GOLDEN / f"{key}.public.bin")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  observed stacked rank: {rank}" in lines
+    assert f"  verdict: {verdict}" in lines
 
 
 @pytest.mark.parametrize("name", FILES)

@@ -10,6 +10,7 @@ from gptrank.errors import DecodeFailure, ParameterError
 from gptrank.gpt import (
     GptParams,
     GptPrivateKey,
+    GptPublicKey,
     ScramblerMode,
     Variant,
     build_scrambler,
@@ -82,6 +83,30 @@ def test_concatenation_variants_need_an_error():
     with pytest.raises(ParameterError):
         GptParams(**DESK, t1=1, t2=0, variant=6, m_cols=1)
     assert "rank exactly 2" in VARIANT_CASES[1].describe_error_set()
+
+
+@pytest.mark.parametrize(
+    "name", ["q", "N", "n", "k", "t1", "t2", "p", "m_cols", "s_ext", "x_ordinary_rank"]
+)
+def test_every_count_must_be_a_plain_int(name):
+    # a float count would fail in keygen with a TypeError, and a bool one
+    # would make key files that do not load
+    kwargs = dict(q=2, N=14, n=14, k=6, t1=2, t2=1, variant=6, m_cols=2, s_ext=1,
+                  x_ordinary_rank=1)  # fmt: skip
+    if name == "p":
+        kwargs = dict(q=2, N=12, n=12, k=6, t1=1, t2=2, variant=5, p=1, s_ext=1)
+    GptParams(**kwargs)
+    for bad in (float(kwargs[name]), bool(kwargs[name])):
+        with pytest.raises(ParameterError, match=f"^{name} must be an int"):
+            GptParams(**{**kwargs, name: bad})
+
+
+def test_a_hand_built_public_key_keeps_its_product_kernel():
+    pub, _ = keygen(preset("desk-12"), random.Random(3))
+    built = GptPublicKey(pub.params, [list(row) for row in pub.matrix])
+    encrypt(built, [1] * pub.params.pub_rows, random.Random(4))
+    assert built.matrix.times is not None
+    assert GptPublicKey(pub.params, built.matrix).matrix is built.matrix
 
 
 def test_field_must_fit_a_machine_word():

@@ -57,6 +57,16 @@ def make_ct(params, rng):
     )
 
 
+@pytest.mark.parametrize("name", ["q", "N", "block_len", "msg_len"])
+def test_ciphertext_counts_must_be_plain_ints(name):
+    # a bool msg_len would make a ciphertext file that does not load
+    kwargs = dict(q=2, N=12, block_len=12, msg_len=5, blocks=[])
+    CiphertextBundle(**kwargs)
+    for bad in (float(kwargs[name]), bool(kwargs[name])):
+        with pytest.raises(ParameterError, match=f"^{name} must be an int"):
+            CiphertextBundle(**{**kwargs, name: bad})
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_public_key_roundtrip(tmp_path, keypair, fmt):
     pub, _ = keypair
