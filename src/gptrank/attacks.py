@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
+from .fields import _check_counts
 from .gpt import GptParams, GptPublicKey, _default_rng, keygen, preset
 from .linalg import _rref, mat_frobenius, rank_ext, rank_over_base, vec_sub
 
@@ -133,6 +134,7 @@ def _stack_depth(params: GptParams, u: int | None) -> int:
     """u, or the default depth n - k - 1 when u is None; ParameterError unless 1 <= u < N."""
     if u is None:
         u = params.n - params.k - 1
+    _check_counts(u=u)
     if not 1 <= u < params.N:
         raise ParameterError(f"stack depth u must lie in [1, {params.N - 1}]")
     return u
@@ -173,6 +175,7 @@ def distinguisher_trials(
     params: GptParams, trials: int = 8, u: int | None = None, rng=None
 ) -> TrialSummary:
     """Run the distinguisher on ``trials`` fresh keys (OS CSPRNG without rng)."""
+    _check_counts(trials=trials)
     if trials < 1:
         raise ParameterError("need at least one trial")
     u = _stack_depth(params, u)

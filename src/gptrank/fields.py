@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache, partial, reduce
-from itertools import compress
+from functools import lru_cache, partial, reduce
+from itertools import compress, repeat
 from operator import add, neg, pos, sub, xor
 
 from .errors import ParameterError
@@ -262,7 +262,7 @@ def _digits(a: int, q: int, N: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 12.0 and True are not the key 12 or 1
 def default_modulus(q: int, N: int) -> tuple[int, ...]:
     """First monic irreducible of degree N over F_q, by low-coefficient order.
 
@@ -324,6 +324,10 @@ class FieldCtx:
     ``power_basis_images(c)`` is L(a^j), j < N, for L = sum_i c_i x^(q^i):
     c times the Moore matrix [sigma^i(a^j)] kept from building the
     Frobenius tables, through a ``row_combiner`` kernel built on first use.
+
+    ``check_elements(values, what)``, the one check of vectors from outside,
+    raises ParameterError unless every value is an int in [0, q^N) (a bool
+    is one); a numpy int would wrap silently in the lane kernels' shifts.
     """
 
     def __init__(self, q: int = 2, N: int = 2):
@@ -662,10 +666,10 @@ class FieldCtx:
     def rand_nonzero(self, rng) -> int:
         return 1 + rng.randrange(self.order)
 
-    def check_element(self, a: int) -> int:
-        if not isinstance(a, int) or a < 0 or a >= self.size:
-            raise ParameterError(f"{a!r} is not an element of F_{self.q}^{self.N}")
-        return a
+    def check_elements(self, values, what: str) -> None:
+        ints = all(map(isinstance, values, repeat(int)))
+        if not ints or values and (min(values) < 0 or max(values) >= self.size):
+            raise ParameterError(f"{what} holds a value outside F_{self.q}^{self.N}")
 
     @property
     def element_hex_width(self) -> int:
@@ -687,8 +691,8 @@ _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
 
 
 def get_field(q: int = 2, N: int = 2) -> FieldCtx:
-    """Shared FieldCtx for F_{q^N}."""
-    ctx = _FIELD_CACHE.get((q, N))
+    """Shared FieldCtx for F_{q^N}.  Only plain ints look the cache up: (2, 12.0) == (2, 12)."""
+    ctx = _FIELD_CACHE.get((q, N)) if type(q) is type(N) is int else None
     if ctx is None:
         ctx = _FIELD_CACHE[q, N] = FieldCtx(q, N)
     return ctx

@@ -31,6 +31,7 @@ G_info^-1 and the reader on its first decode, as only decoding reads them.
 from __future__ import annotations
 
 from .errors import DecodeFailure, ParameterError
+from .fields import _check_counts
 from .linalg import (
     FixedMatrix,
     _span_combiner,
@@ -57,16 +58,17 @@ class GabidulinCode:
 
     def __init__(self, ctx, g, k: int):
         n = len(g)
+        _check_counts(k=k)
         if not 1 <= k < n:
             raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
         if n > ctx.N:
             raise ParameterError(f"code length {n} exceeds extension degree {ctx.N}")
         # the rank test assumes field elements: at q = 2 a negative int never reduces
-        g = list(map(ctx.check_element, g))
+        ctx.check_elements(g, "locator vector")
         if rank_over_base(ctx, g) != n:
             raise ParameterError("code locators must be linearly independent over F_q")
         self.ctx = ctx
-        self.g = g
+        self.g = list(g)
         self.n = n
         self.k = k
         self.d = n - k + 1

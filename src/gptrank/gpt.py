@@ -375,8 +375,7 @@ def _checked_field(params: GptParams, v, length: int, what: str) -> FieldCtx:
     if len(v) != length:
         raise ParameterError(f"{what} length must be {length}, got {len(v)}")
     ctx = params.field()
-    for a in v:
-        ctx.check_element(a)
+    ctx.check_elements(v, what)
     return ctx
 
 

@@ -20,11 +20,11 @@ strided slices (`fields._pack_bytes`); it reads each matrix back in one
 ``element_hex_width`` digits of each lane's 16, and read a row by mapping
 ``int(token, 16)`` over its tokens.
 
-Savers check every element once, before the file is opened: a value that
-is no element of F_{q^N} (negative, q^N or more, or not an int) raises
-ParameterError and leaves the target file as it was.  Loaders sniff
-the encoding, verify the checksum, type-check the header, and revalidate
-the algebra (parameters, element ranges, what `GptPrivateKey` checks as it
+Savers check every element once, with `FieldCtx.check_elements`, before the
+file is opened: a value that is no element of F_{q^N} raises ParameterError
+and leaves the target file as it was.  Loaders sniff the encoding, verify the
+checksum, type-check the header, check each member's elements, and
+revalidate the algebra (parameters, what `GptPrivateKey` checks as it
 derives a private key's code and S map, and P P^{-1} = I) before handing
 back live objects.  (q, N) names the field: savers write its
 `fields.default_modulus`, and a loader, once q and N pass, accepts a stored
@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
@@ -263,11 +262,6 @@ def _elem_width(ctx) -> int:
     return ((ctx.size - 1).bit_length() + 7) // 8
 
 
-def _check_range(ctx, elems) -> None:
-    if elems and (min(elems) < 0 or max(elems) >= ctx.size):
-        raise FormatError("element value outside the field")
-
-
 def _hex_lines(rec: _Record, ctx, members: dict, flat) -> dict:
     """Each member's rows as lines of space-separated fixed-width hex elements.
 
@@ -289,14 +283,14 @@ def _hex_lines(rec: _Record, ctx, members: dict, flat) -> dict:
     return out
 
 
-def _parse_row(ctx, text, cols: int) -> list[int]:
+def _parse_row(ctx, text, cols: int, what: str) -> list[int]:
     if not isinstance(text, str):
         raise FormatError(f"expected a line of hex elements, found {type(text).__name__}")
     try:
         row = list(map(int, text.split(), repeat(16)))
     except ValueError as exc:
         raise FormatError(f"bad element: {exc}") from None
-    _check_range(ctx, row)
+    ctx.check_elements(row, what)
     if len(row) != cols:
         raise FormatError(f"expected {cols} elements per row, found {len(row)}")
     return row
@@ -310,7 +304,7 @@ def _parse_texts(rec: _Record, texts: dict, ctx, dims: dict) -> dict:
         text = texts.get(m.name)
         if not isinstance(text, list) or rows is not None and len(text) != rows:
             raise FormatError(f"{m.name} should have {rows or 'a list of'} rows of {cols} elements")
-        out[m.name] = [_parse_row(ctx, line, cols) for line in text]
+        out[m.name] = [_parse_row(ctx, line, cols, m.name) for line in text]
     return out
 
 
@@ -380,7 +374,7 @@ def _bin_read(rec: _Record, data: bytes):
             if end > len(payload):
                 raise FormatError("truncated element data")
             flat = _unpack_bytes(payload[pos:end], w)
-            _check_range(ctx, flat)
+            ctx.check_elements(flat, m.name)
             out[m.name] = [flat[i : i + cols] for i in range(0, count, cols)]
             pos = end
         if pos != len(payload):
@@ -505,14 +499,9 @@ def _save(path, rec: _Record, obj, fmt: str) -> None:
     context, members = rec.split(obj)
     ctx = context.field()
     flat = [v for m in rec.members for row in members[m.name] for v in row]
-    try:  # a value the codec would truncate or cannot read back
-        lanes = array("Q", flat)
-    except (TypeError, OverflowError):
-        lanes = None
-    if lanes is None or max(lanes, default=0) >= ctx.size:
-        raise ParameterError(f"{rec.name} data holds a value outside F_{ctx.q}^{ctx.N}")
+    ctx.check_elements(flat, f"{rec.name} data")  # the codec would truncate any other value
     values = dict(rec.values(context), modulus=ctx.modulus)
-    Path(path).write_bytes(write(rec, values, ctx, members, lanes))
+    Path(path).write_bytes(write(rec, values, ctx, members, flat))
 
 
 def _load(path, rec: _Record):
@@ -527,7 +516,10 @@ def _load(path, rec: _Record):
         raise FormatError(f"file carries invalid parameters: {exc}") from None
     if tuple(_monic(modulus, ctx.q)) != ctx.modulus:  # q is known prime here
         raise FormatError(f"stored modulus is not the default {ctx.modulus} of F_{ctx.q}^{ctx.N}")
-    return rec.build(context, read_members(ctx, rec.dims(context)))
+    try:  # the readers refuse an element outside the field with a ParameterError
+        return rec.build(context, read_members(ctx, rec.dims(context)))
+    except ParameterError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def save_public_key(path, pub: GptPublicKey, fmt: str = "bin") -> None:

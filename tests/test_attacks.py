@@ -206,6 +206,21 @@ def test_distinguisher_trials_requires_positive_count():
         distinguisher_trials(GptParams(**DESK, t1=2, s_ext=1), trials=0)
 
 
+@pytest.mark.parametrize("count", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("entry", ["attack depth", "distinguisher depth", "trials", "code dimension"])
+def test_depth_trial_and_dimension_counts_must_be_plain_ints(count, entry):
+    params = GptParams(**DESK, t1=2, s_ext=1)
+    pub, _ = keygen(params, random.Random(98))
+    calls = {
+        "attack depth": lambda: attack_public_key(pub, count),
+        "distinguisher depth": lambda: distinguisher_trials(params, trials=1, u=count),
+        "trials": lambda: distinguisher_trials(params, trials=count),
+        "code dimension": lambda: GabidulinCode(get_field(2, 12), [1, 2, 4, 8], count),
+    }
+    with pytest.raises(ParameterError, match="must be an int"):
+        calls[entry]()
+
+
 def test_distinguisher_trials_checks_depth_before_drawing_a_key():
     params = GptParams(**DESK, t1=2, s_ext=1)
     unusable = object()  # drawing a key from it raises AttributeError

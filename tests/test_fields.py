@@ -316,9 +316,17 @@ def test_frobenius_is_additive_and_multiplicative(a, b):
     [(2.0, 12), (True, 12), ("2", 12), (2, 12.0), (2, True)],
     ids=["float-q", "bool-q", "str-q", "float-N", "bool-N"],
 )
-def test_q_and_N_must_be_plain_ints(q, N):
-    with pytest.raises(ParameterError, match="must be an int"):
-        _check_field(q, N)
+def test_q_and_N_must_be_plain_ints(monkeypatch, q, N):
+    # get_field and default_modulus refuse them on a cold cache and once
+    # (2, 12) is cached, though 12.0 == 12 and True == 1
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    default_modulus.cache_clear()
+    for warm in (False, True):
+        if warm:
+            get_field(2, 12)
+        for check in (_check_field, get_field, default_modulus):
+            with pytest.raises(ParameterError, match="must be an int"):
+                check(q, N)
 
 
 def test_is_prime():
@@ -409,15 +417,13 @@ def test_rejects_bad_parameters():
         FieldCtx(q=2, N=1)
 
 
-def test_check_element_bounds():
+def test_check_elements_bounds():
     ctx = get_field(2, 4)
-    ctx.check_element(15)
-    with pytest.raises(ValueError):
-        ctx.check_element(16)
-    with pytest.raises(ValueError):
-        ctx.check_element(-1)
-    with pytest.raises(ValueError):
-        ctx.check_element("3")
+    for values in ([], [0, 15], [True, False], (3, 7)):
+        assert ctx.check_elements(values, "v") is None
+    for bad in (16, -1, "3", 3.0, 1 << 64):
+        with pytest.raises(ParameterError, match="^v holds a value outside F_2\\^4$"):
+            ctx.check_elements([0, bad, 1], "v")
 
 
 def test_coeff_roundtrip():

@@ -187,22 +187,25 @@ def test_inconsistent_scrambler_pair_rejected(tmp_path, keypair):
         load_private_key(path)
 
 
-def test_out_of_range_element_rejected(tmp_path, keypair):
-    pub, _ = keypair
-    path = tmp_path / "hot.json"
-    save_public_key(path, pub, "json")
-    doc = json.loads(path.read_text())
-    del doc["checksum"]
-    row = doc["matrix"][0].split()
-    row[0] = "fff"  # 4095 is fine; push one digit wider instead
-    doc["matrix"][0] = " ".join(["1fff"] + row[1:])
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    import hashlib
-
-    doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError):
-        load_public_key(path)
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("kind", ["public", "private", "ciphertext"])
+def test_out_of_range_element_rejected(tmp_path, keypair, kind, fmt):
+    # 0xffff >= 2^12 still fits bin's 2-byte word at N = 12, and hex and json
+    # read its 4 digits where 3 are written
+    pub, priv = keypair
+    ct = make_ct(pub.params, random.Random(97))
+    bad_priv = copy.copy(priv)
+    bad_priv.S = [[0xFFFF] + list(priv.S[0][1:])] + priv.S[1:]
+    obj = {
+        "public": replace(pub, matrix=[[0xFFFF] + list(pub.matrix[0][1:])] + pub.matrix[1:]),
+        "private": bad_priv,
+        "ciphertext": replace(ct, blocks=[ct.blocks[0], [0xFFFF] + ct.blocks[1][1:]]),
+    }[kind]
+    rec, load, _ = RECORDS[kind]
+    path = tmp_path / f"hot.{fmt}"
+    path.write_bytes(per_element_codec.encode(rec, obj, fmt))
+    with pytest.raises(FormatError, match="holds a value outside F_2\\^12$"):
+        load(path)
 
 
 def test_bad_parameters_in_file_are_a_format_error(tmp_path, keypair):
@@ -639,8 +642,17 @@ def test_bulk_codec_refuses_elements_outside_the_field(tmp_path, codec_case, fmt
         assert path.read_bytes() == b"untouched"
 
 
+class IndexOnly:
+    """Not an int, but usable as one through __index__, as a numpy integer is."""
+
+    def __index__(self):
+        return 5
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("bad", [-1, 1 << 12, 1.0], ids=["minus-1", "q^N", "float"])
+@pytest.mark.parametrize(
+    "bad", [-1, 1 << 12, 1.0, IndexOnly()], ids=["minus-1", "q^N", "float", "index-only"]
+)
 def test_writers_refuse_elements_outside_the_field(tmp_path, keypair, fmt, bad):
     pub, priv = keypair
     ct = make_ct(pub.params, random.Random(96))
