@@ -43,10 +43,8 @@ _PARITY = bytes(48 + (i & 1) for i in range(256))  # byte count -> b"0" or b"1"
 _WINDOW = 14
 # Bits of an element mapped by one lookup in a q = 2 Frobenius table.
 _FROB_WINDOW = 7
-# Bits of a multiplier per lookup in a pivot row's window tables, and the
-# number of row updates from which building those tables pays off.
+# Bits of a multiplier per lookup in a pivot row's window tables.
 _SPAN_WINDOW = 4
-_SPAN_USES = 16
 _LITTLE = sys.byteorder == "little"
 
 
@@ -305,25 +303,28 @@ class FieldCtx:
     otherwise a list.  ``pack_row(row)`` and ``unpack_row(w, length)``
     convert, and ``column(rows, c, first)`` lists entry c of rows[first],
     rows[first + 1], ...
-    ``submul_row(prow, uses=1)`` returns ``upd(w, f)``, which returns
-    w - f * prow for rows in that format (a list row is changed in place).
-    Table fields precompute the logs of the pivot row's nonzero entries,
-    and odd q loops per element over ``mul``.  Lane-packed rows xor the
-    copies x^i * prow mod f that f's bits select; when the update is to be
-    used at least ``_SPAN_USES`` times, it builds xor-span tables of those
-    copies once and looks f up 4 bits at a time.  ``row_combiner(M)``
+    ``submul_row(prow)`` returns ``upd(w, f)``, which returns w - f * prow
+    for rows in that format (a list row is changed in place).  Table
+    fields precompute the logs of the pivot row's nonzero entries, and odd
+    q loops per element over ``mul``.  Lane-packed rows build, once per
+    pivot row, the xor-span tables of the copies x^i * prow mod f over
+    4-bit windows of f, and xor one table entry per window.  ``row_combiner(M)``
     returns ``times(v) = v M``, built once for a matrix that many vectors
     multiply: one ``submul_row`` update per row of M, except that q = 2
     without tables xors, in one pass, the lane-packed copies of all of M's
     rows that the bits of all of v select.
 
-    ``scale_row(row, f)`` returns f * row, chosen per field like ``mul``:
-    q = 2 without tables packs row into lanes of 64 bits (N <= 32) or 128
-    bits, wide enough for a (2N-1)-bit carry-less product, xors one shifted
-    copy per set bit of f and folds the high halves back with x^N mod f.
+    ``scale_row(row, f)`` returns f * row, chosen per field like ``mul``;
+    ``_scale_packed(w, f)`` does the same for a row in elimination's
+    format.  q = 2 without tables scales the lane-packed int: its even and
+    odd lanes move apart into lanes twice as wide, which hold a (2N-1)-bit
+    carry-less product; it xors one shifted copy per set bit of f and
+    folds the high halves back with x^N mod f.
     ``power_basis_images(c)`` is L(a^j), j < N, for L = sum_i c_i x^(q^i):
     c times the Moore matrix [sigma^i(a^j)] kept from building the
     Frobenius tables, through a ``row_combiner`` kernel built on first use.
+    Lane-packed fields also keep that matrix's columns packed, sigma^i(a^j)
+    in lane i of column j, from which ``moore_matrix`` reads whole columns.
 
     ``check_elements(values, what)``, the one check of vectors from outside,
     raises ParameterError unless every value is an int in [0, q^N) (a bool
@@ -352,6 +353,7 @@ class FieldCtx:
         # power_basis_images' kernel; not a cached_property, whose write to
         # __dict__ slows every later attribute load on the field (CPython 3.11)
         self._moore_times = None
+        self._lane_masks = {}  # _shifted's lane masks, by lane count
         self.lane_bits = 32 if self.order.bit_length() <= 32 else 64  # one element per lane
         self.pack_lanes, self.unpack_lanes = _lane_codec(self.lane_bits)
         if q == 2:
@@ -361,20 +363,6 @@ class FieldCtx:
         if size <= _TABLE_LIMIT:
             self._build_tables()
             self.mul = self._mul_table
-        # the row format of elimination, and the row kernels that go with it:
-        # one lane-packed int per row for q = 2 without tables, else a list
-        if q == 2 and not self._log:
-            self.pack_row, self.unpack_row = self.pack_lanes, self.unpack_lanes
-            self.column = self._lane_column
-            self.submul_row = self._submul_lanes
-            self.row_combiner = self._combine_packed
-            self.scale_row = self._make_scale_packed()
-        else:
-            self.pack_row, self.unpack_row = list, _list_row
-            self.column = _list_column
-            self.submul_row = self._submul_table if q == 2 else self._submul_generic
-            self.row_combiner = self._combine_rows
-            self.scale_row = self._scale_generic
 
         # _moore[i] lists the basis images sigma^i(a^j); for q = 2, _frob[i]
         # holds the window tables of those images, 1 <= i < N
@@ -386,6 +374,24 @@ class FieldCtx:
                 self._frob.append(_span_tables(moore[i], _FROB_WINDOW))
             if i + 1 < N:  # sigma^(i+1)(a^j) = sigma(sigma^i(a^j))
                 moore.append([self.frobenius(v) for v in moore[i]])
+
+        # the row format of elimination, and the row kernels that go with it:
+        # one lane-packed int per row for q = 2 without tables, else a list
+        if q == 2 and not self._log:
+            self.pack_row, self.unpack_row = self.pack_lanes, self.unpack_lanes
+            self.column = self._lane_column
+            self.submul_row = self._submul_lanes
+            self.row_combiner = self._combine_packed
+            self._scale_packed = self._make_scale_lanes()
+            self.scale_row = self._scale_unpacked
+            self._frob_columns = list(map(self.pack_lanes, zip(*moore)))  # for moore_matrix
+        else:
+            self.pack_row, self.unpack_row = list, _list_row
+            self.column = _list_column
+            self.submul_row = self._submul_table if q == 2 else self._submul_generic
+            self.row_combiner = self._combine_rows
+            self.scale_row = self._scale_packed = self._scale_generic
+            self._frob_columns = None
 
     # -- addition ----------------------------------------------------------
 
@@ -486,7 +492,7 @@ class FieldCtx:
 
     # -- row formats and row updates -------------------------------------------
 
-    def _submul_table(self, prow, uses=1):
+    def _submul_table(self, prow):
         # q = 2 only: subtraction is xor
         log, exp = self._log, self._exp
         pairs = [(j, log[b]) for j, b in enumerate(prow) if b]
@@ -500,7 +506,7 @@ class FieldCtx:
 
         return upd
 
-    def _submul_generic(self, prow, uses=1):
+    def _submul_generic(self, prow):
         mul, sub = self.mul, self.sub
         pairs = [(j, b) for j, b in enumerate(prow) if b]
 
@@ -517,9 +523,12 @@ class FieldCtx:
 
     def _shifted(self, p: int) -> list[int]:
         """x^i * row mod f for i < N, for a row lane-packed into p."""
-        N = self.N
-        ones = self.pack_lanes([1] * -(-p.bit_length() // self.lane_bits))
-        low = ones * ((1 << (N - 1)) - 1)
+        N, lanes = self.N, -(-p.bit_length() // self.lane_bits)
+        masks = self._lane_masks.get(lanes)
+        if masks is None:  # bit 0, and bits 0 .. N - 2, of each lane
+            ones = self.pack_lanes([1] * lanes)
+            masks = self._lane_masks[lanes] = ones, ones * ((1 << (N - 1)) - 1)
+        ones, low = masks
         fold = self._mod_int ^ (1 << N)  # x^N mod f
         out = [p]
         for _ in range(N - 1):
@@ -527,22 +536,22 @@ class FieldCtx:
             out.append(p)
         return out
 
-    def _submul_lanes(self, prow: int, uses: int = 1):
-        # f * prow is the xor of the x^i * prow copies that f's bits select
+    def _submul_lanes(self, prow: int):
+        # f * prow is the xor of the x^i * prow copies that f's bits select,
+        # looked up 4 bits of f at a time in the xor-span tables of the copies
         shifted = self._shifted(prow)
-        if uses < _SPAN_USES:
-            spread = _SPREAD
-
-            def upd(w, f):
-                return reduce(xor, compress(shifted, bin(f)[:1:-1].encode().translate(spread)), w)
-
-            return upd
-        tabs = _span_tables(shifted, _SPAN_WINDOW)
-        wmask = (1 << _SPAN_WINDOW) - 1
+        whole = iter(shifted[: len(shifted) - len(shifted) % _SPAN_WINDOW])
+        tabs = []
+        for a, b, c, d in zip(whole, whole, whole, whole):  # entry k: xor of k's bits' images
+            ab, ac, bc = a ^ b, a ^ c, b ^ c
+            abc = ab ^ c
+            tabs.append([0, a, b, ab, c, ac, bc, abc,
+                         d, a ^ d, b ^ d, ab ^ d, c ^ d, ac ^ d, bc ^ d, abc ^ d])  # fmt: skip
+        tabs += _span_tables(shifted[len(tabs) * _SPAN_WINDOW :], _SPAN_WINDOW)
 
         def upd(w, f):
             for tab in tabs:
-                w ^= tab[f & wmask]
+                w ^= tab[f & 15]  # the low _SPAN_WINDOW bits
                 f >>= _SPAN_WINDOW
             return w
 
@@ -580,21 +589,31 @@ class FieldCtx:
         mul = self.mul
         return [mul(f, a) if a else 0 for a in row]
 
-    def _make_scale_packed(self):
-        """f * row for q = 2 without tables, in lanes that hold a (2N-1)-bit product."""
-        N = self.N
-        words = 1 if 2 * N - 1 <= WORD_BITS else 2  # 64-bit words per lane
-        lo = 0 if sys.byteorder == "little" else words - 1  # the word holding the element
-        lane_one = b"\1" + bytes(8 * words - 1)
-        fold = [i for i in range(N) if self._mod_int >> i & 1]  # bits of x^N mod f
-        order, spread, low_bits = sys.byteorder, _SPREAD, range(N)
+    def _scale_unpacked(self, row, f):
+        return self.unpack_lanes(self._scale_packed(self.pack_lanes(row), f), len(row))
 
-        def scale(row, f):
-            lanes = array("Q", bytes(8 * words * len(row)))
-            lanes[lo::words] = array("Q", row)
-            p = int.from_bytes(lanes, order)
-            ones = int.from_bytes(lane_one * len(row), "little")  # bit 0 of each lane
-            low, high = ones * ((1 << N) - 1), ones * ((1 << (N - 1)) - 1)
+    def _make_scale_lanes(self):
+        """f * w for a row lane-packed into w, as one int, for q = 2 without tables.
+
+        Lane 2c moves to wide lane c and lane 2c + 1 to wide lane half + c,
+        in lanes twice as wide, which hold a (2N-1)-bit carry-less product.
+        """
+        N, bits = self.N, self.lane_bits
+        wide = 2 * bits
+        fold = [i for i in range(N) if self._mod_int >> i & 1]  # bits of x^N mod f
+        spread, low_bits = _SPREAD, range(N)
+        masks = {}  # by half, the number of wide lanes that one half of the row fills
+
+        def scale(w, f):
+            half = -(-w.bit_length() // wide)
+            if half not in masks:
+                shift = wide * half  # where the odd lanes go
+                ones = int.from_bytes((b"\1" + bytes(wide // 8 - 1)) * half, "little")
+                both = ones | ones << shift  # bit 0 of each wide lane
+                masks[half] = (ones * ((1 << bits) - 1), shift, (1 << shift) - 1,
+                               both * ((1 << N) - 1), both * ((1 << (N - 1)) - 1))  # fmt: skip
+            even, shift, first, low, high = masks[half]
+            p = w & even | (w >> bits & even) << shift
             prod = 0  # one shifted copy of the row per set bit of f
             for i in compress(low_bits, bin(f)[:1:-1].encode().translate(spread)):
                 prod ^= p << i
@@ -604,7 +623,7 @@ class FieldCtx:
                 for i in fold:
                     prod ^= h << i
                 r, h = r ^ prod & low, prod >> N & high
-            return memoryview(r.to_bytes(len(lanes) * 8, order)).cast("Q")[lo::words].tolist()
+            return r & first | (r >> shift) << bits
 
         return scale
 

@@ -35,13 +35,14 @@ never sees an entry directly: the field chooses its row format when it is
 built (ctx.pack_row, ctx.unpack_row), reads a column (ctx.column) and
 updates rows (ctx.submul_row) in that format.  A pivot a != 1 costs
 products one of two ways.  Scaling its row by 1/a takes up to cols - c of
-them, c the pivot column; ctx.scale_row does it, by the packed kernel at
-q = 2 without tables, but the rule still counts those products.  Folding
-1/a into the multipliers of the h rows it clears takes h, plus, in full
-mode, one more submul_row call that scales the row.  The loop folds when
-that is fewer, h + full < cols - c, except in full mode at odd q, where
-that kernel call multiplies and subtracts per entry.  The reduced echelon
-form is unique, so _rref's rows do not depend on the choice.
+them, c the pivot column; ctx._scale_packed does it in the row format, by
+the lane kernel at q = 2 without tables, but the rule still counts those
+products.  Folding 1/a into the multipliers of the h rows it clears takes
+h, plus, in full mode, one more call of the pivot row's update kernel,
+which scales the row.  The loop folds when that is fewer, h + full <
+cols - c, except in full mode at odd q, where that kernel call multiplies
+and subtracts per entry.  The reduced echelon form is unique, so _rref's
+rows do not depend on the choice.
 
 Random matrices over F_q draw their entries in bulk (_base_rows), from the
 very 32-bit words that one rng.randrange(q) per entry takes, so seeded
@@ -175,7 +176,7 @@ def _eliminate(ctx, M, full):
     rank, and the rows are left partly reduced.
     """
     cols = len(M[0]) if M else 0
-    pack, unpack, column = ctx.pack_row, ctx.unpack_row, ctx.column
+    pack, column = ctx.pack_row, ctx.column
     submul, mul, inv, neg = ctx.submul_row, ctx.mul, ctx.inv, ctx.neg
     # a full pass scales a folded pivot row through its update kernel,
     # which is cheap only at q = 2
@@ -207,9 +208,9 @@ def _eliminate(ctx, M, full):
                 piv_inv = inv(a)
                 fold = may_fold and len(hits) + full < cols - c
                 if not fold:
-                    work[r] = pack(ctx.scale_row(unpack(work[r], cols), piv_inv))
+                    work[r] = ctx._scale_packed(work[r], piv_inv)
             if hits or fold:
-                upd = submul(work[r], len(hits) + fold * full)
+                upd = submul(work[r])
                 for i in hits:
                     f = vals[i - lo]
                     work[i] = upd(work[i], mul(f, piv_inv) if fold else f)

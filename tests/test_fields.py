@@ -20,7 +20,9 @@ from gptrank.fields import (
     is_irreducible,
     is_prime,
 )
+from gptrank.gabidulin import GabidulinCode
 from gptrank.gpt import GptParams
+from gptrank.linalg import independent_elements
 
 
 def slow_poly_mul_mod(q, modulus, a_digits, b_digits):
@@ -147,28 +149,47 @@ def test_table_and_clmul_agree_on_shared_field():
         assert small.mul(a, b) == small._clmul(a, b) == oracle_mul(small, a, b)
 
 
-# lane-packed rows on both sides of the switch from 32-bit to 64-bit lanes
-@pytest.mark.parametrize("q,N", [(2, 12), (3, 5), (2, 28), (2, 32), (2, 33), (3, 11)])
+# lane-packed rows on both sides of the switch from 32-bit to 64-bit lanes,
+# and at N = 33 a last window of the multiplier with fewer than 4 bits
+@pytest.mark.parametrize("q,N", [(2, 12), (3, 5), (2, 28), (2, 32), (2, 33), (2, 64), (3, 11)])
 def test_submul_row_matches_elementwise_loop(q, N):
-    ctx = get_field(q, N)
+    ctx = FieldCtx(q, N)  # not the shared one: _shifted's lane masks start empty
     rng = random.Random(100 * q + N)
-    for trial in range(40):
-        length = 1 + trial % 9
+    # then rows of 9, 1 and 9 lanes, which use the masks cached for each
+    # lane count again, after a larger and after a smaller count
+    lengths = [1 + trial % 9 for trial in range(40)] + [9, 1, 9]
+    for trial, length in enumerate(lengths):
         # a pivot row as elimination passes it: zero left of its pivot column
         start = trial % length
         prow = [0] * start + [
             ctx.rand_elem(rng) if rng.random() < 0.8 else 0 for _ in range(length - start)
         ]
+        if trial >= 40:  # a nonzero last entry: the packed row spans every lane
+            prow[-1] = ctx.rand_nonzero(rng)
         wrow = [ctx.rand_elem(rng) for _ in range(length)]
         f = ctx.rand_elem(rng) if trial % 10 else 0
         expected = list(wrow)  # its first start entries unchanged
         for j in range(start, length):
             expected[j] = ctx.sub(expected[j], ctx.mul(f, prow[j]))
-        # rows in the field's own format; an update used many times may
-        # take another path (window tables on lane-packed rows)
-        for uses in (1, 1000):
-            upd = ctx.submul_row(ctx.pack_row(prow), uses)
-            assert ctx.unpack_row(upd(ctx.pack_row(wrow), f), length) == expected
+        # rows in the field's own format
+        upd = ctx.submul_row(ctx.pack_row(prow))
+        assert ctx.unpack_row(upd(ctx.pack_row(wrow), f), length) == expected
+
+
+def test_field_caches_add_no_attribute_after_construction():
+    # a later write to an instance's __dict__ slows every attribute load on
+    # it (CPython 3.11), so every per-field cache exists from __init__ on
+    for N in (28, 12):  # lane-packed rows, and log tables
+        ctx = FieldCtx(2, N)
+        keys = sorted(vars(ctx))
+        g = independent_elements(ctx, 5, random.Random(N))
+        upd = ctx.submul_row(ctx.pack_row(g))
+        upd(ctx.pack_row(g[::-1]), g[0])
+        ctx.row_combiner([g, g[::-1]])([g[1], g[2]])
+        ctx.scale_row(g, g[3])
+        ctx.power_basis_images(g)
+        GabidulinCode(ctx, g, 2)
+        assert sorted(vars(ctx)) == keys
 
 
 @pytest.mark.parametrize("q,N,bits", [(2, 12, 32), (2, 32, 32), (2, 33, 64), (2, 64, 64),

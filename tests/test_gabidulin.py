@@ -36,15 +36,24 @@ def test_moore_matrix_frozen_row():
 
 
 def test_moore_matrix_rows_are_frobenius_powers():
-    for ctx in (get_field(2, 8), get_field(3, 5)):
+    # log tables, odd q, and lane-packed fields with n = N, n < N and 64-bit lanes
+    cases = [(2, 8, 5, 4), (3, 5, 5, 4), (2, 28, 28, 27), (2, 33, 20, 33), (2, 64, 64, 63)]
+    for q, N, n, rows in cases:
+        ctx = get_field(q, N)
         rng = random.Random(41)
-        g = [ctx.rand_elem(rng) for _ in range(5)]
-        M = moore_matrix(ctx, g, 4)
-        assert len(M) == 4 and M[0] == g
-        for i in range(4):
+        g = [ctx.rand_elem(rng) for _ in range(n - 1)] + [0]
+        M = moore_matrix(ctx, g, rows)
+        assert len(M) == rows and M[0] == g
+        for i in range(rows):
             assert M[i] == [ctx.frobenius(gj, i) for gj in g]
         for prev, row in zip(M, M[1:]):
             assert row == [ctx.pow(a, ctx.q) for a in prev]
+        # rows from N on repeat the first, as sigma^N is the identity
+        wrapped = moore_matrix(ctx, g, N + 3)
+        assert wrapped[:rows] == M and wrapped[N:] == wrapped[:3]
+        assert wrapped[N] is not wrapped[0]  # no row is shared
+        assert moore_matrix(ctx, g, 0) == []
+        assert moore_matrix(ctx, [], 3) == [[], [], []]
 
 
 def test_generator_is_moore_of_g():
