@@ -314,17 +314,19 @@ class FieldCtx:
     without tables xors, in one pass, the lane-packed copies of all of M's
     rows that the bits of all of v select.
 
-    ``scale_row(row, f)`` returns f * row, chosen per field like ``mul``;
-    ``_scale_packed(w, f)`` does the same for a row in elimination's
-    format.  q = 2 without tables scales the lane-packed int: its even and
-    odd lanes move apart into lanes twice as wide, which hold a (2N-1)-bit
-    carry-less product; it xors one shifted copy per set bit of f and
-    folds the high halves back with x^N mod f.
+    ``scale_row(row, f)`` returns f * row, chosen per field like ``mul``,
+    and ``scale_packed_row(w, f)`` returns f * w for a row in elimination's
+    format (as ``pack_row`` returns it).  q = 2 without tables scales the
+    lane-packed int: its even and odd lanes move apart into lanes twice as
+    wide, which hold a (2N-1)-bit carry-less product; it xors one shifted
+    copy per set bit of f and folds the high halves back with x^N mod f.
     ``power_basis_images(c)`` is L(a^j), j < N, for L = sum_i c_i x^(q^i):
     c times the Moore matrix [sigma^i(a^j)] kept from building the
     Frobenius tables, through a ``row_combiner`` kernel built on first use.
-    Lane-packed fields also keep that matrix's columns packed, sigma^i(a^j)
-    in lane i of column j, from which ``moore_matrix`` reads whole columns.
+    ``frobenius_rows(g, rows)`` lists [sigma^i(g_j)]_j for i < rows: one
+    ``frobenius`` call per entry, except that lane-packed fields pack that
+    matrix's columns once, sigma^i(a^b) in lane i of column b, and xor the
+    columns that each g_j's bits select.
 
     ``check_elements(values, what)``, the one check of vectors from outside,
     raises ParameterError unless every value is an int in [0, q^N) (a bool
@@ -353,10 +355,10 @@ class FieldCtx:
         # power_basis_images' kernel; not a cached_property, whose write to
         # __dict__ slows every later attribute load on the field (CPython 3.11)
         self._moore_times = None
-        self._lane_masks = {}  # _shifted's lane masks, by lane count
         self.lane_bits = 32 if self.order.bit_length() <= 32 else 64  # one element per lane
         self.pack_lanes, self.unpack_lanes = _lane_codec(self.lane_bits)
         if q == 2:
+            self._shifted = self._make_shifted()
             self._clmul = self.mul = self._make_clmul()
         else:
             self.mul = self._mul_generic
@@ -382,16 +384,16 @@ class FieldCtx:
             self.column = self._lane_column
             self.submul_row = self._submul_lanes
             self.row_combiner = self._combine_packed
-            self._scale_packed = self._make_scale_lanes()
+            self.scale_packed_row = self._make_scale_lanes()
             self.scale_row = self._scale_unpacked
-            self._frob_columns = list(map(self.pack_lanes, zip(*moore)))  # for moore_matrix
+            self.frobenius_rows = self._make_frobenius_lanes()
         else:
             self.pack_row, self.unpack_row = list, _list_row
             self.column = _list_column
             self.submul_row = self._submul_table if q == 2 else self._submul_generic
             self.row_combiner = self._combine_rows
-            self.scale_row = self._scale_packed = self._scale_generic
-            self._frob_columns = None
+            self.scale_row = self.scale_packed_row = self._scale_generic
+            self.frobenius_rows = self._frobenius_rows
 
     # -- addition ----------------------------------------------------------
 
@@ -521,33 +523,37 @@ class FieldCtx:
         shift, mask = self.lane_bits * c, self.order  # 2^N - 1
         return [w >> shift & mask for w in rows[first:]]
 
-    def _shifted(self, p: int) -> list[int]:
-        """x^i * row mod f for i < N, for a row lane-packed into p."""
-        N, lanes = self.N, -(-p.bit_length() // self.lane_bits)
-        masks = self._lane_masks.get(lanes)
-        if masks is None:  # bit 0, and bits 0 .. N - 2, of each lane
-            ones = self.pack_lanes([1] * lanes)
-            masks = self._lane_masks[lanes] = ones, ones * ((1 << (N - 1)) - 1)
-        ones, low = masks
+    def _make_shifted(self):
+        """shifted(p): x^i * row mod f for i < N, for a row lane-packed into p (q = 2)."""
+        N, bits, pack = self.N, self.lane_bits, self.pack_lanes
         fold = self._mod_int ^ (1 << N)  # x^N mod f
-        out = [p]
-        for _ in range(N - 1):
-            p = ((p & low) << 1) ^ ((p >> (N - 1) & ones) * fold)
-            out.append(p)
-        return out
+        masks = {}  # by lane count: bit 0, and bits 0 .. N - 2, of each lane
+
+        def shifted(p: int) -> list[int]:
+            lanes = -(-p.bit_length() // bits)
+            if lanes not in masks:
+                ones = pack([1] * lanes)
+                masks[lanes] = ones, ones * ((1 << (N - 1)) - 1)
+            ones, low = masks[lanes]
+            out = [p]
+            for _ in range(N - 1):
+                p = ((p & low) << 1) ^ ((p >> (N - 1) & ones) * fold)
+                out.append(p)
+            return out
+
+        return shifted
 
     def _submul_lanes(self, prow: int):
         # f * prow is the xor of the x^i * prow copies that f's bits select,
-        # looked up 4 bits of f at a time in the xor-span tables of the copies
-        shifted = self._shifted(prow)
-        whole = iter(shifted[: len(shifted) - len(shifted) % _SPAN_WINDOW])
+        # looked up 4 bits of f at a time in the xor-span tables of the copies;
+        # zero copies fill the last window when 4 does not divide N
+        copies = iter(self._shifted(prow) + [0] * (-self.N % _SPAN_WINDOW))
         tabs = []
-        for a, b, c, d in zip(whole, whole, whole, whole):  # entry k: xor of k's bits' images
+        for a, b, c, d in zip(copies, copies, copies, copies):  # entry k: xor of k's bits' copies
             ab, ac, bc = a ^ b, a ^ c, b ^ c
             abc = ab ^ c
             tabs.append([0, a, b, ab, c, ac, bc, abc,
                          d, a ^ d, b ^ d, ab ^ d, c ^ d, ac ^ d, bc ^ d, abc ^ d])  # fmt: skip
-        tabs += _span_tables(shifted[len(tabs) * _SPAN_WINDOW :], _SPAN_WINDOW)
 
         def upd(w, f):
             for tab in tabs:
@@ -590,7 +596,7 @@ class FieldCtx:
         return [mul(f, a) if a else 0 for a in row]
 
     def _scale_unpacked(self, row, f):
-        return self.unpack_lanes(self._scale_packed(self.pack_lanes(row), f), len(row))
+        return self.unpack_lanes(self.scale_packed_row(self.pack_lanes(row), f), len(row))
 
     def _make_scale_lanes(self):
         """f * w for a row lane-packed into w, as one int, for q = 2 without tables.
@@ -638,6 +644,23 @@ class FieldCtx:
             r ^= tab[a & 127]  # the low _FROB_WINDOW bits
             a >>= _FROB_WINDOW
         return r
+
+    def _frobenius_rows(self, g, rows):
+        frob = self.frobenius
+        return [[frob(gj, i) for gj in g] for i in range(rows)]
+
+    def _make_frobenius_lanes(self):
+        """frobenius_rows for lane-packed fields: sigma^i is F_2-linear, sigma^N = id."""
+        N, unpack, spread = self.N, self.unpack_lanes, _SPREAD
+        columns = list(map(self.pack_lanes, zip(*self._moore)))  # lane i: sigma^i(a^b)
+
+        def rows_of(g, rows):
+            bits = (bin(a)[:1:-1].encode().translate(spread) for a in g)  # byte b: bit b of a
+            columns_of_g = (unpack(reduce(xor, compress(columns, b), 0), N) for b in bits)
+            by_row = list(zip(*columns_of_g)) or [()] * N  # no locators: N empty rows
+            return [list(by_row[i % N]) for i in range(rows)]
+
+        return rows_of
 
     def _frobenius_generic(self, a: int, i: int = 1) -> int:
         i %= self.N

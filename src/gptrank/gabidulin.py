@@ -30,12 +30,8 @@ G_info^-1 and the reader on its first decode, as only decoding reads them.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import compress
-from operator import xor
-
 from .errors import DecodeFailure, ParameterError
-from .fields import _SPREAD, _check_counts
+from .fields import _check_counts
 from .linalg import (
     FixedMatrix,
     _span_combiner,
@@ -52,22 +48,8 @@ __all__ = ["GabidulinCode", "moore_matrix"]
 
 
 def moore_matrix(ctx, g, rows):
-    """rows x len(g) matrix with entry (i, j) = g_j^(q^i).
-
-    On lane-packed fields sigma^i(g_j), i < N, is the xor of the field's
-    packed columns [sigma^i(a^b)]_i over the set bits b of g_j, as sigma^i is
-    F_2-linear; rows from N on repeat, as sigma^N is the identity.  Other
-    fields apply ctx.frobenius per entry.
-    """
-    columns = ctx._frob_columns
-    if columns is None:
-        frob = ctx.frobenius
-        return [[frob(gj, i) for gj in g] for i in range(rows)]
-    N = ctx.N
-    bits = (bin(a)[:1:-1].encode().translate(_SPREAD) for a in g)  # byte b: bit b of a
-    columns_of_g = (reduce(xor, compress(columns, b), 0) for b in bits)
-    by_row = list(zip(*(ctx.unpack_lanes(c, N) for c in columns_of_g))) or [()] * N
-    return [list(by_row[i % N]) for i in range(rows)]
+    """rows x len(g) matrix with entry (i, j) = g_j^(q^i), by ctx.frobenius_rows."""
+    return ctx.frobenius_rows(g, rows)
 
 
 class GabidulinCode:

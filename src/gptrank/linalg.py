@@ -35,8 +35,8 @@ never sees an entry directly: the field chooses its row format when it is
 built (ctx.pack_row, ctx.unpack_row), reads a column (ctx.column) and
 updates rows (ctx.submul_row) in that format.  A pivot a != 1 costs
 products one of two ways.  Scaling its row by 1/a takes up to cols - c of
-them, c the pivot column; ctx._scale_packed does it in the row format, by
-the lane kernel at q = 2 without tables, but the rule still counts those
+them, c the pivot column; ctx.scale_packed_row does it in the row format,
+by the lane kernel at q = 2 without tables, but the rule still counts those
 products.  Folding 1/a into the multipliers of the h rows it clears takes
 h, plus, in full mode, one more call of the pivot row's update kernel,
 which scales the row.  The loop folds when that is fewer, h + full <
@@ -208,7 +208,7 @@ def _eliminate(ctx, M, full):
                 piv_inv = inv(a)
                 fold = may_fold and len(hits) + full < cols - c
                 if not fold:
-                    work[r] = ctx._scale_packed(work[r], piv_inv)
+                    work[r] = ctx.scale_packed_row(work[r], piv_inv)
             if hits or fold:
                 upd = submul(work[r])
                 for i in hits:

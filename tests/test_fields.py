@@ -153,7 +153,7 @@ def test_table_and_clmul_agree_on_shared_field():
 # and at N = 33 a last window of the multiplier with fewer than 4 bits
 @pytest.mark.parametrize("q,N", [(2, 12), (3, 5), (2, 28), (2, 32), (2, 33), (2, 64), (3, 11)])
 def test_submul_row_matches_elementwise_loop(q, N):
-    ctx = FieldCtx(q, N)  # not the shared one: _shifted's lane masks start empty
+    ctx = FieldCtx(q, N)  # not the shared one: its cache of lane masks starts empty
     rng = random.Random(100 * q + N)
     # then rows of 9, 1 and 9 lanes, which use the masks cached for each
     # lane count again, after a larger and after a smaller count
@@ -187,6 +187,7 @@ def test_field_caches_add_no_attribute_after_construction():
         upd(ctx.pack_row(g[::-1]), g[0])
         ctx.row_combiner([g, g[::-1]])([g[1], g[2]])
         ctx.scale_row(g, g[3])
+        ctx.scale_packed_row(ctx.pack_row(g), g[3])
         ctx.power_basis_images(g)
         GabidulinCode(ctx, g, 2)
         assert sorted(vars(ctx)) == keys
