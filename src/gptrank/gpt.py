@@ -27,8 +27,8 @@ kept block: the discarded columns are unconstrained over the extension
 field and must not leak into the decoded coordinates.
 
 A private key is its file's (params, g, S, P, P^{-1}), which ``==`` compares;
-`GptPrivateKey` derives the code of g and a k x k map W with S W = [I | 0]
-once, so every variant decrypts alike: undo P, decode, multiply by W.
+`GptPrivateKey` derives the code of g, and on first use a k x k map W with
+S W = [I | 0], so every variant decrypts alike: undo P, decode, multiply by W.
 """
 
 from __future__ import annotations
@@ -264,10 +264,11 @@ class GptPublicKey:
 class GptPrivateKey:
     """params, g, S, P and P_inv, as the key file stores them; ``==`` compares them.
 
-    Construction builds ``code`` from g (ParameterError for a bad g) and
-    ``unscramble`` = W from S: u W = [m | 0] exactly when u = m S, so W = S^{-1}
-    for a square S.  ValueError when S does not have full row rank.  The
-    code's decoding tables wait for the first decrypt or `load_private_key`.
+    Construction builds ``code`` from g (ParameterError for a bad g).
+    ``unscramble`` = W serves decryption only, like the code's decoding
+    tables: the first decrypt or `load_private_key` builds it from S, with
+    u W = [m | 0] exactly when u = m S, so W = S^{-1} for a square S.  That
+    first read raises ValueError when S does not have full row rank.
     """
 
     params: GptParams
@@ -280,9 +281,16 @@ class GptPrivateKey:
         ctx = self.params.field()
         self.code = GabidulinCode(ctx, self.g, self.params.k)
         self.P_inv = FixedMatrix(self.P_inv)
-        # T S^T = [I; 0] with T invertible, so S T^T = [I | 0]
-        T = _transform(ctx, transpose(self.S), "row scrambler does not have full row rank")
-        self.unscramble = FixedMatrix(transpose(T))
+        self._unscramble = None  # decrypt-only, as in GabidulinCode._decoding_tables
+
+    @property
+    def unscramble(self) -> FixedMatrix:
+        """W, built on first read: T S^T = [I; 0] with T invertible gives S T^T = [I | 0]."""
+        if self._unscramble is None:
+            ctx = self.params.field()
+            T = _transform(ctx, transpose(self.S), "row scrambler does not have full row rank")
+            self._unscramble = FixedMatrix(transpose(T))
+        return self._unscramble
 
 
 def build_scrambler(ctx, size, s_ext, rng, kept, base_field=False):

@@ -30,8 +30,8 @@ back live objects.  (q, N) names the field: savers write its
 `fields.default_modulus`, and a loader, once q and N pass, accepts a stored
 modulus only if reducing it mod q and making it monic gives that default.
 Any mismatch raises FormatError.  A loaded private key is ready to
-decrypt: the loader builds the code's decoding tables, which a key fresh
-from `keygen` builds on its first decrypt.
+decrypt: the loader builds the code's decoding tables and S's map W, which
+a key fresh from `keygen` builds on its first decrypt.
 """
 
 from __future__ import annotations
@@ -167,6 +167,7 @@ def _params_context(values: dict) -> GptParams:
 def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
     try:
         priv = GptPrivateKey(params, m["g"][0], m["S"], m["P"], m["P_inv"])
+        priv.unscramble  # builds W, which checks S's full row rank
     except ParameterError as exc:
         raise FormatError(f"invalid code vector: {exc}") from None
     except ValueError as exc:  # S does not have full row rank
@@ -174,7 +175,7 @@ def _private_build(params: GptParams, m: dict) -> GptPrivateKey:
     # decryption reuses the kernel the check builds on P_inv
     if mat_mul(params.field(), priv.P, priv.P_inv) != identity_matrix(params.pub_cols):
         raise FormatError("column scrambler pair is not mutually inverse")
-    priv.code._decoding_tables()  # a loaded key is ready to decrypt
+    priv.code._decoding_tables()  # with W, a loaded key is ready to decrypt
     return priv
 
 

@@ -646,10 +646,13 @@ def test_odd_q_rectangular_row_scrambler_map():
 
 @pytest.mark.parametrize("params", [VARIANT_CASES[0], VARIANT_CASES[2]], ids=["square", "v5"])
 def test_a_rank_deficient_row_scrambler_is_refused(params):
-    _, priv = keygen(params, random.Random(77))
+    # W is decrypt-only: construction accepts S, the first decrypt refuses it
+    pub, priv = keygen(params, random.Random(77))
     S = [priv.S[0]] + priv.S[:-1]  # the first row twice
+    bad = GptPrivateKey(params, priv.g, S, priv.P, priv.P_inv)
+    c = encrypt(pub, rand_message(params, random.Random(78)), random.Random(79))
     with pytest.raises(ValueError, match="row scrambler does not have full row rank"):
-        GptPrivateKey(params, priv.g, S, priv.P, priv.P_inv)
+        decrypt(bad, c)
 
 
 def test_locators_outside_the_field_are_refused():

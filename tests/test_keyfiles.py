@@ -29,7 +29,7 @@ from gptrank.keyfiles import (
     save_public_key,
     sniff_format,
 )
-from gptrank.linalg import FixedMatrix, vec_mat_mul
+from gptrank.linalg import FixedMatrix, identity_matrix, mat_inv, mat_mul, vec_mat_mul
 
 FORMATS = ("bin", "hex", "json")
 GOLDEN = Path(__file__).parent / "golden"
@@ -538,6 +538,7 @@ def test_fixed_matrices_save_the_bytes_of_plain_lists(tmp_path, keypair):
 
 def test_keygen_loading_and_the_attack_build_no_product_kernel(tmp_path):
     pub, priv = keygen(preset("desk-12"), random.Random(94))
+    assert priv._unscramble is None  # W waits for the first decrypt
     code = priv.code
     info_inv, _ = code._decoding_tables()
     fixed = (pub.matrix, priv.P_inv, priv.unscramble, code.G, code._htab, info_inv)
@@ -566,15 +567,17 @@ def decrypt_outcome(sk, c):
 
 @pytest.mark.parametrize("name", TWIN_CASES)
 def test_a_keygen_key_and_its_loaded_twin_decrypt_alike(tmp_path, name):
-    # keygen leaves the decoding tables to the first decrypt; the loader builds them
+    # keygen leaves the decoding tables and W to the first decrypt; the loader builds them
     make_params, seed = TWIN_CASES[name]
     params = make_params()
     rng = random.Random(seed)
     pub, priv = keygen(params, rng)
     save_private_key(tmp_path / "priv", priv)
     twin = load_private_key(tmp_path / "priv")
-    assert priv.code._info_inv is priv.code._span_error is None
+    assert priv.code._info_inv is priv.code._span_error is priv._unscramble is None
     assert twin.code._info_inv is not None and twin.code._span_error is not None
+    assert isinstance(twin._unscramble, FixedMatrix)
+    assert priv == twin  # == reads the file's contents, built or not
     ctx, rows, cols = params.field(), params.pub_rows, params.pub_cols
     m = [ctx.rand_elem(rng) for _ in range(rows)]
     # the fresh key's first decode sees no syndrome; then honest ciphertexts and random words
@@ -585,6 +588,12 @@ def test_a_keygen_key_and_its_loaded_twin_decrypt_alike(tmp_path, name):
     assert outcomes[0] == m and all(isinstance(out, list) for out in outcomes[:5])
     assert outcomes == [decrypt_outcome(twin, c) for c in cts]
     assert priv.code._info_inv == twin.code._info_inv
+    W = priv._unscramble
+    assert W == twin._unscramble and priv == twin
+    if rows == params.k:
+        assert W == mat_inv(ctx, priv.S)
+    else:
+        assert mat_mul(ctx, priv.S, W) == identity_matrix(params.k)[:rows]
 
 
 # -- the bulk element codec ------------------------------------------------
